@@ -230,12 +230,11 @@ def _sensitivity_pack(problem, opts, state, i, x_prev):
     act = detect_active(sub, x, p, opts.act_margin)
     C = active_jacobian(sub, x, p, act)
     if opts.hessian == "exact":
+        # inactive rows get a zero multiplier, which lagrangian_hessian skips
         act_h = list(act.nonbox)
-        h_act = ex.VectorFunction(
-            [sub.h.outputs[j] for j in act_h], sub.n_x, sub.n_p
-        )
-        mult = sol.gamma[act_h] if act_h else np.zeros(0)
-        H_raw = ex.lagrangian_hessian(sub.f, sub.g, h_act, x, p, sol.kappa, mult)
+        mult = np.zeros(sub.n_h)
+        mult[act_h] = sol.gamma[act_h]
+        H_raw = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, sol.kappa, mult)
         H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
     else:
         B = state.bfgs[i]

@@ -1,10 +1,22 @@
-"""Expression graphs with exact symbolic differentiation.
+"""Expression graphs with exact symbolic differentiation, run as flat tapes.
 
 Objective and constraint functions are built as immutable DAGs over decision
 variables ``var(i)`` and parameters ``param(j)``.  Derivatives (gradients,
 Jacobians, Lagrangian Hessians) are obtained by symbolic graph rewriting with
-constant folding; the resulting graphs are cached per function, so repeated
-evaluation at new points never rebuilds anything.
+constant folding.
+
+Evaluation does not walk the graphs.  On first use, each root set of a
+``VectorFunction`` (its outputs, its gradient graphs, or the Hessian of one
+output) is compiled once into a ``_Tape``, in the manner of CasADi's SX
+virtual machine: the nonconstant nodes in post-order, deduplicated by node
+identity, one register each.  Roots that are constants are folded into a
+stored result array, so a constant Jacobian or Hessian costs one copy per
+call; an output with all-constant gradient graphs has a zero Hessian and no
+Hessian graphs at all.  The tapes apply the same operator functions in the
+same order as a direct post-order walk of the graphs, so values, overflow to
+inf and ``DomainEvalError`` (naming the failing node) are exactly those of
+that walk.  Tapes are read-only once built and every call allocates its own
+registers and result, so functions may be evaluated from several threads.
 """
 
 from __future__ import annotations
@@ -260,39 +272,100 @@ def _apply_binary(op, u, v, node):
     raise ValueError(f"unknown binary op {op!r}")
 
 
-def _eval_nodes(roots, x, p, memo):
-    """Post-order evaluation of several roots sharing one memo table.
+class _Tape:
+    """One compiled root set: a flat instruction list over numbered registers.
 
-    Iterative (explicit stack) so deep derivative graphs cannot overflow the
-    Python recursion limit.  ``memo`` maps id(node) -> float.
+    ``base`` is the flat result with every constant root already in place;
+    ``init`` holds the register file's starting values (constant operands
+    filled in, every other register 0.0).  ``x_loads``/``p_loads`` copy x
+    and p entries into their registers, ``code`` runs the operator nodes in
+    the walk order of the graph, and ``out_pos``/``out_reg`` scatter the
+    nonconstant roots into the result.  Evaluation copies ``base`` and
+    ``init``, so every call gets fresh registers and a fresh result.
     """
-    for root in roots:
+
+    __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos", "out_reg")
+
+    def run(self, x, p):
+        out = self.base.copy()
+        if not self.out_reg:
+            return out
+        reg = self.init.copy()
+        for r, i in self.x_loads:
+            reg[r] = x[i]
+        for r, i in self.p_loads:
+            reg[r] = p[i]
+        for op, dst, a, b, node in self.code:
+            if b < 0:
+                reg[dst] = _apply_unary(op, reg[a], node)
+            else:
+                reg[dst] = _apply_binary(op, reg[a], reg[b], node)
+        out[self.out_pos] = [reg[r] for r in self.out_reg]
+        return out
+
+
+_READY = object()  # stack marker in _compile
+
+
+def _compile(roots, positions, size):
+    """Compile ``roots`` into a tape whose result has ``size`` entries.
+
+    Root k fills the flat result indices ``positions[k]``.  Nodes are
+    numbered in the post-order of one explicit-stack walk over the roots in
+    turn (the last argument of a node is visited first), deduplicated by
+    identity: a node shared between roots runs once, and when several
+    operands are invalid the DomainEvalError names the first in this order.
+    Constant roots go straight into ``base``; constant operands get a
+    register but no instruction.
+    """
+    init, x_loads, p_loads, code = [], [], [], []
+    const_pos, const_val, out_pos, out_reg = [], [], [], []
+    regs = {}  # id(node) -> register
+    for root, pos in zip(roots, positions):
+        if root.kind == "const":
+            const_pos.extend(pos)
+            const_val.extend([root.value] * len(pos))
+            continue
         stack = [root]
         while stack:
-            node = stack[-1]
+            node = stack.pop()
+            if node is _READY:  # the arguments of the node below are done
+                node = stack.pop()
+            elif node.args:
+                if id(node) not in regs:
+                    stack.append(node)
+                    stack.append(_READY)
+                    for a in node.args:
+                        if id(a) not in regs:
+                            stack.append(a)
+                continue
             key = id(node)
-            if key in memo:
-                stack.pop()
+            if key in regs:
                 continue
-            pending = [a for a in node.args if id(a) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
+            r = regs[key] = len(init)
             kind = node.kind
             if kind == "const":
-                memo[key] = node.value
-            elif kind == "var":
-                memo[key] = x[node.index]
+                init.append(node.value)
+                continue
+            init.append(0.0)
+            if kind == "var":
+                x_loads.append((r, node.index))
             elif kind == "param":
-                memo[key] = p[node.index]
-            elif kind in UNARY_OPS:
-                memo[key] = _apply_unary(kind, memo[id(node.args[0])], node)
+                p_loads.append((r, node.index))
+            elif len(node.args) == 1:
+                code.append((kind, r, regs[id(node.args[0])], -1, node))
             else:
-                memo[key] = _apply_binary(
-                    kind, memo[id(node.args[0])], memo[id(node.args[1])], node
-                )
-    return memo
+                a, b = node.args
+                code.append((kind, r, regs[id(a)], regs[id(b)], node))
+        out_pos.extend(pos)
+        out_reg.extend([regs[id(root)]] * len(pos))
+    tape = _Tape()
+    tape.base = np.zeros(size)
+    tape.base[const_pos] = const_val
+    tape.init, tape.x_loads, tape.p_loads, tape.code = init, x_loads, p_loads, code
+    tape.out_pos = np.array(out_pos, dtype=np.intp)
+    tape.out_reg = out_reg
+    return tape
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +441,6 @@ def _diff_memo(e, i, memo):
     return d
 
 
-def _collect_indices(e, kind, seen, out):
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.kind == kind:
-            out.add(node.index)
-        stack.extend(node.args)
-
-
 # ---------------------------------------------------------------------------
 # vector functions
 # ---------------------------------------------------------------------------
@@ -387,9 +448,20 @@ def _collect_indices(e, kind, seen, out):
 class VectorFunction:
     """A list of scalar expression outputs over (x, p) of fixed dimensions.
 
-    Derivative graphs are built lazily on first use and cached; instances are
-    therefore cheap to reuse across many solves and safe to evaluate from
-    multiple threads (cache construction is idempotent).
+    Each root set is compiled into a ``_Tape`` on its first use and cached:
+    the outputs (``evaluate``), the gradient graphs of all outputs
+    (``gradient``, ``jacobian``), and, per output, the upper triangle of its
+    Hessian (``lagrangian_hessian``).  Constant roots are folded into the
+    tape's stored result, so a function whose derivatives are constant
+    costs one array copy per call.  An output whose gradient graphs are all
+    constant (an affine row) is marked as having a zero Hessian and its
+    Hessian graphs are never built.  Of a Hessian's graphs only the nodes
+    its tape runs are kept; the gradient graphs stay, as the Hessians
+    derive from them.
+
+    Concurrent evaluation is safe: a tape is immutable once built and every
+    call allocates its own registers and result.  Two threads compiling the
+    same root set at once build equal tapes, and either may be kept.
     """
 
     def __init__(self, outputs, n_x, n_p=0):
@@ -397,23 +469,31 @@ class VectorFunction:
         self.outputs = outputs
         self.n_x = int(n_x)
         self.n_p = int(n_p)
+        max_var = max_param = -1
         seen = set()
-        vs, ps = set(), set()
-        for o in outputs:
-            _collect_indices(o, "var", seen, vs)
-        seen = set()
-        for o in outputs:
-            _collect_indices(o, "param", seen, ps)
-        if vs and max(vs) >= self.n_x:
+        stack = list(outputs)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.kind == "var":
+                max_var = max(max_var, node.index)
+            elif node.kind == "param":
+                max_param = max(max_param, node.index)
+            stack.extend(node.args)
+        if max_var >= self.n_x:
             raise ValueError(
-                f"variable index {max(vs)} out of range for n_x={self.n_x}"
+                f"variable index {max_var} out of range for n_x={self.n_x}"
             )
-        if ps and max(ps) >= self.n_p:
+        if max_param >= self.n_p:
             raise ValueError(
-                f"parameter index {max(ps)} out of range for n_p={self.n_p}"
+                f"parameter index {max_param} out of range for n_p={self.n_p}"
             )
         self._grad_graphs = None
-        self._hess_graphs = None
+        self._output_tape = None
+        self._jacobian_tape = None
+        self._hessian_tapes = {}  # output index -> _Tape, or None if affine
 
     @property
     def n_out(self):
@@ -430,18 +510,44 @@ class VectorFunction:
             )
         return self._grad_graphs
 
-    def _hessians(self):
-        # upper triangle only; mirrored at evaluation for exact symmetry
-        if self._hess_graphs is None:
-            grads = self._grads()
-            self._hess_graphs = tuple(
-                tuple(
-                    tuple(diff(g[i], j) for j in range(i, self.n_x))
-                    for i in range(self.n_x)
-                )
-                for g in grads
+    def _compiled_outputs(self):
+        if self._output_tape is None:
+            self._output_tape = _compile(
+                self.outputs, [(k,) for k in range(self.n_out)], self.n_out
             )
-        return self._hess_graphs
+        return self._output_tape
+
+    def _compiled_jacobian(self):
+        # row-major (n_out, n_x); a scalar function's gradient is its one row
+        if self._jacobian_tape is None:
+            roots = [g for row in self._grads() for g in row]
+            self._jacobian_tape = _compile(
+                roots, [(k,) for k in range(len(roots))], len(roots)
+            )
+        return self._jacobian_tape
+
+    def _compiled_hessian(self, j):
+        """Tape of the (n_x, n_x) Hessian of output j; None if it is zero.
+
+        Built from the upper triangle and mirrored, so it is exactly
+        symmetric.
+        """
+        if j not in self._hessian_tapes:
+            grad = self._grads()[j]
+            if all(d.kind == "const" for d in grad):
+                tape = None
+            else:
+                n = self.n_x
+                roots, positions = [], []
+                for i in range(n):
+                    for k in range(i, n):
+                        roots.append(diff(grad[i], k))
+                        positions.append(
+                            (i * n + k,) if i == k else (i * n + k, k * n + i)
+                        )
+                tape = _compile(roots, positions, n * n)
+            self._hessian_tapes[j] = tape
+        return self._hessian_tapes[j]
 
     def _check_args(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -459,8 +565,7 @@ class VectorFunction:
 def evaluate(fun, x, p=None):
     """Evaluate ``fun`` at (x, p); returns a vector of length ``fun.n_out``."""
     x, p = fun._check_args(x, p)
-    memo = _eval_nodes(fun.outputs, x, p, {})
-    return np.array([memo[id(o)] for o in fun.outputs])
+    return fun._compiled_outputs().run(x, p)
 
 
 def gradient(fun, x, p=None):
@@ -468,39 +573,28 @@ def gradient(fun, x, p=None):
     if fun.n_out != 1:
         raise ValueError("gradient requires a scalar function")
     x, p = fun._check_args(x, p)
-    graphs = fun._grads()[0]
-    memo = _eval_nodes(graphs, x, p, {})
-    return np.array([memo[id(g)] for g in graphs])
+    return fun._compiled_jacobian().run(x, p)
 
 
 def jacobian(fun, x, p=None):
     """Exact Jacobian, one row per output; shape (n_out, n_x)."""
     x, p = fun._check_args(x, p)
-    if fun.n_out == 0:
-        return np.zeros((0, fun.n_x))
-    grads = fun._grads()
-    memo = _eval_nodes((g for row in grads for g in row), x, p, {})
-    return np.array([[memo[id(g)] for g in row] for row in grads])
+    return fun._compiled_jacobian().run(x, p).reshape(fun.n_out, fun.n_x)
 
 
-def _hessian_single(fun, j, x, p, memo):
-    n = fun.n_x
-    rows = fun._hessians()[j]
-    _eval_nodes((g for row in rows for g in row), x, p, memo)
-    H = np.zeros((n, n))
-    for i in range(n):
-        for k, g in enumerate(rows[i]):
-            v = memo[id(g)]
-            H[i, i + k] = v
-            H[i + k, i] = v
-    return H
+def _hessian_term(fun, j, x, p):
+    tape = fun._compiled_hessian(j)
+    if tape is None:
+        return None
+    return tape.run(x, p).reshape(fun.n_x, fun.n_x)
 
 
 def lagrangian_hessian(f, g, h_active, x, p, kappa, mult_active):
     """Hessian of f + kappa.g + mult.h_active; exactly symmetric by mirroring.
 
-    Box-constraint terms are affine and contribute nothing here, so callers
-    pass only the nonlinear active inequalities.
+    Terms are added in output order; outputs with a zero multiplier or a zero
+    Hessian (affine rows) are skipped.  Box constraints are affine, so they
+    contribute nothing and are not passed.
     """
     if f.n_out != 1:
         raise ValueError("objective must be scalar")
@@ -511,14 +605,15 @@ def lagrangian_hessian(f, g, h_active, x, p, kappa, mult_active):
     if mult_active.shape != (h_active.n_out,):
         raise ValueError("multiplier length does not match inequality outputs")
     x, p = f._check_args(x, p)
-    memo = {}
-    H = _hessian_single(f, 0, x, p, memo)
-    for j in range(g.n_out):
-        if kappa[j] != 0.0:
-            H += kappa[j] * _hessian_single(g, j, x, p, memo)
-    for j in range(h_active.n_out):
-        if mult_active[j] != 0.0:
-            H += mult_active[j] * _hessian_single(h_active, j, x, p, memo)
+    H = _hessian_term(f, 0, x, p)
+    if H is None:
+        H = np.zeros((f.n_x, f.n_x))
+    for fun, mult in ((g, kappa), (h_active, mult_active)):
+        for j in range(fun.n_out):
+            if mult[j] != 0.0:
+                term = _hessian_term(fun, j, x, p)
+                if term is not None:
+                    H += mult[j] * term
     return H
 
 

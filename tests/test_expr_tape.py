@@ -1,0 +1,351 @@
+"""Compiled tapes against a reference walker: equal values, errors, no aliasing.
+
+The reference below evaluates the symbolic derivative graphs directly, with a
+post-order walk and an id()-keyed memo, and uses the same per-operator
+functions as the tapes.  Every entry point must return arrays equal to it,
+raise DomainEvalError at the same inputs naming the same node, and hand out
+a fresh array on every call.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from aladin import expr as ex
+from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
+from aladin.expr import Expression, VectorFunction, param, var
+
+
+# -- reference ---------------------------------------------------------------
+
+def _walk(roots, x, p, memo):
+    """Post-order evaluation of several roots sharing one memo (id -> value)."""
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            key = id(node)
+            if key in memo:
+                stack.pop()
+                continue
+            pending = [a for a in node.args if id(a) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            kind = node.kind
+            if kind == "const":
+                memo[key] = node.value
+            elif kind == "var":
+                memo[key] = x[node.index]
+            elif kind == "param":
+                memo[key] = p[node.index]
+            elif kind in ex.UNARY_OPS:
+                memo[key] = ex._apply_unary(kind, memo[id(node.args[0])], node)
+            else:
+                memo[key] = ex._apply_binary(
+                    kind, memo[id(node.args[0])], memo[id(node.args[1])], node
+                )
+    return memo
+
+
+def _args(fun, x, p):
+    x = np.asarray(x, dtype=float)
+    p = np.zeros(fun.n_p) if p is None else np.asarray(p, dtype=float)
+    return x, p
+
+
+def _grad_graphs(fun):
+    return [[ex.diff(o, i) for i in range(fun.n_x)] for o in fun.outputs]
+
+
+def ref_evaluate(fun, x, p=None):
+    x, p = _args(fun, x, p)
+    memo = _walk(fun.outputs, x, p, {})
+    return np.array([memo[id(o)] for o in fun.outputs])
+
+
+def ref_jacobian(fun, x, p=None):
+    x, p = _args(fun, x, p)
+    if fun.n_out == 0:
+        return np.zeros((0, fun.n_x))
+    grads = _grad_graphs(fun)
+    memo = _walk([g for row in grads for g in row], x, p, {})
+    return np.array([[memo[id(g)] for g in row] for row in grads])
+
+
+def ref_gradient(fun, x, p=None):
+    return ref_jacobian(fun, x, p)[0]
+
+
+def _ref_hessian_single(fun, j, x, p):
+    # the graphs are rebuilt per call, so the memo (keyed by id) is too
+    n = fun.n_x
+    grad = _grad_graphs(fun)[j]
+    rows = [[ex.diff(grad[i], k) for k in range(i, n)] for i in range(n)]
+    memo = _walk([g for row in rows for g in row], x, p, {})
+    H = np.zeros((n, n))
+    for i in range(n):
+        for k, g in enumerate(rows[i]):
+            H[i, i + k] = H[i + k, i] = memo[id(g)]
+    return H
+
+
+def ref_lagrangian_hessian(f, g, h, x, p, kappa, mult):
+    x, p = _args(f, x, p)
+    H = _ref_hessian_single(f, 0, x, p)
+    for j in range(g.n_out):
+        if kappa[j] != 0.0:
+            H += kappa[j] * _ref_hessian_single(g, j, x, p)
+    for j in range(h.n_out):
+        if mult[j] != 0.0:
+            H += mult[j] * _ref_hessian_single(h, j, x, p)
+    return H
+
+
+# -- inputs --------------------------------------------------------------------
+
+def _blocks():
+    for problem in (tutorial(), coupled_qp(), ocp_chain()):
+        for k, (sub, p) in enumerate(zip(problem.subproblems, problem.parameters)):
+            yield f"{problem.name}[{k}]", sub, p
+
+
+BLOCKS = list(_blocks())
+
+
+def _points(sub, rng):
+    yield sub.z0
+    for _ in range(3):
+        yield sub.z0 + rng.standard_normal(sub.n_x)
+
+
+def _multipliers(n, rng):
+    m = rng.standard_normal(n)
+    m[::3] = 0.0  # zero multipliers are skipped by both
+    return m
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+def random_dag(rng, n_x, n_p, n_nodes):
+    """Six outputs summing the nodes of a seeded random DAG of every operator.
+
+    Operands are drawn from all earlier nodes, so subexpressions are shared.
+    log/sqrt arguments, divisors and pow bases are square(.) + 0.5; pow
+    exponents are themselves graphs, so pow with a variable exponent occurs.
+    """
+    pool = [var(i) for i in range(n_x)] + [param(j) for j in range(n_p)]
+    pool.append(ex.const(0.75))
+    ops = ex.UNARY_OPS + ex.BINARY_OPS
+    for k in range(n_nodes):
+        op = ops[k % len(ops)]
+        a = pool[int(rng.integers(len(pool)))]
+        b = pool[int(rng.integers(len(pool)))]
+        if op in ("log", "sqrt"):
+            e = getattr(ex, op)(ex.square(a) + 0.5)
+        elif op in ex.UNARY_OPS:
+            e = getattr(ex, op)(ex.sin(a) if op == "exp" else a)
+        elif op == "div":
+            e = a / (ex.square(b) + 0.5)
+        elif op == "pow":
+            e = Expression("pow", args=(ex.square(a) + 0.5, ex.sin(b)))
+        else:
+            e = Expression(op, args=(a, b))
+        pool.append(e)
+    made = pool[n_x + n_p + 1:]
+    return [sum(made[k::6], ex.const(0.0)) for k in range(6)]
+
+
+def _kinds(roots):
+    seen, kinds, stack = set(), set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            kinds.add(node.kind)
+            stack.extend(node.args)
+    return kinds
+
+
+# -- values --------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,sub,p", BLOCKS, ids=[b[0] for b in BLOCKS])
+def test_example_blocks_match_reference(name, sub, p):
+    rng = np.random.default_rng(0)
+    for x in _points(sub, rng):
+        for fun in (sub.f, sub.g, sub.h):
+            assert_same(ex.evaluate(fun, x, p), ref_evaluate(fun, x, p))
+            assert_same(ex.jacobian(fun, x, p), ref_jacobian(fun, x, p))
+        assert_same(ex.gradient(sub.f, x, p), ref_gradient(sub.f, x, p))
+        kappa = _multipliers(sub.n_g, rng)
+        mult = _multipliers(sub.n_h, rng)
+        assert_same(
+            ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, mult),
+            ref_lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, mult),
+        )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_dag_with_every_operator_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_x, n_p = 3, 2
+    outs = random_dag(rng, n_x, n_p, 36)
+    assert _kinds(outs) >= set(ex.UNARY_OPS + ex.BINARY_OPS) | {"var", "param"}
+    g = VectorFunction(outs, n_x, n_p)
+    f = VectorFunction([outs[0] * outs[1] + outs[2]], n_x, n_p)
+    h = VectorFunction(outs[3:], n_x, n_p)
+    for _ in range(4):
+        x = rng.uniform(-1.5, 1.5, n_x)
+        p = rng.uniform(-1.5, 1.5, n_p)
+        assert np.isfinite(ref_evaluate(g, x, p)).all()
+        assert_same(ex.evaluate(g, x, p), ref_evaluate(g, x, p))
+        assert_same(ex.jacobian(g, x, p), ref_jacobian(g, x, p))
+        assert_same(ex.gradient(f, x, p), ref_gradient(f, x, p))
+        kappa = _multipliers(g.n_out, rng)
+        mult = _multipliers(h.n_out, rng)
+        assert_same(
+            ex.lagrangian_hessian(f, g, h, x, p, kappa, mult),
+            ref_lagrangian_hessian(f, g, h, x, p, kappa, mult),
+        )
+
+
+def test_pow_with_variable_exponent_and_param_leaves():
+    base = ex.square(var(0)) + param(0)
+    g = VectorFunction([base ** var(1), ex.const(2.0) ** (var(1) * param(1))], 2, 2)
+    f = VectorFunction([g.outputs[0] * g.outputs[1]], 2, 2)
+    for x, p in (([0.3, -1.2], [0.5, 2.0]), ([1.7, 0.4], [2.0, -0.3])):
+        assert_same(ex.evaluate(g, x, p), ref_evaluate(g, x, p))
+        assert_same(ex.jacobian(g, x, p), ref_jacobian(g, x, p))
+        assert_same(
+            ex.lagrangian_hessian(f, g, g, x, p, [0.5, -2.0], [1.0, 0.0]),
+            ref_lagrangian_hessian(f, g, g, x, p, [0.5, -2.0], [1.0, 0.0]),
+        )
+
+
+# -- errors and overflow -------------------------------------------------------
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ex.DomainEvalError as err:
+        return err
+    return None
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        ex.log(var(0)) + ex.sqrt(var(1)),
+        ex.sqrt(var(1)) * ex.log(var(0)),
+        var(0) / (var(0) - var(1)) + ex.log(var(1)),
+        var(0) ** var(1) - ex.sqrt(var(0)),
+    ],
+    ids=["log+sqrt", "sqrt*log", "div+log", "pow-sqrt"],
+)
+def test_domain_errors_at_same_inputs_and_node(e):
+    f = VectorFunction([e], 2)
+    points = [(a, b) for a in (-1.0, 0.0, 2.0) for b in (-1.0, 0.0, 0.5, 2.0)]
+    n_raised = 0
+    for x in points:
+        got = _raised(ex.evaluate, f, x)
+        want = _raised(ref_evaluate, f, x)
+        assert (got is None) == (want is None), x
+        if got is not None:
+            n_raised += 1
+            assert got.node is want.node
+            assert str(got) == str(want)
+        # derivative graphs are rebuilt by the reference: compare structure
+        for fn, ref in ((ex.gradient, ref_gradient), (ex.jacobian, ref_jacobian)):
+            got = _raised(fn, f, x)
+            want = _raised(ref, f, x)
+            assert (got is None) == (want is None), x
+            if got is not None:
+                assert got.node == want.node
+    assert n_raised > 0
+
+
+def test_exp_overflow_gives_inf():
+    f = VectorFunction([ex.exp(var(0)), -ex.exp(var(0))], 1)
+    x = [1000.0]
+    assert_same(ex.evaluate(f, x), np.array([np.inf, -np.inf]))
+    assert_same(ex.evaluate(f, x), ref_evaluate(f, x))
+    assert_same(ex.jacobian(f, x), ref_jacobian(f, x))
+
+
+# -- structure and aliasing ----------------------------------------------------
+
+def test_affine_rows_have_no_hessian_tape():
+    sub = ocp_chain().subproblems[0]
+    assert all(sub.g._compiled_hessian(j) is None for j in range(sub.n_g))
+    assert sub.f._compiled_hessian(0) is not None
+    assert not sub.f._compiled_hessian(0).code  # a quadratic's Hessian folds to constants
+
+
+def test_constant_results_are_fresh_arrays():
+    problem = ocp_chain()
+    sub, p = problem.subproblems[1], problem.parameters[1]
+    x = sub.z0
+    kappa = np.linspace(-1.0, 1.0, sub.n_g)
+    J0 = ex.jacobian(sub.g, x, p).copy()
+    H0 = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, []).copy()
+
+    J = ex.jacobian(sub.g, x, p)
+    J += 1.0
+    H = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, [])
+    H += 2.0 * H
+    H[0, 0] = -7.0
+    assert_same(ex.jacobian(sub.g, x, p), J0)
+    assert_same(ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, []), H0)
+
+
+def test_hessian_term_does_not_write_into_objective_tape():
+    # lagrangian_hessian adds into the objective's Hessian with +=
+    f = VectorFunction([ex.square(var(0)) + var(0) * var(1)], 2)
+    g = VectorFunction([ex.square(var(1))], 2)
+    empty = VectorFunction([], 2)
+    H0 = ex.lagrangian_hessian(f, empty, empty, [0.0, 0.0], None, [], []).copy()
+    ex.lagrangian_hessian(f, g, empty, [0.0, 0.0], None, [3.0], [])
+    assert_same(ex.lagrangian_hessian(f, empty, empty, [0.0, 0.0], None, [], []), H0)
+
+
+def test_concurrent_first_use_matches_sequential():
+    rng = np.random.default_rng(5)
+    outs = random_dag(rng, 3, 1, 24)
+    x, p = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 1)
+    mult = np.ones(len(outs))
+
+    def work(fun):
+        return (
+            ex.evaluate(fun, x, p),
+            ex.jacobian(fun, x, p),
+            ex.lagrangian_hessian(VectorFunction([outs[0]], 3, 1), fun, fun,
+                                  x, p, mult, mult),
+        )
+
+    want = work(VectorFunction(outs, 3, 1))
+    shared = VectorFunction(outs, 3, 1)  # every thread compiles its tapes
+    results = [None] * 8
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            results[k] = work(shared)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for got in results:
+        assert got is not None
+        for a, b in zip(got, want):
+            assert_same(a, b)
