@@ -9,16 +9,18 @@ consensus rows with a penalized slack,
 whose slack is eliminated analytically (s = (lamQP - lam) / (2 Delta)); the
 remaining symmetric indefinite KKT system is solved by one dense Bunch-Kaufman
 factorization.  The reduced path solves the same QP after nullspace
-projection, through the dual (Schur) system; with Delta = (mu/2) I the two
-paths produce identical steps.
+projection, through the dual (Schur) system assembled from each block's
+compact term on its own coupling rows; with Delta = (mu/2) I the two paths
+produce identical steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import sensitivity
 from .errors import SingularKktError
 from .linalg import sym_solve
 
@@ -27,6 +29,7 @@ __all__ = [
     "ScalingState",
     "solve_coordination_full",
     "solve_coordination_reduced",
+    "reduced_result",
     "update_sigma",
     "update_delta_by_violation",
 ]
@@ -54,7 +57,6 @@ class ScalingState:
     sigmas: list[np.ndarray]
     delta: np.ndarray
     mu: float
-    prev_violation: np.ndarray | None = None
 
     @classmethod
     def initial(cls, problem, opts):
@@ -116,48 +118,54 @@ def solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=None):
     ----------
     reduced : list of ReducedBlock
     couplings : list of vectors
-        Each block's current consensus contribution A_i x_i (length n_c).
+        Each block's current consensus contribution A_i x_i on its coupling
+        rows ``reduced[i].rows``.
     lam, mu, b : dual iterate, slack penalty, coupling right-hand side.
     Zs : optional list of nullspace bases; when given, the lifted steps
         Z_i dv_i are returned in ``dx``.
 
-    The dual solve is (sum_i S_i + I/mu) lamQP = sum_i s_i + lam/mu - b,
-    after which each block recovers dv_i = -B_i^-1 (g_i + A_i' lamQP).
+    The dual solve is (sum_i S_i + I/mu) lamQP = sum_i s_i + lam/mu - b.
+    Each block's compact term (S_i, s_i) is scatter-added onto its rows
+    C(i), so no block forms an n_c-sized array; ``reduced_result`` then
+    recovers every block's step.
     """
-    from .sensitivity import schur_contribution
-
     n_c = b.size
-    n_s = len(reduced)
     if n_c:
         S_sum = np.zeros((n_c, n_c))
         s_sum = np.zeros(n_c)
         for red, cpl in zip(reduced, couplings):
-            S, s = schur_contribution(red, coupling=cpl)
-            S_sum += S
-            s_sum += s
+            # looked up at call time, so a wrapper installed on the
+            # sensitivity module sees the nullspace path's calls too
+            S, s = sensitivity.schur_contribution(red, coupling=cpl)
+            S_sum[np.ix_(red.rows, red.rows)] += S
+            s_sum[red.rows] += s
         M = S_sum + np.eye(n_c) / mu
         rhs = s_sum + lam / mu - b
         lam_qp = sym_solve(M, rhs)
         res = float(np.abs(rhs - M @ lam_qp).max())
-        s_slack = (lam_qp - lam) / mu
     else:
         lam_qp = np.zeros(0)
-        s_slack = np.zeros(0)
         res = 0.0
-    dvs = []
-    dxs = []
-    for i in range(n_s):
-        red = reduced[i]
-        if red.B.size:
-            dv = -np.linalg.solve(
-                red.B, red.g + (red.A.T @ lam_qp if n_c else 0.0)
-            )
-        else:
-            dv = np.zeros(0)
-        dvs.append(dv)
-        dxs.append(Zs[i] @ dv if Zs is not None else dv)
+    return reduced_result(reduced, lam_qp, lam, mu, res, Zs)
+
+
+def reduced_result(reduced, lam_qp, lam, mu, kkt_residual, Zs=None):
+    """Coordination result of a dual solution lamQP of the Schur system.
+
+    Every block recovers its reduced step dv_i = -B_i^-1 (g_i + A_i'
+    lamQP[C(i)]), with A_i = red.A its compact coupling matrix, lifted to
+    Z_i dv_i when the bases are given; the slack is s = (lamQP - lam) / mu.
+    The nullspace and bilevel paths share this recovery.
+    """
+    dvs = [
+        -np.linalg.solve(red.B, red.g + red.A.T @ lam_qp[red.rows])
+        if red.B.size else np.zeros(0)
+        for red in reduced
+    ]
+    dxs = [Z @ dv for Z, dv in zip(Zs, dvs)] if Zs is not None else dvs
     return CoordinationResult(
-        dx=dxs, s=s_slack, lam_qp=lam_qp, kkt_residual=res, dv=dvs
+        dx=dxs, s=(lam_qp - lam) / mu, lam_qp=lam_qp,
+        kkt_residual=kkt_residual, dv=dvs,
     )
 
 
@@ -176,9 +184,7 @@ def update_sigma(state, opts):
         mu = opts.r_delta * mu
     else:
         delta = delta.copy()
-    return ScalingState(
-        sigmas=sigmas, delta=delta, mu=mu, prev_violation=state.prev_violation
-    )
+    return ScalingState(sigmas=sigmas, delta=delta, mu=mu)
 
 
 def update_delta_by_violation(state, violation, prev_violation, opts):
@@ -199,5 +205,4 @@ def update_delta_by_violation(state, violation, prev_violation, opts):
         sigmas=[S.copy() for S in state.sigmas],
         delta=delta,
         mu=state.mu,
-        prev_violation=violation.copy(),
     )

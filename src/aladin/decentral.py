@@ -2,8 +2,13 @@
 
 The assembled dual system  (sum_i S_i + I/mu) lam = sum_i s_i + lam_k/mu - b
 is block-sparse: agent i only touches the consensus rows C(i) where its
-coupling matrix has nonzero rows.  Two inner algorithms solve it with
-neighbor-to-neighbor messages over a simulated synchronous network:
+original coupling matrix A_i has nonzero rows, and its term (S_i, s_i)
+arrives in that compact form (|C(i)| x |C(i)| and |C(i)|, ordered like
+C(i)).  C(i) comes from A_i, not from the projected A_i Z_i: a row that an
+active constraint removes from A_i Z_i still carries the agent's coupling
+value, so the agent keeps it (with zero curvature).  Two inner algorithms
+solve the system with neighbor-to-neighbor messages over a simulated
+synchronous network:
 
 * decentralized ADMM: local (S_i + rho I) solves plus overlap averaging;
 * decentralized CG: textbook conjugate-gradient recurrences on the
@@ -17,10 +22,12 @@ counted as one global-sum round each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InnerBreakdownError
+from .sensitivity import coupling_rows
 
 __all__ = [
     "Topology",
@@ -37,10 +44,12 @@ __all__ = [
 class Topology:
     """Consensus-row ownership and neighbor structure.
 
-    rows[i] is the sorted array of consensus rows agent i participates in;
-    neighbors[i] the agents sharing at least one row; overlap[(i, j)] the
-    positions (into rows[i]) of the rows shared with j; multiplicity[c] the
-    number of agents containing row c.
+    rows[i] is the sorted array of consensus rows C(i) agent i participates
+    in (the nonzero rows of its A_i, see ``build_topology``); its compact
+    Schur term is indexed by these rows.  neighbors[i] lists, in ascending
+    order, the agents sharing at least one row; overlap[(i, j)] holds the
+    positions (into rows[i]) of the rows shared with j, in ascending row
+    order; multiplicity[c] is the number of agents containing row c.
     """
 
     n_c: int
@@ -53,6 +62,14 @@ class Topology:
     def n_agents(self):
         return len(self.rows)
 
+    @cached_property
+    def links(self):
+        """Per agent i, the (j, overlap[(i, j)], overlap[(j, i)]) of each neighbor j."""
+        return [
+            [(j, self.overlap[(i, j)], self.overlap[(j, i)]) for j in nbrs]
+            for i, nbrs in enumerate(self.neighbors)
+        ]
+
     def split(self, lam):
         """Restrict a global dual vector onto every agent."""
         return [lam[r] for r in self.rows]
@@ -62,32 +79,46 @@ class Topology:
 
 
 def topology_from_rows(n_c, row_sets):
-    """Build a Topology from each agent's set of participating rows."""
-    rows = [np.array(sorted(set(int(c) for c in rs)), dtype=int) for rs in row_sets]
+    """Build a Topology from each agent's set of participating rows.
+
+    Neighbors and overlaps come from a row -> owning-agents index, so the
+    cost is the sum over rows of (number of owners)^2 rather than a
+    comparison of every pair of agents.
+    """
+    rows = [np.unique(np.asarray(rs, dtype=int)) for rs in row_sets]
     for r in rows:
         if r.size and (r.min() < 0 or r.max() >= n_c):
             raise ValueError("row index out of range")
-    multiplicity = np.zeros(n_c, dtype=int)
-    for r in rows:
-        multiplicity[r] += 1
+    # owners[c]: (agent, position of c in that agent's rows), agents ascending
+    owners = [[] for _ in range(n_c)]
+    for i, r in enumerate(rows):
+        for k, c in enumerate(r.tolist()):
+            owners[c].append((i, k))
+    multiplicity = np.array([len(own) for own in owners], dtype=int)
     uncovered = np.flatnonzero(multiplicity == 0)
     if uncovered.size:
         raise ValueError(
             f"consensus rows {uncovered.tolist()} are covered by no subproblem"
         )
+    # rows are visited in ascending order, so every shared list is sorted
+    shared = {}
+    for own in owners:
+        if len(own) < 2:
+            continue
+        for i, k in own:
+            for j, _ in own:
+                if j != i:
+                    shared.setdefault((i, j), []).append(k)
     n = len(rows)
     neighbors = [[] for _ in range(n)]
-    overlap = {}
-    for i in range(n):
-        set_i = set(rows[i].tolist())
-        pos_i = {c: k for k, c in enumerate(rows[i].tolist())}
-        for j in range(n):
-            if i == j:
-                continue
-            shared = sorted(set_i & set(rows[j].tolist()))
-            if shared:
-                neighbors[i].append(j)
-                overlap[(i, j)] = np.array([pos_i[c] for c in shared], dtype=int)
+    for i, j in shared:
+        neighbors[i].append(j)
+    for nbrs in neighbors:
+        nbrs.sort()
+    overlap = {
+        (i, j): np.array(shared[(i, j)], dtype=int)
+        for i in range(n) for j in neighbors[i]
+    }
     return Topology(
         n_c=n_c, rows=rows, neighbors=neighbors, overlap=overlap,
         multiplicity=multiplicity,
@@ -96,11 +127,9 @@ def topology_from_rows(n_c, row_sets):
 
 def build_topology(problem):
     """Topology of a validated problem: C(i) = nonzero rows of A_i."""
-    row_sets = [
-        np.flatnonzero(np.any(s.A != 0.0, axis=1)).tolist()
-        for s in problem.subproblems
-    ]
-    return topology_from_rows(problem.n_c, row_sets)
+    return topology_from_rows(
+        problem.n_c, [coupling_rows(s.A) for s in problem.subproblems]
+    )
 
 
 @dataclass
@@ -160,18 +189,26 @@ def _exchange(top, values, log):
     """One synchronous neighbor round: every agent sends its overlap entries.
 
     Returns, per agent, the sum of all copies (own + received) per local row.
+    The floats moved are counted once per solve by ``_count_edges``.
     """
     out = []
-    for i in range(top.n_agents):
+    for i, links in enumerate(top.links):
         acc = values[i].copy()
-        for j in top.neighbors[i]:
-            idx_i = top.overlap[(i, j)]
-            idx_j = top.overlap[(j, i)]
+        for j, idx_i, idx_j in links:
             acc[idx_i] += values[j][idx_j]
-            log.edge_floats[(j, i)] = log.edge_floats.get((j, i), 0) + idx_j.size
         out.append(acc)
     log.neighbor_rounds += 1
     return out
+
+
+def _count_edges(top, log):
+    """Floats per directed edge j -> i: |C(i) & C(j)| in each neighbor round."""
+    if log.neighbor_rounds:
+        log.edge_floats = {
+            (j, i): log.neighbor_rounds * idx_j.size
+            for i, links in enumerate(top.links)
+            for j, _, idx_j in links
+        }
 
 
 def _global_sum(contributions, log):
@@ -231,6 +268,7 @@ def run_dadmm(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, rho=1.0,
         log.iterations += 1
     lam = _assemble(top, lbar)
     log.residual = _global_residual(top, S_hat, s_hat, lam)
+    _count_edges(top, log)
     overlap_gap = max(
         (np.abs(lam_i[i] - lbar[i]).max() for i in range(top.n_agents)
          if lam_i[i].size),
@@ -272,6 +310,7 @@ def run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, n_iter=20,
     if eta0 <= thresh:
         lam = _assemble(top, lam_i)
         log.residual = _global_residual(top, S_hat, s_hat, lam)
+        _count_edges(top, log)
         return lam, log
 
     for _ in range(n_iter):
@@ -298,6 +337,7 @@ def run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, n_iter=20,
 
     lam = _assemble(top, lam_i)
     log.residual = _global_residual(top, S_hat, s_hat, lam)
+    _count_edges(top, log)
     return lam, log
 
 

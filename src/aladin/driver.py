@@ -18,12 +18,13 @@ import numpy as np
 from . import expr as ex
 from .coordination import (
     ScalingState,
+    reduced_result,
     solve_coordination_full,
     solve_coordination_reduced,
     update_delta_by_violation,
     update_sigma,
 )
-from .decentral import build_topology, run_dadmm, run_dcg, warm_start
+from .decentral import run_dadmm, run_dcg, topology_from_rows, warm_start
 from .errors import SolverError
 from .local import LocalSolution, solve_local
 from .problem import SolverOptions, validate
@@ -32,6 +33,7 @@ from .sensitivity import (
     detect_active,
     active_jacobian,
     bfgs_update,
+    coupling_rows,
     lagrangian_like_gradient,
     nullspace_basis,
     reduce_block,
@@ -254,10 +256,12 @@ def _sensitivity_pack(problem, opts, state, i, x_prev):
     )
 
 
-def _coordinate(problem, opts, state, packs, xs, topology):
+def _coordinate(problem, opts, state, packs, xs, rows, topology):
     """Run the configured coordination path.
 
-    Returns (result, inner message log or None, inner wall time).
+    ``rows[i]`` is block i's coupling rows C(i) (reduced variants);
+    ``topology`` the bilevel agents' network.  Returns (result, inner
+    message log or None, inner wall time).
     """
     A_list = [s.A for s in problem.subproblems]
     b = problem.b
@@ -277,25 +281,19 @@ def _coordinate(problem, opts, state, packs, xs, topology):
     Zs = [nullspace_basis(pk.jac_active) for pk in packs]
     reduced = [
         reduce_block(pk.hess_raw, pk.grad, A_list[i], Zs[i], opts.reg_param,
-                     reg=opts.reg)
+                     reg=opts.reg, rows=rows[i])
         for i, pk in enumerate(packs)
     ]
-    couplings = [A_list[i] @ xs[i] for i in range(problem.n_s)]
-    for pk, red, Z in zip(packs, reduced, Zs):
-        pk.Z = Z
-        pk.reduced = red
+    couplings = [A_list[i][rows[i]] @ xs[i] for i in range(problem.n_s)]
     mu = state.scaling.mu
     if opts.variant == "nullspace":
         res = solve_coordination_reduced(reduced, couplings, state.lam, mu, b, Zs=Zs)
         return res, None, 0.0
     # bilevel: decentralized solve of the Schur dual system
-    S_blocks, s_blocks = [], []
-    for i, red in enumerate(reduced):
-        S_full, s_full = schur_contribution(red, coupling=couplings[i])
-        rows = topology.rows[i]
-        S_blocks.append(S_full[np.ix_(rows, rows)])
-        s_blocks.append(s_full[rows])
-        packs[i].schur = (S_blocks[-1], s_blocks[-1])
+    S_blocks, s_blocks = zip(*(
+        schur_contribution(red, coupling=cpl)
+        for red, cpl in zip(reduced, couplings)
+    ))
     lam0 = warm_start(
         state.prev_lam_qp if opts.warm_start else None, problem.n_c
     )
@@ -311,23 +309,7 @@ def _coordinate(problem, opts, state, packs, xs, topology):
             rho=opts.rho_admm, n_iter=opts.inner_iter,
         )
     t_inner = time.perf_counter() - t0
-    dxs, dvs = [], []
-    for i, red in enumerate(reduced):
-        if red.B.size:
-            dv = -np.linalg.solve(red.B, red.g + red.A.T @ lam_qp)
-        else:
-            dv = np.zeros(0)
-        dvs.append(dv)
-        dxs.append(Zs[i] @ dv)
-    from .coordination import CoordinationResult
-
-    res = CoordinationResult(
-        dx=dxs,
-        s=(lam_qp - state.lam) / mu if problem.n_c else np.zeros(0),
-        lam_qp=lam_qp,
-        kkt_residual=mlog.residual,
-        dv=dvs,
-    )
+    res = reduced_result(reduced, lam_qp, state.lam, mu, mlog.residual, Zs)
     return res, mlog, t_inner
 
 
@@ -358,7 +340,14 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     timers = {"setup": 0.0, "local": 0.0, "sensitivity": 0.0, "qp": 0.0,
               "inner": 0.0, "total": 0.0}
     state = _init_state(problem, opts, z0, lam0)
-    topology = build_topology(problem) if opts.variant == "bilevel" else None
+    # each block's coupling rows C(i), fixed for the run (reduced variants)
+    rows = (
+        None if opts.variant == "fullspace"
+        else [coupling_rows(s.A) for s in problem.subproblems]
+    )
+    topology = (
+        topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
+    )
     timers["setup"] = time.perf_counter() - t_start
     n_s = problem.n_s
     log = IterationLog()
@@ -441,7 +430,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
 
             t0 = time.perf_counter()
             result, mlog, t_inner = _coordinate(
-                problem, opts, state, packs, xs, topology
+                problem, opts, state, packs, xs, rows, topology
             )
             timers["qp"] += time.perf_counter() - t0
             timers["inner"] += t_inner

@@ -9,7 +9,7 @@ All operations are pure per-block computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "regularize",
     "bfgs_update",
     "nullspace_basis",
+    "coupling_rows",
     "reduce_block",
     "schur_contribution",
     "lagrangian_like_gradient",
@@ -47,11 +48,20 @@ class ActiveSet:
 
 @dataclass
 class ReducedBlock:
-    """Projected quantities for one block: B_red = Z'BZ, g_red = Z'g, A_red = AZ."""
+    """Projected quantities for one block, on its own coupling rows.
+
+    ``B = Z'HZ`` (regularized) and ``g = Z'g`` live in the block's reduced
+    coordinates; ``A = A_i[rows] Z`` is the coupling matrix restricted to
+    ``rows``, the consensus rows C(i) on which the original A_i is nonzero.
+    The rows come from A_i, not from A_i Z: an active constraint that fixes
+    a coupled variable zeroes its row of A_i Z, yet the block's coupling
+    value A_i x_i on that row still enters the dual system.
+    """
 
     B: np.ndarray
     g: np.ndarray
     A: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass
@@ -60,8 +70,7 @@ class SensitivityPack:
 
     ``hess_raw`` is the (possibly indefinite) Lagrangian Hessian or BFGS
     matrix before processing; ``hess`` is the positive definite matrix the
-    full-space QP uses.  The reduced triple and Schur pair are filled only by
-    the nullspace / bilevel paths.
+    full-space QP uses.
     """
 
     grad: np.ndarray
@@ -69,9 +78,6 @@ class SensitivityPack:
     hess: np.ndarray
     active: ActiveSet
     jac_active: np.ndarray
-    Z: np.ndarray | None = None
-    reduced: ReducedBlock | None = None
-    schur: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def combined_inequalities(sub, x, p=None):
@@ -182,17 +188,29 @@ def nullspace_basis(C):
     return Vt[m:].T
 
 
-def reduce_block(hess_raw, grad, A, Z, delta, reg=True):
+def coupling_rows(A):
+    """C(i): the sorted indices of the nonzero rows of a coupling matrix A_i."""
+    return np.flatnonzero(np.any(np.asarray(A) != 0.0, axis=1))
+
+
+def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
     """Project onto the active-constraint nullspace and re-regularize.
 
-    Returns (Z' H Z regularized, Z' g, A Z); with Z = I this is exactly the
-    full-space processed triple.  Regularization of the projected Hessian can
-    be switched off together with the full-space regularization option.
+    ``A`` is the block's full coupling matrix (one row per consensus row)
+    and ``rows`` its coupling rows C(i) = ``coupling_rows(A)``, computed
+    here when not given (the outer loop computes them once per run).
+    Returns ReducedBlock(Z' H Z regularized, Z' g, A[rows] Z, rows); with
+    Z = I the first two are exactly the full-space processed pair.
+    Regularization of the projected Hessian can be switched off together
+    with the full-space regularization option.
     """
+    A = np.asarray(A, dtype=float)
+    if rows is None:
+        rows = coupling_rows(A)
     B = Z.T @ hess_raw @ Z
     if reg:
         B = regularize(B, delta)
-    return ReducedBlock(B=B, g=Z.T @ grad, A=np.asarray(A, dtype=float) @ Z)
+    return ReducedBlock(B=B, g=Z.T @ grad, A=A[rows] @ Z, rows=rows)
 
 
 def lagrangian_like_gradient(sub, x, p, kappa, gamma):
@@ -210,26 +228,29 @@ def lagrangian_like_gradient(sub, x, p, kappa, gamma):
 
 
 def schur_contribution(red, v=None, coupling=None):
-    """One block's dual-system contribution: S = A B^-1 A', s = Av - A B^-1 g.
+    """One block's dual-system term on its rows: S = A B^-1 A', s = c - A B^-1 g.
 
-    ``v`` is the block's current value in reduced coordinates; callers that
-    track the coupling contribution A_i x_i directly (the outer loop does,
-    since the local iterate need not lie in the span of Z) pass it via
-    ``coupling`` instead.  Zero rows of the reduced coupling matrix yield
-    exactly zero rows and columns of S.
+    Both are compact: S is |C(i)| x |C(i)| and s has |C(i)| entries, indexed
+    like ``red.rows``, since the block's term is zero outside its coupling
+    rows.  The coupling value c is A_i x_i on those rows; pass it as
+    ``coupling``, or pass the block's value ``v`` in reduced coordinates to
+    use c = red.A v (the outer loop passes ``coupling``, since the local
+    iterate need not lie in the span of Z).  Rows of red.A that vanish (a
+    coupled variable fixed by an active constraint) yield exactly zero rows
+    and columns of S; their entries of s still carry the coupling value.
     """
     A = red.A
-    n_c = A.shape[0]
+    m = A.shape[0]
     if (v is None) == (coupling is None):
         raise ValueError("pass exactly one of v or coupling")
     base = A @ np.asarray(v, dtype=float) if v is not None else np.asarray(coupling, dtype=float)
-    if base.shape != (n_c,):
-        raise ValueError(f"coupling value must have length {n_c}")
+    if base.shape != (m,):
+        raise ValueError(f"coupling value must have length {m}")
     if red.B.size:
         BinvA = np.linalg.solve(red.B, A.T)
         Binvg = np.linalg.solve(red.B, red.g)
     else:
-        BinvA = np.zeros((0, n_c))
+        BinvA = np.zeros((0, m))
         Binvg = np.zeros(0)
     S = A @ BinvA
     S = 0.5 * (S + S.T)

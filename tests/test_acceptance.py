@@ -111,7 +111,7 @@ class TestAcceptance:
                 reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-10)
                 for i, p in enumerate(packs)
             ]
-            couplings = [A_list[i] @ xs[i] for i in range(len(xs))]
+            couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
             red = solve_coordination_reduced(
                 reduced, couplings, lam, mu, b, Zs=Zs
             )

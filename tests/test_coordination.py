@@ -150,7 +150,7 @@ class TestReduced:
             red = reduce_block(M @ M.T + n * np.eye(n), rng.standard_normal(n),
                                np.zeros((n_c, n)), np.eye(n), 1e-4)
             reduced.append(red)
-            couplings.append(np.zeros(n_c))
+            couplings.append(np.zeros(red.rows.size))
         lam = rng.standard_normal(n_c)
         b = rng.standard_normal(n_c)
         out = solve_coordination_reduced(reduced, couplings, lam, mu, b)
@@ -169,7 +169,8 @@ class TestReduced:
         x = rng.standard_normal(n)
         b = rng.standard_normal(n_c)
         red = reduce_block(B, g, A, np.eye(n), 1e-6)
-        out = solve_coordination_reduced([red], [A @ x], np.zeros(n_c), 1e8, b)
+        out = solve_coordination_reduced([red], [A[red.rows] @ x], np.zeros(n_c),
+                                         1e8, b)
         # oracle: equality-constrained QP  A(x + dx) = b
         K = np.zeros((n + n_c, n + n_c))
         K[:n, :n] = red.B
@@ -192,11 +193,48 @@ class TestReduced:
                 reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
                 for i, p in enumerate(packs)
             ]
-            couplings = [A_list[i] @ xs[i] for i in range(len(xs))]
+            couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
             red = solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=Zs)
             np.testing.assert_allclose(red.lam_qp, full.lam_qp, atol=1e-8)
             for d1, d2 in zip(red.dx, full.dx):
                 np.testing.assert_allclose(d1, d2, atol=1e-8)
+
+
+    def test_coupled_variable_fixed_by_active_row(self):
+        # block 0's variable 1 is coupled on row 2 and fixed by its active
+        # constraint: row 2 of A_0 Z_0 vanishes, its coupling value does not
+        rng = np.random.default_rng(26)
+        n_c = 4
+        A0 = np.zeros((n_c, 3))
+        A0[0] = [1.0, 0.0, 0.5]
+        A0[2] = [0.0, -2.0, 0.0]
+        A1 = np.zeros((n_c, 2))
+        A1[[0, 1, 2, 3]] = rng.standard_normal((4, 2))
+        C0 = np.array([[0.0, 1.0, 0.0]])
+        packs = [
+            make_pack(np.diag([2.0, 3.0, 4.0]), rng.standard_normal(3), C0),
+            make_pack(np.eye(2) * 5.0, rng.standard_normal(2), np.zeros((0, 2))),
+        ]
+        A_list = [A0, A1]
+        xs = [np.array([0.3, 1.7, -0.2]), rng.standard_normal(2)]
+        lam = rng.standard_normal(n_c)
+        b = rng.standard_normal(n_c)
+        mu = 20.0
+        full = solve_coordination_full(
+            packs, xs, lam, np.full(n_c, mu / 2.0), A_list, b
+        )
+        Zs = [nullspace_basis(p.jac_active) for p in packs]
+        reduced = [
+            reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
+            for i, p in enumerate(packs)
+        ]
+        np.testing.assert_array_equal(reduced[0].rows, [0, 2])
+        assert np.all(reduced[0].A[1] == 0.0)
+        couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
+        red = solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=Zs)
+        np.testing.assert_allclose(red.lam_qp, full.lam_qp, atol=1e-10)
+        for d1, d2 in zip(red.dx, full.dx):
+            np.testing.assert_allclose(d1, d2, atol=1e-10)
 
 
 def options(**kw):

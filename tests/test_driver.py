@@ -119,6 +119,34 @@ class TestVariantConsistency:
             np.testing.assert_allclose(ra.lam, rb.lam, atol=1e-6)
 
 
+    @pytest.mark.parametrize(
+        "reduced",
+        [{"variant": "nullspace"},
+         {"variant": "bilevel", "inner_alg": "dcg", "inner_iter": 20}],
+        ids=["nullspace", "bilevel-dcg"],
+    )
+    def test_fixed_coupled_state_matches_fullspace(self, reduced):
+        # the chain's first coupled knot pos(1) = pos(0) + dt vel(0) is fixed
+        # by the initial-condition equalities, so its row of A_i Z_i
+        # vanishes while A_i x_i on that row does not: the reduced paths
+        # must keep that row as a coupling row of the block
+        prob = ocp_chain()
+        assert reduced.get("inner_iter", prob.n_c) == prob.n_c
+        full = run_aladin(ocp_chain(), SolverOptions(variant="fullspace"))
+        red = run_aladin(prob, SolverOptions(**reduced))
+        assert red.termination == full.termination == "tolerance-met"
+        assert red.iterations == full.iterations
+        for ra, rb in zip(red.log.records, full.log.records):
+            for za, zb in zip(ra.z, rb.z):
+                np.testing.assert_allclose(za, zb, rtol=0, atol=1e-8)
+            for xa, xb in zip(ra.x, rb.x):
+                np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(ra.lam, rb.lam, rtol=0, atol=1e-8)
+        for xa, xb in zip(red.xs, full.xs):
+            np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(red.lam, full.lam, rtol=0, atol=1e-8)
+
+
 class TestAdmm:
     def test_convex_qp_reaches_centralized_solution(self):
         prob = convex_coupled_instance(7)

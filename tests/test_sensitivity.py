@@ -214,6 +214,22 @@ class TestReduce:
         np.testing.assert_allclose(red.B, regularize(H, 1e-4), atol=1e-12)
         np.testing.assert_allclose(red.g, g)
         np.testing.assert_allclose(red.A, A)
+        np.testing.assert_array_equal(red.rows, [0, 1])
+
+    def test_compact_rows_from_a_not_from_projection(self):
+        # the projected row vanishes, but the row stays a coupling row
+        rng = np.random.default_rng(8)
+        A = np.zeros((5, 3))
+        A[1] = [0.0, 2.0, 0.0]
+        A[3] = rng.standard_normal(3)
+        Z = nullspace_basis(np.array([[0.0, 1.0, 0.0]]))
+        red = reduce_block(np.eye(3), np.zeros(3), A, Z, 1e-4)
+        np.testing.assert_array_equal(red.rows, [1, 3])
+        np.testing.assert_allclose(red.A, A[[1, 3]] @ Z, atol=0.0)
+        assert np.all(red.A[0] == 0.0)
+        given = reduce_block(np.eye(3), np.zeros(3), A, Z, 1e-4,
+                             rows=np.array([1, 3]))
+        np.testing.assert_array_equal(given.A, red.A)
 
     def test_direct_projection(self):
         Z = np.array([[0.0], [1.0]])
@@ -222,23 +238,27 @@ class TestReduce:
         np.testing.assert_allclose(red.B, [[6.0]])
         np.testing.assert_allclose(red.g, [2.0])
         np.testing.assert_allclose(red.A, [[0.0]])
+        np.testing.assert_array_equal(red.rows, [0])
 
 
 class TestSchurContribution:
     def test_zero_coupling(self):
-        red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.zeros((3, 2)))
+        red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.zeros((3, 2)),
+                           rows=np.arange(3))
         S, s = schur_contribution(red, v=np.array([1.0, 2.0]))
         np.testing.assert_allclose(S, np.zeros((3, 3)))
         np.testing.assert_allclose(s, np.zeros(3))
 
     def test_direct_formula(self):
-        red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 0.0]]))
+        red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 0.0]]),
+                           rows=np.array([0]))
         S, s = schur_contribution(red, v=np.array([3.0, 5.0]))
         np.testing.assert_allclose(S, [[1.0]])
         np.testing.assert_allclose(s, [3.0])
 
     def test_requires_exactly_one_value(self):
-        red = ReducedBlock(B=np.eye(1), g=np.zeros(1), A=np.ones((1, 1)))
+        red = ReducedBlock(B=np.eye(1), g=np.zeros(1), A=np.ones((1, 1)),
+                           rows=np.array([0]))
         with pytest.raises(ValueError):
             schur_contribution(red)
         with pytest.raises(ValueError):
@@ -248,26 +268,43 @@ class TestSchurContribution:
         rng = np.random.default_rng(6)
         A = rng.standard_normal((4, 3))
         A[2, :] = 0.0
-        red = ReducedBlock(B=np.eye(3) + 0.1, g=rng.standard_normal(3), A=A)
+        red = ReducedBlock(B=np.eye(3) + 0.1, g=rng.standard_normal(3), A=A,
+                           rows=np.arange(4))
         S, _ = schur_contribution(red, v=rng.standard_normal(3))
         assert np.all(S[2, :] == 0.0) and np.all(S[:, 2] == 0.0)
 
+    def test_vanished_row_keeps_its_coupling_value(self):
+        red = ReducedBlock(B=np.eye(2), g=np.array([1.0, -1.0]),
+                           A=np.array([[0.0, 0.0], [1.0, 2.0]]),
+                           rows=np.array([4, 7]))
+        S, s = schur_contribution(red, coupling=np.array([3.0, 5.0]))
+        assert S.shape == (2, 2) and s.shape == (2,)
+        assert np.all(S[0] == 0.0) and np.all(S[:, 0] == 0.0)
+        np.testing.assert_allclose(S[1, 1], 5.0)
+        np.testing.assert_allclose(s, [3.0, 5.0 - (1.0 - 2.0)])
+
     def test_assembled_schur_reproduces_monolithic_kkt(self):
-        # sum of contributions + I/mu must give the same dual as the
-        # monolithic reduced KKT system solved densely
+        # compact contributions scattered onto their rows, plus I/mu, must
+        # give the same dual as the monolithic reduced KKT system solved
+        # densely with the blocks' full coupling matrices
         rng = np.random.default_rng(7)
         mu = 50.0
         n_c = 3
         blocks = []
+        A_full = []
         vs = []
-        for _ in range(3):
+        for rows in ([0, 1], [1, 2], [0, 2]):
             n = int(rng.integers(2, 5))
             M = rng.standard_normal((n, n))
+            A = rng.standard_normal((n_c, n))
+            A[[c for c in range(n_c) if c not in rows]] = 0.0
+            A_full.append(A)
             blocks.append(
                 ReducedBlock(
                     B=M @ M.T + n * np.eye(n),
                     g=rng.standard_normal(n),
-                    A=rng.standard_normal((n_c, n)),
+                    A=A[rows],
+                    rows=np.array(rows),
                 )
             )
             vs.append(rng.standard_normal(n))
@@ -277,8 +314,8 @@ class TestSchurContribution:
         s_sum = np.zeros(n_c)
         for red, v in zip(blocks, vs):
             S, s = schur_contribution(red, v=v)
-            S_sum += S
-            s_sum += s
+            S_sum[np.ix_(red.rows, red.rows)] += S
+            s_sum[red.rows] += s
         lam_schur = np.linalg.solve(S_sum + np.eye(n_c) / mu, s_sum + lam / mu - b)
         # monolithic KKT in (dv_1, dv_2, dv_3, lamQP)
         sizes = [blk.B.shape[0] for blk in blocks]
@@ -286,13 +323,13 @@ class TestSchurContribution:
         K = np.zeros((N + n_c, N + n_c))
         rhs = np.zeros(N + n_c)
         off = 0
-        for red, v in zip(blocks, vs):
+        for red, A, v in zip(blocks, A_full, vs):
             n = red.B.shape[0]
             K[off: off + n, off: off + n] = red.B
-            K[off: off + n, N:] = red.A.T
-            K[N:, off: off + n] = red.A
+            K[off: off + n, N:] = A.T
+            K[N:, off: off + n] = A
             rhs[off: off + n] = -red.g
-            rhs[N:] += -red.A @ v
+            rhs[N:] += -A @ v
             off += n
         K[N:, N:] = -np.eye(n_c) / mu
         rhs[N:] += b - lam / mu
