@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,30 +71,17 @@ def _add_solver_flags(p):
                    help="exit 3 when the iteration cap is hit")
 
 
+# flags spelled differently from their option, and options left without a
+# flag on purpose (the local tolerance floor is a library-level setting)
+_RENAMED = {"hess": "hessian", "rho_adm": "rho_admm"}
+_FLAGLESS = {"local_tol_floor"}
 _FLAG_TO_OPTION = {
-    "max_iter": "max_iter",
-    "term_eps": "term_eps",
-    "step_size": "step_size",
-    "sigma_init": "sigma_init",
-    "mu_init": "mu_init",
-    "r_sigma": "r_sigma",
-    "r_delta": "r_delta",
-    "sigma_max": "sigma_max",
-    "delta_max": "delta_max",
-    "act_margin": "act_margin",
-    "hess": "hessian",
-    "reg": "reg",
-    "reg_param": "reg_param",
-    "variant": "variant",
-    "inner_alg": "inner_alg",
-    "inner_iter": "inner_iter",
-    "rho_adm": "rho_admm",
-    "warm_start": "warm_start",
-    "del_up": "del_up",
-    "beta": "beta",
-    "gamma": "gamma",
-    "parallel": "parallel",
-    "log_every": "log_every",
+    **{
+        f.name: f.name
+        for f in fields(SolverOptions)
+        if f.name not in _FLAGLESS and f.name not in _RENAMED.values()
+    },
+    **_RENAMED,
 }
 
 
@@ -144,7 +132,7 @@ def _report(title, algorithm, opts, sol):
     return "\n".join(lines)
 
 
-def main(argv=None):
+def _build_parser():
     parser = _Parser(prog="aladin", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -154,7 +142,11 @@ def main(argv=None):
     p_ex = sub.add_parser("example", help="run a bundled example")
     p_ex.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
     _add_solver_flags(p_ex)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
 
     try:
         if args.command == "solve":

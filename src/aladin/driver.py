@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e10
+# the per-layer timers each outer iteration fills
+LAYERS = ("local", "sensitivity", "qp", "inner")
 CSV_HEADER = [
     "iter",
     "consensus_viol",
@@ -61,7 +63,7 @@ CSV_HEADER = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     iter: int
     consensus_viol: float
@@ -69,6 +71,7 @@ class IterationRecord:
     qp_step: float
     active_changes: int
     comms_floats: int
+    # seconds this iteration spent per layer: local, sensitivity, qp, inner
     timings: dict = field(default_factory=dict)
     inner_residual: float | None = None
     # post-update iterate snapshots (primal blocks, local solutions, dual)
@@ -110,6 +113,7 @@ class IterationLog:
                 **dict(zip(CSV_HEADER, row)),
                 "timings": rec.timings,
                 "inner_residual": rec.inner_residual,
+                "bfgs_min_eig": rec.bfgs_min_eig,
             }
             for row, rec in zip(self.rows(), self.records)
         ]
@@ -313,6 +317,33 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
     return res, mlog, t_inner
 
 
+def _finish(problem, state, termination, message, viol_inf, log, timers, t_start):
+    """The run's Solution; a "tolerance-met" message names unconverged locals."""
+    timers["total"] = time.perf_counter() - t_start
+    sols = state.locals
+    xs = [sol.x for sol in sols] if sols[0] is not None else state.z
+    status = [s.status if s else "not-run" for s in sols]
+    failed = [(i, st) for i, st in enumerate(status) if st != "converged"]
+    if termination == "tolerance-met" and failed:
+        message += (
+            f"; {len(failed)} of {len(status)} final local solves not converged ("
+            + ", ".join(f"block {i}: {st}" for i, st in failed) + ")"
+        )
+    return Solution(
+        xs=xs,
+        lam=state.lam.copy(),
+        termination=termination,
+        message=message,
+        iterations=len(log),
+        consensus_violation=viol_inf if np.isfinite(viol_inf) else float("nan"),
+        objective=_objective(problem, xs),
+        log=log,
+        timers=timers,
+        local_status=status,
+        local_kkt=[s.kkt_residual if s else float("nan") for s in sols],
+    )
+
+
 def _active_changes(prev, current):
     if prev is None:
         return 0
@@ -337,8 +368,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     opts = (opts or SolverOptions()).check()
     _check_problem(problem)
     t_start = time.perf_counter()
-    timers = {"setup": 0.0, "local": 0.0, "sensitivity": 0.0, "qp": 0.0,
-              "inner": 0.0, "total": 0.0}
+    timers = {"setup": 0.0, **dict.fromkeys(LAYERS, 0.0), "total": 0.0}
     state = _init_state(problem, opts, z0, lam0)
     # each block's coupling rows C(i), fixed for the run (reduced variants)
     rows = (
@@ -359,6 +389,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
 
     for k in range(1, opts.max_iter + 1):
         state.k = k
+        timings = dict.fromkeys(LAYERS, 0.0)
         try:
             tol_k = _local_tolerance(opts, err_prev)
             t0 = time.perf_counter()
@@ -375,7 +406,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
                 n_s,
                 opts.parallel,
             )
-            timers["local"] += time.perf_counter() - t0
+            timings["local"] = time.perf_counter() - t0
             xs = [sol.x for sol in state.locals]
 
             if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
@@ -406,6 +437,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
                         qp_step=0.0,
                         active_changes=_active_changes(state.prev_active, acts),
                         comms_floats=0,
+                        timings=timings,
                         z=[zz.copy() for zz in state.z],
                         x=[x.copy() for x in xs],
                         lam=state.lam.copy(),
@@ -421,7 +453,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
                 n_s,
                 opts.parallel,
             )
-            timers["sensitivity"] += time.perf_counter() - t0
+            timings["sensitivity"] = time.perf_counter() - t0
             bfgs_min_eig = (
                 [float(np.linalg.eigvalsh(pk.hess).min()) for pk in packs]
                 if opts.hessian != "exact"
@@ -432,8 +464,8 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
             result, mlog, t_inner = _coordinate(
                 problem, opts, state, packs, xs, rows, topology
             )
-            timers["qp"] += time.perf_counter() - t0
-            timers["inner"] += t_inner
+            timings["qp"] = time.perf_counter() - t0
+            timings["inner"] = t_inner
 
             qp_step = max(
                 (float(np.abs(d).max()) for d in result.dx if d.size), default=0.0
@@ -456,6 +488,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
                     active_changes=_active_changes(state.prev_active, acts),
                     comms_floats=mlog.total_floats() if mlog is not None else 0,
                     inner_residual=mlog.residual if mlog is not None else None,
+                    timings=timings,
                     z=[zz.copy() for zz in state.z],
                     x=[x.copy() for x in xs],
                     lam=state.lam.copy(),
@@ -482,21 +515,12 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
             raise ex.DomainEvalError(
                 f"outer iteration {k}: {err}", err.node
             ) from err
+        finally:
+            for key in LAYERS:
+                timers[key] += timings[key]
 
-    timers["total"] = time.perf_counter() - t_start
-    xs = [sol.x for sol in state.locals] if state.locals[0] is not None else state.z
-    return Solution(
-        xs=xs,
-        lam=state.lam.copy(),
-        termination=termination,
-        message=message,
-        iterations=len(log),
-        consensus_violation=viol_inf if np.isfinite(viol_inf) else float("nan"),
-        objective=_objective(problem, xs),
-        log=log,
-        timers=timers,
-        local_status=[s.status if s else "not-run" for s in state.locals],
-        local_kkt=[s.kkt_residual if s else float("nan") for s in state.locals],
+    return _finish(
+        problem, state, termination, message, viol_inf, log, timers, t_start
     )
 
 
@@ -511,8 +535,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     opts = (opts or SolverOptions()).check()
     _check_problem(problem)
     t_start = time.perf_counter()
-    timers = {"setup": 0.0, "local": 0.0, "sensitivity": 0.0, "qp": 0.0,
-              "inner": 0.0, "total": 0.0}
+    timers = {"setup": 0.0, **dict.fromkeys(LAYERS, 0.0), "total": 0.0}
     state = _init_state(problem, opts, z0, lam0)
     rho = opts.rho_admm
     n_s = problem.n_s
@@ -541,6 +564,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     prev_active = None
 
     for k in range(1, opts.max_iter + 1):
+        timings = dict.fromkeys(LAYERS, 0.0)
         try:
             tol_k = _local_tolerance(opts, err_prev)
             t0 = time.perf_counter()
@@ -552,7 +576,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
                 n_s,
                 opts.parallel,
             )
-            timers["local"] += time.perf_counter() - t0
+            timings["local"] = time.perf_counter() - t0
             xs = [sol.x for sol in state.locals]
             if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
                 termination = "error"
@@ -578,6 +602,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
                         qp_step=0.0,
                         active_changes=_active_changes(prev_active, acts),
                         comms_floats=0,
+                        timings=timings,
                         z=[zz.copy() for zz in state.z],
                         x=[x.copy() for x in xs],
                         lam=state.lam.copy(),
@@ -599,7 +624,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
             )
             state.z = znew
             state.lam = state.lam + rho * viol_vec
-            timers["qp"] += time.perf_counter() - t0
+            timings["qp"] = time.perf_counter() - t0
 
             log.append(
                 IterationRecord(
@@ -607,6 +632,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
                     qp_step=qp_step,
                     active_changes=_active_changes(prev_active, acts),
                     comms_floats=0,
+                    timings=timings,
                     z=[zz.copy() for zz in state.z],
                     x=[x.copy() for x in xs],
                     lam=state.lam.copy(),
@@ -624,19 +650,10 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
             raise ex.DomainEvalError(
                 f"outer iteration {k}: {err}", err.node
             ) from err
+        finally:
+            for key in LAYERS:
+                timers[key] += timings[key]
 
-    timers["total"] = time.perf_counter() - t_start
-    xs = [sol.x for sol in state.locals] if state.locals[0] is not None else state.z
-    return Solution(
-        xs=xs,
-        lam=state.lam.copy(),
-        termination=termination,
-        message=message,
-        iterations=len(log),
-        consensus_violation=viol_inf if np.isfinite(viol_inf) else float("nan"),
-        objective=_objective(problem, xs),
-        log=log,
-        timers=timers,
-        local_status=[s.status if s else "not-run" for s in state.locals],
-        local_kkt=[s.kkt_residual if s else float("nan") for s in state.locals],
+    return _finish(
+        problem, state, termination, message, viol_inf, log, timers, t_start
     )

@@ -9,6 +9,15 @@ Slack variables handle h; the box rows are kept in the barrier directly.
 Newton steps act on the condensed symmetric KKT system with inertia
 correction, a 0.995 fraction-to-boundary rule, and monotone barrier reduction
 by a factor of 0.2.
+
+Each point is evaluated and reduced to its residual parts once: the
+stationarity, equality and slacked-inequality residuals r_x, r_g, r_h and the
+complementarity products s*gamma, (x - lb)*etaL, (ub - x)*etaU, none of which
+depend on the barrier parameter.  The KKT error at any mu subtracts mu from
+the products only, so an accepted trial point carries its parts into the
+next iteration's convergence test, barrier update and Newton right-hand
+side.  The block's structure (bounded index sets, absent g/h) is fixed per
+solve; empty constraint blocks cost no evaluation and no step arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ class LocalSolution:
 
     ``eta`` stacks the box multipliers, lower bounds first (length 2 n_x,
     zeros for infinite bounds).  ``status`` is "converged", "max-iter", or
-    "stalled".
+    "stalled"; ``iterations`` counts Newton steps (0 for an accepted warm
+    start).
     """
 
     x: np.ndarray
@@ -47,30 +57,41 @@ class LocalSolution:
 
 
 class _Work:
-    """Evaluation bundle for one block at fixed (z, lam, Sigma, p)."""
+    """One block at fixed (z, lam, Sigma, p), and its structure.
+
+    ``mL``/``mU`` mark the finite lower/upper bounds, ``iL``/``iU`` index
+    them and ``lbL``/``ubU`` hold them; absent g/h are stood in for by
+    empty arrays and never evaluated.
+    """
 
     def __init__(self, sub, z, lam, Sigma, p):
+        n = sub.n_x
         self.sub = sub
         self.z = z
-        self.lam = lam
         self.Sigma = Sigma
         self.p = p
-        self.Alam = sub.A.T @ lam if lam.size else np.zeros(sub.n_x)
+        self.n_g = sub.n_g
+        self.n_h = sub.n_h
+        self.Alam = sub.A.T @ lam if lam.size else np.zeros(n)
         self.mL = np.isfinite(sub.lb)
         self.mU = np.isfinite(sub.ub)
+        self.iL = np.flatnonzero(self.mL)
+        self.iU = np.flatnonzero(self.mU)
+        self.lbL = sub.lb[self.iL]
+        self.ubU = sub.ub[self.iU]
+        self.bounded = bool(self.iL.size or self.iU.size)
+        self.empty = np.zeros(0)
+        self.empty_jac = np.zeros((0, n))
 
     def eval_point(self, x):
+        """(g, h, grad f, Jg, Jh) at x."""
         sub, p = self.sub, self.p
-        return {
-            "g": ex.evaluate(sub.g, x, p),
-            "h": ex.evaluate(sub.h, x, p),
-            "grad_f": ex.gradient(sub.f, x, p),
-            "Jg": ex.jacobian(sub.g, x, p),
-            "Jh": ex.jacobian(sub.h, x, p),
-        }
-
-    def obj_grad(self, x, ev):
-        return ev["grad_f"] + self.Alam + 2.0 * (self.Sigma @ (x - self.z))
+        g = ex.evaluate(sub.g, x, p) if self.n_g else self.empty
+        h = ex.evaluate(sub.h, x, p) if self.n_h else self.empty
+        grad_f = ex.gradient(sub.f, x, p)
+        Jg = ex.jacobian(sub.g, x, p) if self.n_g else self.empty_jac
+        Jh = ex.jacobian(sub.h, x, p) if self.n_h else self.empty_jac
+        return g, h, grad_f, Jg, Jh
 
     def hess(self, x, kappa, gamma):
         H = ex.lagrangian_hessian(
@@ -79,36 +100,56 @@ class _Work:
         return H + 2.0 * self.Sigma
 
 
-def _residuals(w, x, s, kappa, gamma, etaL, etaU, mu, ev):
-    """KKT residual blocks at barrier parameter mu; also their max norm."""
-    sub = w.sub
-    n = sub.n_x
-    r_x = w.obj_grad(x, ev)
-    if sub.n_g:
-        r_x = r_x + ev["Jg"].T @ kappa
-    if sub.n_h:
-        r_x = r_x + ev["Jh"].T @ gamma
-    r_x = r_x - etaL + etaU
-    r_g = ev["g"]
-    r_h = ev["h"] + s
-    r_cs = s * gamma - mu
-    r_L = np.zeros(n)
-    r_U = np.zeros(n)
-    mL, mU = w.mL, w.mU
-    r_L[mL] = (x[mL] - sub.lb[mL]) * etaL[mL] - mu
-    r_U[mU] = (sub.ub[mU] - x[mU]) * etaU[mU] - mu
-    parts = [r_x, r_g, r_cs, r_L, r_U, r_h]
-    err = max((np.abs(v).max() for v in parts if v.size), default=0.0)
-    return err, (r_x, r_g, r_h, r_cs, r_L, r_U)
+class _Point:
+    """A primal-dual point with its evaluation and mu-free residual parts.
+
+    ``dL``/``dU`` are the distances to the finite bounds, ``cs``/``pL``/``pU``
+    the complementarity products; ``r_g`` is g itself.
+    """
+
+    __slots__ = ("x", "s", "kappa", "gamma", "etaL", "etaU", "r_g", "h", "Jg",
+                 "Jh", "r_x", "r_h", "cs", "dL", "dU", "pL", "pU", "head",
+                 "tail")
+
+    def __init__(self, w, x, s, kappa, gamma, etaL, etaU, ev):
+        g, h, grad_f, Jg, Jh = ev
+        self.x, self.s, self.kappa, self.gamma = x, s, kappa, gamma
+        self.etaL, self.etaU = etaL, etaU
+        self.r_g, self.h, self.Jg, self.Jh = g, h, Jg, Jh
+        r_x = grad_f + w.Alam + 2.0 * (w.Sigma @ (x - w.z))
+        if w.n_g:
+            r_x = r_x + Jg.T @ kappa
+        if w.n_h:
+            r_x = r_x + Jh.T @ gamma
+        self.r_x = r_x - etaL + etaU
+        self.r_h = h + s
+        self.cs = s * gamma
+        self.dL = x[w.iL] - w.lbL
+        self.dU = w.ubU - x[w.iU]
+        self.pL = self.dL * etaL[w.iL]
+        self.pU = self.dU * etaU[w.iU]
+        # max norms of the mu-free parts, in the order err() visits them
+        self.head = [np.abs(v).max() for v in (self.r_x, g) if v.size]
+        self.tail = [np.abs(self.r_h).max()] if self.r_h.size else []
+
+    def err(self, mu):
+        """Max norm of the KKT residual at barrier parameter mu.
+
+        The parts are visited as r_x, r_g, s*gamma - mu, the bound products
+        less mu, r_h, so a NaN counts only where it comes first.  Bound
+        products exist only on finite bounds; the zeros the other entries
+        would add cannot change a maximum that r_x opens.
+        """
+        parts = list(self.head)
+        for prod in (self.cs, self.pL, self.pU):
+            if prod.size:
+                parts.append(np.abs(prod - mu).max())
+        return max(parts + self.tail, default=0.0)
 
 
-def _max_step(v, dv, mask=None):
-    """Largest alpha <= 1 with v + alpha dv >= (1 - FTB) v on masked entries."""
-    if v.size == 0:
-        return 1.0
+def _max_step(v, dv):
+    """Largest alpha <= 1 with v + alpha dv >= (1 - FTB) v."""
     neg = dv < 0
-    if mask is not None:
-        neg = neg & mask
     if not np.any(neg):
         return 1.0
     return min(1.0, float(np.min(-FTB * v[neg] / dv[neg])))
@@ -174,16 +215,16 @@ def solve_local(sub, z, lam, Sigma, p=None, warm=None, tol=1e-10):
     p = sub.p0 if p is None else np.asarray(p, dtype=float)
     n, n_g, n_h = sub.n_x, sub.n_g, sub.n_h
     w = _Work(sub, z, lam, Sigma, p)
-    mL, mU = w.mL, w.mU
+    iL, iU = w.iL, w.iU
 
     # shortcut: a warm start already at KKT quality is returned unchanged
     if warm is not None:
         ev = w.eval_point(warm.x)
-        s_exact = np.maximum(-ev["h"], 0.0)
-        err, _ = _residuals(
+        s_exact = np.maximum(-ev[1], 0.0)
+        err = _Point(
             w, warm.x, s_exact, warm.kappa, warm.gamma,
-            warm.eta[:n], warm.eta[n:], 0.0, ev,
-        )
+            warm.eta[:n], warm.eta[n:], ev,
+        ).err(0.0)
         if err <= tol and np.all(warm.x >= sub.lb) and np.all(warm.x <= sub.ub):
             return LocalSolution(
                 warm.x.copy(), warm.kappa.copy(), warm.gamma.copy(),
@@ -192,48 +233,53 @@ def solve_local(sub, z, lam, Sigma, p=None, warm=None, tol=1e-10):
 
     # strictly interior start
     x = warm.x.copy() if warm is not None else z.copy()
-    span = sub.ub - sub.lb
-    margin = np.where(
-        np.isfinite(span), np.minimum(1e-2 * (1.0 + np.abs(x)), 0.25 * span), 1e-2
-    )
-    x = np.where(mL, np.maximum(x, sub.lb + margin), x)
-    x = np.where(mU, np.minimum(x, sub.ub - margin), x)
+    if w.bounded:
+        span = sub.ub - sub.lb
+        margin = np.where(
+            np.isfinite(span), np.minimum(1e-2 * (1.0 + np.abs(x)), 0.25 * span), 1e-2
+        )
+        x = np.where(w.mL, np.maximum(x, sub.lb + margin), x)
+        x = np.where(w.mU, np.minimum(x, sub.ub - margin), x)
 
-    ev = w.eval_point(x)
+    # the warm check's evaluation stands when the projection kept x
+    if warm is None or not np.array_equal(x, warm.x):
+        ev = w.eval_point(x)
+    h = ev[1]
     etaL = np.zeros(n)
     etaU = np.zeros(n)
     if warm is not None:
-        s = np.maximum(-ev["h"], 1e-8)
+        s = np.maximum(-h, 1e-8)
         gamma = np.maximum(warm.gamma, 1e-8)
         kappa = warm.kappa.copy()
         comp = float(np.mean(s * gamma)) if n_h else 1e-3
         mu = max(tol / 10.0, min(1e-3, comp))
-        etaL[mL] = np.maximum(warm.eta[:n][mL], 1e-8)
-        etaU[mU] = np.maximum(warm.eta[n:][mU], 1e-8)
+        etaL[iL] = np.maximum(warm.eta[:n][iL], 1e-8)
+        etaU[iU] = np.maximum(warm.eta[n:][iU], 1e-8)
     else:
         mu = 1e-1
-        s = np.maximum(-ev["h"], 1e-2)
+        s = np.maximum(-h, 1e-2)
         gamma = mu / s
         kappa = np.zeros(n_g)
-        etaL[mL] = mu / (x[mL] - sub.lb[mL])
-        etaU[mU] = mu / (sub.ub[mU] - x[mU])
+        etaL[iL] = mu / (x[iL] - w.lbL)
+        etaU[iU] = mu / (w.ubU - x[iU])
+    pt = _Point(w, x, s, kappa, gamma, etaL, etaU, ev)
 
     mu_min = tol / 10.0
     status = "max-iter"
     err0 = np.inf
     best_pri = np.inf
     stall = 0
-    it = 0
-    for it in range(1, MAX_NEWTON + 1):
-        err0, _ = _residuals(w, x, s, kappa, gamma, etaL, etaU, 0.0, ev)
+    newton = 0
+    for _ in range(MAX_NEWTON):
+        err0 = pt.err(0.0)
         if err0 <= tol:
             status = "converged"
             break
 
         # infeasibility watch: true violation failing to decrease
         pri = max(
-            np.abs(ev["g"]).max(initial=0.0),
-            np.maximum(ev["h"], 0.0).max(initial=0.0),
+            np.abs(pt.r_g).max(initial=0.0),
+            np.maximum(pt.h, 0.0).max(initial=0.0),
         )
         if pri >= best_pri - 1e-16 and pri > tol:
             stall += 1
@@ -244,70 +290,75 @@ def solve_local(sub, z, lam, Sigma, p=None, warm=None, tol=1e-10):
             stall = 0
         best_pri = min(best_pri, pri)
 
-        err_mu, res = _residuals(w, x, s, kappa, gamma, etaL, etaU, mu, ev)
+        err_mu = pt.err(mu)
         if err_mu <= 10.0 * mu and mu > mu_min:
             mu = max(mu_min, BARRIER_FACTOR * mu)
-            err_mu, res = _residuals(w, x, s, kappa, gamma, etaL, etaU, mu, ev)
-        r_x, r_g, r_h, r_cs, r_L, r_U = res
+            err_mu = pt.err(mu)
 
-        dL = x - sub.lb
-        dU = sub.ub - x
-        DL = np.zeros(n)
-        DU = np.zeros(n)
-        DL[mL] = etaL[mL] / dL[mL]
-        DU[mU] = etaU[mU] / dU[mU]
-        W = w.hess(x, kappa, gamma) + np.diag(DL + DU)
-        rhs_x = -r_x
-        rhs_x[mL] -= r_L[mL] / dL[mL]
-        rhs_x[mU] += r_U[mU] / dU[mU]
+        x, s, kappa, gamma = pt.x, pt.s, pt.kappa, pt.gamma
+        etaL, etaU = pt.etaL, pt.etaU
+        W = w.hess(x, kappa, gamma)
+        rhs_x = -pt.r_x
+        if w.bounded:
+            r_L = pt.pL - mu
+            r_U = pt.pU - mu
+            D = np.zeros(n)
+            D[iL] = etaL[iL] / pt.dL
+            D[iU] += etaU[iU] / pt.dU
+            W.flat[:: n + 1] += D
+            rhs_x[iL] -= r_L / pt.dL
+            rhs_x[iU] += r_U / pt.dU
         if n_h:
-            Jh = ev["Jh"]
+            Jh = pt.Jh
+            r_cs = pt.cs - mu
             W = W + Jh.T @ ((gamma / s)[:, None] * Jh)
-            rhs_x = rhs_x - Jh.T @ ((gamma * r_h - r_cs) / s)
-        dx, dkappa = _solve_newton(W, ev["Jg"], rhs_x, -r_g)
+            rhs_x = rhs_x - Jh.T @ ((gamma * pt.r_h - r_cs) / s)
+        dx, dkappa = _solve_newton(W, pt.Jg, rhs_x, -pt.r_g)
+        newton += 1
 
+        a_pri = a_dual = 1.0
         if n_h:
-            ds = -r_h - Jh @ dx
+            ds = -pt.r_h - Jh @ dx
             dgamma = (-r_cs - gamma * ds) / s
-        else:
-            ds = np.zeros(0)
-            dgamma = np.zeros(0)
-        detaL = np.zeros(n)
-        detaU = np.zeros(n)
-        detaL[mL] = (-r_L[mL] - etaL[mL] * dx[mL]) / dL[mL]
-        detaU[mU] = (-r_U[mU] + etaU[mU] * dx[mU]) / dU[mU]
-
-        a_pri = min(
-            _max_step(s, ds),
-            _max_step(dL, dx, mL),
-            _max_step(dU, -dx, mU),
-        )
-        a_dual = min(
-            _max_step(gamma, dgamma),
-            _max_step(etaL, detaL, mL),
-            _max_step(etaU, detaU, mU),
-        )
+            a_pri = _max_step(s, ds)
+            a_dual = _max_step(gamma, dgamma)
+        if iL.size:
+            detaL = np.zeros(n)
+            detaL[iL] = (-r_L - etaL[iL] * dx[iL]) / pt.dL
+            a_pri = min(a_pri, _max_step(pt.dL, dx[iL]))
+            a_dual = min(a_dual, _max_step(etaL[iL], detaL[iL]))
+        if iU.size:
+            detaU = np.zeros(n)
+            detaU[iU] = (-r_U + etaU[iU] * dx[iU]) / pt.dU
+            a_pri = min(a_pri, _max_step(pt.dU, -dx[iU]))
+            a_dual = min(a_dual, _max_step(etaU[iU], detaU[iU]))
 
         # backtrack on the barrier KKT residual; the last trial is forced
         theta = 1.0
         moved = False
         for bt in range(9):
-            xt = x + theta * a_pri * dx
-            st = s + theta * a_pri * ds
-            kt = kappa + theta * a_dual * dkappa
-            gt = gamma + theta * a_dual * dgamma
-            eLt = etaL + theta * a_dual * detaL
-            eUt = etaU + theta * a_dual * detaU
+            t_pri = theta * a_pri
+            t_dual = theta * a_dual
+            xt = x + t_pri * dx
             try:
                 evt = w.eval_point(xt)
-                errt, _ = _residuals(w, xt, st, kt, gt, eLt, eUt, mu, evt)
             except ex.DomainEvalError:
                 theta *= 0.5
                 continue
+            trial = _Point(
+                w, xt,
+                s + t_pri * ds if n_h else s,
+                kappa + t_dual * dkappa if n_g else kappa,
+                gamma + t_dual * dgamma if n_h else gamma,
+                etaL + t_dual * detaL if iL.size else etaL,
+                etaU + t_dual * detaU if iU.size else etaU,
+                evt,
+            )
+            errt = trial.err(mu)
             if np.isfinite(errt) and (
                 errt <= (1.0 - 1e-4 * theta * a_pri) * err_mu or bt == 8
             ):
-                x, s, kappa, gamma, etaL, etaU, ev = xt, st, kt, gt, eLt, eUt, evt
+                pt = trial
                 moved = True
                 break
             theta *= 0.5
@@ -316,5 +367,5 @@ def solve_local(sub, z, lam, Sigma, p=None, warm=None, tol=1e-10):
             status = "stalled"
             break
 
-    eta = np.concatenate([etaL, etaU])
-    return LocalSolution(x, kappa, gamma, eta, status, it, err0)
+    eta = np.concatenate([pt.etaL, pt.etaU])
+    return LocalSolution(pt.x, pt.kappa, pt.gamma, eta, status, newton, err0)

@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, logs, reports, flag plumbing."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from aladin.cli import main
+from aladin.cli import _FLAG_TO_OPTION, _build_parser, _options_from_args, main
 from aladin.examples_lib import tutorial
-from aladin.problem import problem_to_dict
+from aladin.problem import SolverOptions, problem_to_dict
 
 
 class TestExitCodes:
@@ -94,3 +96,59 @@ class TestSolveFromJson:
         out = capsys.readouterr().out
         for label in ("local NLPs", "coordination", "setup", "total"):
             assert label in out
+
+
+def _example_flag_actions():
+    """dest -> the flag actions of the ``example`` subcommand."""
+    parser = _build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    by_dest = {}
+    for action in sub.choices["example"]._actions:
+        if action.option_strings:
+            by_dest.setdefault(action.dest, []).append(action)
+    return parser, by_dest
+
+
+def _non_default_argvs(actions, default):
+    """Command-line fragments that ask for a value other than ``default``."""
+    for action in actions:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if action.const != default:
+                yield [flag], action.const
+        elif action.choices:
+            value = next(c for c in action.choices if c != default)
+            yield [flag, value], value
+        elif action.type is int:
+            yield [flag, str(default + 1)], default + 1
+        else:
+            for value in (1.5 * default, 0.75 * default):
+                yield [flag, repr(value)], value
+
+
+class TestFlagMap:
+    def test_every_option_but_the_floor_has_a_flag(self):
+        names = {f.name for f in fields(SolverOptions)}
+        assert set(_FLAG_TO_OPTION.values()) == names - {"local_tol_floor"}
+        assert _FLAG_TO_OPTION["hess"] == "hessian"
+        assert _FLAG_TO_OPTION["rho_adm"] == "rho_admm"
+
+    @pytest.mark.parametrize(
+        "option",
+        [f.name for f in fields(SolverOptions) if f.name != "local_tol_floor"],
+    )
+    def test_option_settable_from_its_flag(self, option):
+        parser, by_dest = _example_flag_actions()
+        flag = next(k for k, v in _FLAG_TO_OPTION.items() if v == option)
+        default = getattr(SolverOptions(), option)
+        for argv, value in _non_default_argvs(by_dest[flag], default):
+            args = parser.parse_args(["example", "tutorial", *argv])
+            try:
+                opts = _options_from_args(args)
+            except ValueError:
+                continue  # out of the option's range; try the next value
+            assert getattr(opts, option) == value != default
+            return
+        pytest.fail(f"no flag sets {option} to a valid non-default value")

@@ -272,3 +272,84 @@ class TestLogsAndGuards:
             for xa, xb in zip(ra.x, rb.x):
                 assert np.array_equal(xa, xb)
         assert np.array_equal(seq.lam, par.lam)
+
+
+class TestHonestTermination:
+    """A met tolerance with unconverged final local solves says so."""
+
+    @staticmethod
+    def assert_reports_failed_locals(sol):
+        assert sol.termination == "tolerance-met"
+        failed = [
+            (i, st) for i, st in enumerate(sol.local_status) if st != "converged"
+        ]
+        assert failed
+        assert sol.message.startswith("both stopping norms within tolerance; ")
+        assert (
+            f"{len(failed)} of {len(sol.local_status)} final local solves "
+            "not converged" in sol.message
+        )
+        for i, st in failed:
+            assert f"block {i}: {st}" in sol.message
+
+    def test_aladin_roundoff_floor(self):
+        # outer errors near 1e-13 ask the locals for ~1e-15, below roundoff
+        sol = run_aladin(
+            tutorial(), SolverOptions(term_eps=1e-13, local_tol_floor=1e-300)
+        )
+        self.assert_reports_failed_locals(sol)
+
+    def test_admm_roundoff_floor(self):
+        sol = run_admm(
+            convex_coupled_instance(42, n_blocks=2),
+            SolverOptions(term_eps=1e-13, local_tol_floor=1e-300, max_iter=2000),
+        )
+        self.assert_reports_failed_locals(sol)
+
+    def test_converged_locals_keep_the_message(self):
+        sol = run_aladin(tutorial(), SolverOptions(term_eps=1e-10))
+        assert sol.local_status == ["converged", "converged"]
+        assert sol.message == "both stopping norms within tolerance"
+
+
+class TestIterationTimings:
+    @pytest.mark.parametrize(
+        "run, opts",
+        [(run_aladin, SolverOptions(term_eps=1e-10, variant="bilevel", inner_iter=3)),
+         (run_aladin, SolverOptions(term_eps=1e-10)),
+         (run_admm, SolverOptions(term_eps=1e-6, max_iter=500))],
+        ids=["aladin-bilevel", "aladin-fullspace", "admm"],
+    )
+    def test_records_sum_to_the_run_timers(self, run, opts):
+        sol = run(tutorial(), opts)
+        assert sol.termination == "tolerance-met"
+        layers = ("local", "sensitivity", "qp", "inner")
+        for rec in sol.log.records:
+            assert set(rec.timings) == set(layers)
+            assert all(v >= 0.0 for v in rec.timings.values())
+            assert rec.timings["local"] > 0.0
+        for key in layers:
+            assert sum(r.timings[key] for r in sol.log.records) == sol.timers[key]
+        # the last record only ran the local solves
+        last = sol.log.records[-1].timings
+        assert last["sensitivity"] == last["qp"] == last["inner"] == 0.0
+        body = sol.log.records[:-1]
+        assert all(r.timings["qp"] > 0.0 for r in body)
+        if run is run_admm:
+            assert all(r.timings["sensitivity"] == r.timings["inner"] == 0.0
+                       for r in body)
+        else:
+            assert all(r.timings["sensitivity"] > 0.0 for r in body)
+        if opts.variant == "bilevel":
+            assert all(r.timings["inner"] > 0.0 for r in body)
+
+    def test_json_carries_timings_and_bfgs_eigenvalues(self):
+        sol = run_aladin(tutorial(), SolverOptions(term_eps=1e-10, hessian="dbfgs"))
+        data = sol.log.to_json()
+        for row, rec in zip(data, sol.log.records):
+            assert row["timings"] == rec.timings
+            assert row["bfgs_min_eig"] == rec.bfgs_min_eig
+        assert all(len(row["bfgs_min_eig"]) == 2 for row in data[:-1])
+        assert all(v > 0.0 for row in data[:-1] for v in row["bfgs_min_eig"])
+        exact = run_aladin(tutorial(), SolverOptions(term_eps=1e-10)).log.to_json()
+        assert all(row["bfgs_min_eig"] is None for row in exact)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from aladin import expr as ex
+from aladin import local
+from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.expr import VectorFunction, var
 from aladin.local import solve_local
 from aladin.problem import Subproblem
@@ -174,3 +176,33 @@ class TestRandomConvexQps:
             sol = solve_local(sub, z, np.zeros(0), Sigma, tol=1e-12)
             xs, _ = oracles.solve_equality_qp(Q + 2 * Sigma, q - 2 * Sigma @ z, Aeq, beq)
             np.testing.assert_allclose(sol.x, xs, atol=1e-8)
+
+
+class TestNewtonCount:
+    """``iterations`` is the number of Newton steps taken, no more."""
+
+    @pytest.mark.parametrize(
+        "make, block",
+        [(ocp_chain, 0), (tutorial, 1), (coupled_qp, 0)],
+        ids=["bounded", "inequality", "unconstrained"],
+    )
+    def test_iterations_equal_newton_calls(self, monkeypatch, make, block):
+        problem = make()
+        sub = problem.subproblems[block]
+        p = problem.parameters[block]
+        lam = np.zeros(problem.n_c)
+        calls = [0]
+        newton = local._solve_newton
+
+        def counted(*args):
+            calls[0] += 1
+            return newton(*args)
+
+        monkeypatch.setattr(local, "_solve_newton", counted)
+        sol = solve_local(sub, sub.z0, lam, np.eye(sub.n_x), p=p, tol=1e-10)
+        assert sol.status == "converged"
+        assert sol.iterations == calls[0] > 0
+        calls[0] = 0
+        again = solve_local(sub, sub.z0, lam, np.eye(sub.n_x), p=p, warm=sol,
+                            tol=1e-10)
+        assert again.iterations == calls[0] == 0
