@@ -15,8 +15,15 @@ synchronous network:
   partitioned system, with multiplicity-weighted inner products so overlap
   copies are counted once; two scalar global sums per iteration.
 
-Every exchanged float is counted per directed edge; scalar reductions are
-counted as one global-sum round each.
+Both run on one flat copy vector that concatenates every agent's local rows
+C(0), C(1), ... (``Topology.copies``), so all agents take each step at once:
+a neighbor round, in which every agent adds the copies its neighbors send of
+their shared rows to its own, is one scatter-add over the consensus rows and
+one gather, and gives every copy of a row the same sum; the local block
+products and solves run batched over the agents with equal |C(i)|; a global
+sum is one dot product.  The message accounting still counts what the
+simulated network sends: every exchanged float per directed edge, and each
+scalar reduction as one global-sum round.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .errors import InnerBreakdownError
 from .sensitivity import coupling_rows
 
 __all__ = [
+    "CopyLayout",
     "Topology",
     "MessageLog",
     "build_topology",
@@ -38,6 +46,21 @@ __all__ = [
     "run_dcg",
     "warm_start",
 ]
+
+
+@dataclass(frozen=True)
+class CopyLayout:
+    """The copy vector: every agent's rows C(i), concatenated in agent order.
+
+    cat_rows[e] is the consensus row of entry e and inv_mult[e] its weight
+    1/multiplicity, which counts each row once in a global sum.  groups holds
+    one (agents, positions) pair per row-set size k > 0: the agents with
+    |C(i)| = k, ascending, and the (n_agents_k, k) indices of their entries.
+    """
+
+    cat_rows: np.ndarray
+    inv_mult: np.ndarray
+    groups: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -50,6 +73,9 @@ class Topology:
     order, the agents sharing at least one row; overlap[(i, j)] holds the
     positions (into rows[i]) of the rows shared with j, in ascending row
     order; multiplicity[c] is the number of agents containing row c.
+    ``copies`` is the copy-vector layout the inner solvers run on; it is
+    built on first use and kept on this object, so it lives exactly as long
+    as the topology.
     """
 
     n_c: int
@@ -63,19 +89,15 @@ class Topology:
         return len(self.rows)
 
     @cached_property
-    def links(self):
-        """Per agent i, the (j, overlap[(i, j)], overlap[(j, i)]) of each neighbor j."""
-        return [
-            [(j, self.overlap[(i, j)], self.overlap[(j, i)]) for j in nbrs]
-            for i, nbrs in enumerate(self.neighbors)
-        ]
-
-    def split(self, lam):
-        """Restrict a global dual vector onto every agent."""
-        return [lam[r] for r in self.rows]
-
-    def local_multiplicity(self, i):
-        return self.multiplicity[self.rows[i]]
+    def copies(self):
+        sizes = np.array([r.size for r in self.rows], dtype=int)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        cat_rows = np.concatenate([np.zeros(0, dtype=int), *self.rows])
+        groups = []
+        for k in np.unique(sizes[sizes > 0]):
+            agents = np.flatnonzero(sizes == k)
+            groups.append((agents, offsets[agents, None] + np.arange(k)))
+        return CopyLayout(cat_rows, 1.0 / self.multiplicity[cat_rows], groups)
 
 
 def topology_from_rows(n_c, row_sets):
@@ -162,74 +184,72 @@ class MessageLog:
         }
 
 
-def _fold_blocks(top, S_blocks, s_blocks, mu, lam_outer, b):
-    """Absorb the I/mu term and the (lam/mu - b) shift into the local blocks.
+def _fold(top, S_blocks, s_blocks, mu, lam_outer, b):
+    """Stack the agents' terms and absorb the I/mu and (lam/mu - b) shares.
 
-    Each consensus row's share is split evenly over the agents containing it,
-    so the sum of the folded blocks equals the full dual system.  mu=None
-    leaves the blocks untouched (plain  sum S_i lam = sum s_i  systems).
+    Returns one (n_agents_k, k, k) block stack per size group of
+    ``top.copies`` and the right-hand side as a copy vector.  Each consensus
+    row's share is split evenly over the agents containing it, so the folded
+    terms still sum to the full dual system.  mu=None leaves the terms
+    untouched (plain  sum S_i lam = sum s_i  systems).
     """
-    S_hat, s_hat = [], []
-    for i in range(top.n_agents):
-        rows = top.rows[i]
-        S = np.array(S_blocks[i], dtype=float, copy=True)
-        s = np.array(s_blocks[i], dtype=float, copy=True)
-        if S.shape != (rows.size, rows.size) or s.shape != (rows.size,):
+    lay = top.copies
+    for i, r in enumerate(top.rows):
+        if np.shape(S_blocks[i]) != (r.size, r.size) or np.shape(s_blocks[i]) != (r.size,):
             raise ValueError(f"agent {i}: Schur block shape mismatch")
-        if mu is not None:
-            share = 1.0 / top.multiplicity[rows]
-            S[np.arange(rows.size), np.arange(rows.size)] += share / mu
-            s += share * (lam_outer[rows] / mu - b[rows])
-        S_hat.append(S)
-        s_hat.append(s)
+    S_hat = [np.array([S_blocks[i] for i in agents], dtype=float) for agents, _ in lay.groups]
+    s_hat = np.concatenate([np.zeros(0), *s_blocks])
+    if mu is not None:
+        for S, (_, pos) in zip(S_hat, lay.groups):
+            diag = np.arange(pos.shape[1])
+            S[:, diag, diag] += lay.inv_mult[pos] / mu
+        rows = lay.cat_rows
+        s_hat += lay.inv_mult * (lam_outer[rows] / mu - b[rows])
     return S_hat, s_hat
 
 
-def _exchange(top, values, log):
-    """One synchronous neighbor round: every agent sends its overlap entries.
-
-    Returns, per agent, the sum of all copies (own + received) per local row.
-    The floats moved are counted once per solve by ``_count_edges``.
-    """
-    out = []
-    for i, links in enumerate(top.links):
-        acc = values[i].copy()
-        for j, idx_i, idx_j in links:
-            acc[idx_i] += values[j][idx_j]
-        out.append(acc)
-    log.neighbor_rounds += 1
+def _block_apply(top, blocks, v):
+    """Every agent's local matrix times its own entries of the copy vector v."""
+    out = np.empty_like(v)
+    for M, (_, pos) in zip(blocks, top.copies.groups):
+        out[pos] = np.matmul(M, v[pos][..., None])[..., 0]
     return out
 
 
+def _neighbor_round(top, v, log):
+    """One synchronous neighbor round: every agent sends its overlap entries.
+
+    Returns every copy replaced by the sum of all copies of its row (own +
+    received).  The floats moved are counted once per solve by
+    ``_count_edges``.
+    """
+    log.neighbor_rounds += 1
+    rows = top.copies.cat_rows
+    return np.bincount(rows, v, minlength=top.n_c)[rows]
+
+
 def _count_edges(top, log):
-    """Floats per directed edge j -> i: |C(i) & C(j)| in each neighbor round."""
+    """Floats per directed edge i -> j: |C(i) & C(j)| in each neighbor round."""
     if log.neighbor_rounds:
         log.edge_floats = {
-            (j, i): log.neighbor_rounds * idx_j.size
-            for i, links in enumerate(top.links)
-            for j, _, idx_j in links
+            edge: log.neighbor_rounds * idx.size for edge, idx in top.overlap.items()
         }
 
 
-def _global_sum(contributions, log):
+def _global_sum(value, log):
     log.global_sum_rounds += 1
-    return float(np.sum(contributions))
+    return float(value)
 
 
-def _assemble(top, locals_):
-    """Place per-agent values into a global vector (overlap copies agree)."""
+def _finish(top, S_hat, s_hat, v, log):
+    """The global dual of a copy vector whose copies agree; completes the log."""
+    rows = top.copies.cat_rows
     lam = np.zeros(top.n_c)
-    for i in range(top.n_agents):
-        lam[top.rows[i]] = locals_[i]
+    lam[rows] = v
+    r = np.bincount(rows, s_hat - _block_apply(top, S_hat, lam[rows]), minlength=top.n_c)
+    log.residual = float(np.abs(r).max()) if r.size else 0.0
+    _count_edges(top, log)
     return lam
-
-
-def _global_residual(top, S_hat, s_hat, lam):
-    r = np.zeros(top.n_c)
-    for i in range(top.n_agents):
-        rows = top.rows[i]
-        r[rows] += s_hat[i] - S_hat[i] @ lam[rows]
-    return float(np.abs(r).max()) if r.size else 0.0
 
 
 def run_dadmm(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, rho=1.0,
@@ -244,36 +264,20 @@ def run_dadmm(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, rho=1.0,
     """
     lam_outer = np.zeros(top.n_c) if lam_outer is None else np.asarray(lam_outer, float)
     b = np.zeros(top.n_c) if b is None else np.asarray(b, float)
-    S_hat, s_hat = _fold_blocks(top, S_blocks, s_blocks, mu, lam_outer, b)
+    S_hat, s_hat = _fold(top, S_blocks, s_blocks, mu, lam_outer, b)
     log = MessageLog(n_agents=top.n_agents)
     lam0 = np.zeros(top.n_c) if lam0 is None else np.asarray(lam0, float)
-    lbar = top.split(lam0)
-    gamma = [np.zeros(r.size) for r in top.rows]
-    solvers = [
-        np.linalg.inv(S_hat[i] + rho * np.eye(top.rows[i].size))
-        for i in range(top.n_agents)
-    ]
-    mult = [top.local_multiplicity(i).astype(float) for i in range(top.n_agents)]
-    lam_i = lbar
+    lay = top.copies
+    lbar = lam_c = lam0[lay.cat_rows]
+    gamma = np.zeros_like(lbar)
+    solvers = [np.linalg.inv(S + rho * np.eye(S.shape[1])) for S in S_hat]
     for _ in range(n_iter):
-        lam_i = [
-            solvers[i] @ (s_hat[i] - gamma[i] + rho * lbar[i])
-            for i in range(top.n_agents)
-        ]
-        sums = _exchange(top, lam_i, log)
-        lbar = [sums[i] / mult[i] for i in range(top.n_agents)]
-        gamma = [
-            gamma[i] + rho * (lam_i[i] - lbar[i]) for i in range(top.n_agents)
-        ]
+        lam_c = _block_apply(top, solvers, s_hat - gamma + rho * lbar)
+        lbar = _neighbor_round(top, lam_c, log) * lay.inv_mult
+        gamma = gamma + rho * (lam_c - lbar)
         log.iterations += 1
-    lam = _assemble(top, lbar)
-    log.residual = _global_residual(top, S_hat, s_hat, lam)
-    _count_edges(top, log)
-    overlap_gap = max(
-        (np.abs(lam_i[i] - lbar[i]).max() for i in range(top.n_agents)
-         if lam_i[i].size),
-        default=0.0,
-    )
+    lam = _finish(top, S_hat, s_hat, lbar, log)
+    overlap_gap = float(np.abs(lam_c - lbar).max()) if lam_c.size else 0.0
     return lam, log, overlap_gap
 
 
@@ -285,60 +289,47 @@ def run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, n_iter=20,
     right-hand side is itself split additively over agents) plus two scalar
     reductions (||r0||^2 and the scale reference ||s~||^2); afterwards each
     iteration costs one neighbor round plus two scalar global sums.  Stops
-    early once ||r|| <= max(rtol ||r0||, 1e-14 ||s~||).
+    early once ||r|| <= max(rtol ||r0||, 1e-14 ||s~||).  A curvature
+    p'S~p <= 0 raises InnerBreakdownError naming the inner iteration.
     """
     lam_outer = np.zeros(top.n_c) if lam_outer is None else np.asarray(lam_outer, float)
     b = np.zeros(top.n_c) if b is None else np.asarray(b, float)
-    S_hat, s_hat = _fold_blocks(top, S_blocks, s_blocks, mu, lam_outer, b)
+    S_hat, s_hat = _fold(top, S_blocks, s_blocks, mu, lam_outer, b)
     log = MessageLog(n_agents=top.n_agents)
     lam0 = np.zeros(top.n_c) if lam0 is None else np.asarray(lam0, float)
-    lam_i = top.split(lam0)
-    inv_mult = [1.0 / top.local_multiplicity(i) for i in range(top.n_agents)]
+    w = top.copies.inv_mult
+    lam_c = lam0[top.copies.cat_rows]
 
     # consistent initialization round: r0 = p0 = s~ - S~ lam0, restricted
-    t = [s_hat[i] - S_hat[i] @ lam_i[i] for i in range(top.n_agents)]
-    r = _exchange(top, t, log)
-    p = [ri.copy() for ri in r]
-    eta = _global_sum([ri @ (wi * ri) for ri, wi in zip(r, inv_mult)], log)
-    eta0 = eta
+    r = p = _neighbor_round(top, s_hat - _block_apply(top, S_hat, lam_c), log)
+    eta = eta0 = _global_sum(r @ (w * r), log)
     # scale reference ||s~||^2: exits warm starts that already sit at the
     # solution (residual at roundoff) without loosening the relative target
-    snorm2 = _global_sum(
-        [s_hat[i] @ (inv_mult[i] * s_hat[i]) for i in range(top.n_agents)], log
-    )
+    snorm2 = _global_sum(s_hat @ (w * s_hat), log)
     thresh = max((rtol * rtol) * eta0, 1e-28 * snorm2)
     if eta0 <= thresh:
-        lam = _assemble(top, lam_i)
-        log.residual = _global_residual(top, S_hat, s_hat, lam)
-        _count_edges(top, log)
-        return lam, log
+        return _finish(top, S_hat, s_hat, lam_c, log), log
 
     for _ in range(n_iter):
-        u = [S_hat[i] @ p[i] for i in range(top.n_agents)]
-        w = _exchange(top, u, log)
-        sigma = _global_sum([p[i] @ u[i] for i in range(top.n_agents)], log)
+        u = _block_apply(top, S_hat, p)
+        q = _neighbor_round(top, u, log)
+        sigma = _global_sum(p @ u, log)
         if sigma <= 0.0:
             raise InnerBreakdownError(
-                f"conjugate-gradient curvature sigma={sigma:.3e} is not positive"
+                f"inner iteration {log.iterations + 1}: conjugate-gradient "
+                f"curvature sigma={sigma:.3e} is not positive"
             )
         alpha = eta / sigma
-        lam_i = [lam_i[i] + alpha * p[i] for i in range(top.n_agents)]
-        r = [r[i] - alpha * w[i] for i in range(top.n_agents)]
-        eta_new = _global_sum(
-            [r[i] @ (inv_mult[i] * r[i]) for i in range(top.n_agents)], log
-        )
+        lam_c = lam_c + alpha * p
+        r = r - alpha * q
+        eta_new = _global_sum(r @ (w * r), log)
         log.iterations += 1
         if eta_new <= thresh:
-            eta = eta_new
             break
-        beta = eta_new / eta
-        p = [r[i] + beta * p[i] for i in range(top.n_agents)]
+        p = r + (eta_new / eta) * p
         eta = eta_new
 
-    lam = _assemble(top, lam_i)
-    log.residual = _global_residual(top, S_hat, s_hat, lam)
-    _count_edges(top, log)
-    return lam, log
+    return _finish(top, S_hat, s_hat, lam_c, log), log
 
 
 def warm_start(previous, n_c):

@@ -241,7 +241,10 @@ def _sensitivity_pack(problem, opts, state, i, x_prev):
         mult = np.zeros(sub.n_h)
         mult[act_h] = sol.gamma[act_h]
         H_raw = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, sol.kappa, mult)
-        H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
+        if opts.variant != "fullspace":
+            H = None  # reduce_block regularizes the projected Hessian instead
+        else:
+            H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
     else:
         B = state.bfgs[i]
         if B is None:

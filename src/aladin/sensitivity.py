@@ -70,12 +70,15 @@ class SensitivityPack:
 
     ``hess_raw`` is the (possibly indefinite) Lagrangian Hessian or BFGS
     matrix before processing; ``hess`` is the positive definite matrix the
-    full-space QP uses.
+    full-space QP uses.  With the exact Hessian only the full-space variant
+    fills ``hess``; the reduced variants leave it None, since
+    ``reduce_block`` regularizes the projected Hessian instead.  BFGS modes
+    always set it to the BFGS matrix.
     """
 
     grad: np.ndarray
     hess_raw: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
     active: ActiveSet
     jac_active: np.ndarray
 
@@ -88,9 +91,15 @@ def combined_inequalities(sub, x, p=None):
 
 
 def detect_active(sub, x, p, tau):
-    """Active set at x: every j with h~_j(x) > -tau."""
+    """Active set at x: every j with h~_j(x) > -tau.
+
+    A block without inequalities and finite bounds has nothing that could be
+    active, so it gets the empty set without evaluating anything.
+    """
     if tau <= 0:
         raise ValueError("active-set margin must be positive")
+    if sub.n_h == 0 and not (np.isfinite(sub.lb).any() or np.isfinite(sub.ub).any()):
+        return ActiveSet((), 0, sub.n_x)
     vals = combined_inequalities(sub, x, p)
     idx = tuple(int(j) for j in np.flatnonzero(vals > -tau))
     return ActiveSet(idx, sub.n_h, sub.n_x)

@@ -12,8 +12,9 @@ from aladin.decentral import (
     topology_from_rows,
     warm_start,
 )
+from aladin.driver import run_aladin
 from aladin.errors import InnerBreakdownError
-from aladin.problem import SeparableProblem, Subproblem
+from aladin.problem import SeparableProblem, SolverOptions, Subproblem
 
 
 def dense_solve(n_c, top, S_blocks, s_blocks):
@@ -201,6 +202,35 @@ class TestDcg:
         ref = np.linalg.solve(S + np.eye(n_c) / mu, s + lam_outer / mu - b)
         lam, log = run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, n_iter=n_c)
         assert np.abs(lam - ref).max() <= 1e-6
+
+
+class TestBreakdown:
+    """Indefinite Schur blocks: D-CG stops with the inner iteration named."""
+
+    def test_run_dcg_names_the_inner_iteration(self):
+        # two positive-curvature steps, then p'S~p < 0 on the third
+        top = topology_from_rows(3, [[0, 1], [1, 2]])
+        S = [np.diag([1.0, 0.25]), np.diag([0.25, -0.1])]
+        s = [np.array([1.0, 0.5]), np.array([0.5, 0.1])]
+        with pytest.raises(
+            InnerBreakdownError,
+            match=r"^inner iteration 3: conjugate-gradient curvature sigma=-",
+        ):
+            run_dcg(top, S, s, None, None, None, n_iter=10)
+
+    def test_run_aladin_names_outer_and_inner_iteration(self):
+        # unregularized exact Hessians -2 and 4 give Schur terms -1/2 and 1/4
+        f1 = VectorFunction([-ex.square(var(0))], 1)
+        f2 = VectorFunction([2.0 * ex.square(var(0))], 1)
+        prob = SeparableProblem(
+            [Subproblem(f1, A=[[1.0]]), Subproblem(f2, A=[[1.0]])], b=[1.0]
+        )
+        opts = SolverOptions(variant="bilevel", reg=False, sigma_init=10.0)
+        with pytest.raises(
+            InnerBreakdownError,
+            match=r"^outer iteration 1: inner iteration 1: conjugate-gradient curvature",
+        ):
+            run_aladin(prob, opts)
 
 
 class TestWarmStart:

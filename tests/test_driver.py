@@ -353,3 +353,21 @@ class TestIterationTimings:
         assert all(v > 0.0 for row in data[:-1] for v in row["bfgs_min_eig"])
         exact = run_aladin(tutorial(), SolverOptions(term_eps=1e-10)).log.to_json()
         assert all(row["bfgs_min_eig"] is None for row in exact)
+
+
+class TestSensitivityPacks:
+    @pytest.mark.parametrize("variant", ["nullspace", "bilevel"])
+    def test_reduced_variants_skip_the_fullspace_hessian(self, monkeypatch, variant):
+        # reduce_block regularizes the projected Hessian; the full one would
+        # be thrown away
+        from aladin import driver
+
+        calls = []
+        real = driver.regularize
+        monkeypatch.setattr(
+            driver, "regularize", lambda H, d: calls.append(H.shape) or real(H, d)
+        )
+        sol = run_aladin(ocp_chain(), SolverOptions(variant=variant))
+        assert sol.termination == "tolerance-met" and calls == []
+        run_aladin(ocp_chain(), SolverOptions(variant="fullspace", max_iter=2))
+        assert len(calls) == 2 * len(ocp_chain().subproblems)

@@ -60,6 +60,22 @@ class TestDetectActive:
         with pytest.raises(ValueError):
             detect_active(sub, np.zeros(2), None, 0.0)
 
+    def test_nothing_to_detect_skips_evaluation(self, monkeypatch):
+        # no h and no finite bound: the empty set, without evaluating
+        f = VectorFunction([ex.square(var(0))], 2)
+        free = Subproblem(f, A=[[1.0, 0.0]])
+        boxed = Subproblem(f, A=[[1.0, 0.0]], ub=[np.inf, 5.0])
+
+        def no_evaluation(*args):
+            raise AssertionError("h evaluated")
+
+        monkeypatch.setattr(ex, "evaluate", no_evaluation)
+        assert detect_active(free, np.array([1e300, -np.inf]), None, TAU) == ActiveSet(
+            (), 0, 2
+        )
+        with pytest.raises(AssertionError, match="h evaluated"):
+            detect_active(boxed, np.zeros(2), None, TAU)
+
 
 class TestActiveJacobian:
     def test_lower_bound_unit_row(self):

@@ -114,9 +114,14 @@ def test_errors_match_all_pairs():
         assert str(err.value) == str(ref_err.value)
 
 
-def test_links_follow_neighbors_and_overlap():
-    top = topology_from_rows(4, [[0, 1], [1, 2], [3], [2, 3]])
-    for i, links in enumerate(top.links):
-        assert [j for j, _, _ in links] == top.neighbors[i]
-        for j, idx_i, idx_j in links:
-            assert idx_i is top.overlap[(i, j)] and idx_j is top.overlap[(j, i)]
+def test_copies_follow_rows_and_multiplicity():
+    top = topology_from_rows(5, [[0, 1], [1, 2], [], [3], [2, 3, 4], [0, 4]])
+    lay = top.copies
+    assert lay is top.copies  # built once, kept on the topology
+    np.testing.assert_array_equal(lay.cat_rows, [0, 1, 1, 2, 3, 2, 3, 4, 0, 4])
+    np.testing.assert_array_equal(lay.inv_mult, 1.0 / top.multiplicity[lay.cat_rows])
+    assert [pos.shape[1] for _, pos in lay.groups] == [1, 2, 3]
+    for agents, pos in lay.groups:
+        for a, idx in zip(agents, pos):
+            np.testing.assert_array_equal(lay.cat_rows[idx], top.rows[a])
+    assert sorted(a for agents, _ in lay.groups for a in agents) == [0, 1, 3, 4, 5]
