@@ -2,7 +2,7 @@
 
 Problems split into blocks f_i, g_i, h_i over local variables coupled only
 through affine consensus rows sum_i A_i x_i = b.  The main solver alternates
-parallel proximal local solves with a centralized (or decentralized) convex
+independent proximal local solves with a centralized (or decentralized) convex
 coordination QP; a consensus-ADMM baseline shares the same interface.
 """
 

@@ -61,7 +61,6 @@ def _add_solver_flags(p):
     p.add_argument("--del-up", action="store_true", default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--parallel", action="store_true", default=None)
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--log", metavar="OUT.CSV", default=None,
                    help="write the iteration log as CSV")

@@ -152,16 +152,13 @@ def solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=None):
 def reduced_result(reduced, lam_qp, lam, mu, kkt_residual, Zs=None):
     """Coordination result of a dual solution lamQP of the Schur system.
 
-    Every block recovers its reduced step dv_i = -B_i^-1 (g_i + A_i'
-    lamQP[C(i)]), with A_i = red.A its compact coupling matrix, lifted to
-    Z_i dv_i when the bases are given; the slack is s = (lamQP - lam) / mu.
-    The nullspace and bilevel paths share this recovery.
+    Every block recovers its reduced step dv_i = -(B_i^-1 g_i + B_i^-1 A_i'
+    lamQP[C(i)]), with A_i = red.A its compact coupling matrix and both
+    solves taken from ``red.solved``, lifted to Z_i dv_i when the bases are
+    given; the slack is s = (lamQP - lam) / mu.  The nullspace and bilevel
+    paths share this recovery.
     """
-    dvs = [
-        -np.linalg.solve(red.B, red.g + red.A.T @ lam_qp[red.rows])
-        if red.B.size else np.zeros(0)
-        for red in reduced
-    ]
+    dvs = [-(red.solved[1] + red.solved[0] @ lam_qp[red.rows]) for red in reduced]
     dxs = [Z @ dv for Z, dv in zip(Zs, dvs)] if Zs is not None else dvs
     return CoordinationResult(
         dx=dxs, s=(lam_qp - lam) / mu, lam_qp=lam_qp,

@@ -1,8 +1,13 @@
-"""Outer loops: the augmented-Lagrangian SQP method and the ADMM baseline.
+"""The outer loop of the augmented-Lagrangian SQP method and the ADMM baseline.
 
-Both solvers share the problem interface, the iteration log shape, and the
-local proximal NLP machinery; they differ in how the coordination step
-recombines the block solutions.
+Both solvers run one loop (``_outer_loop``) and differ only in its
+coordination step.  Per outer iteration: (1) every block solves its proximal
+NLP around the current (z, lam) with its weight Sigma_i, one block after the
+other; (2) a block beyond the divergence guard ends the run with
+termination="error"; (3) the stopping norms ||sum A_i x_i - b||_inf and
+||x - z||_inf are checked; (4) the step moves z and lam; (5) the iteration
+is logged and, every ``log_every`` iterations, printed.  Failures of a layer
+are re-raised with the outer iteration index.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +137,6 @@ class IterateState:
     locals: list[LocalSolution | None]
     scaling: ScalingState
     bfgs: list[np.ndarray | None]
-    k: int = 0
     prev_x: list[np.ndarray] | None = None
     prev_active: list[tuple[int, ...]] | None = None
     prev_lam_qp: np.ndarray | None = None
@@ -160,7 +163,13 @@ class Solution:
     local_kkt: list[float]
 
 
-def _init_state(problem, opts, z0, lam0):
+def _start(problem, opts, z0, lam0):
+    """Checked options, the initial state, and the run's start time."""
+    opts = (opts or SolverOptions()).check()
+    issues = validate(problem)
+    if issues:
+        raise ValueError("invalid problem: " + "; ".join(issues))
+    t_start = time.perf_counter()
     z = (
         [np.asarray(v, dtype=float).copy() for v in z0]
         if z0 is not None
@@ -176,26 +185,14 @@ def _init_state(problem, opts, z0, lam0):
     for v, s in zip(z, problem.subproblems):
         if v.shape != (s.n_x,):
             raise ValueError("z0 block dimensions do not match the problem")
-    return IterateState(
+    state = IterateState(
         z=z,
         lam=lam,
         locals=[None] * problem.n_s,
         scaling=ScalingState.initial(problem, opts),
         bfgs=[None] * problem.n_s,
     )
-
-
-def _map_blocks(fn, n, parallel):
-    if parallel and n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
-
-
-def _check_problem(problem):
-    issues = validate(problem)
-    if issues:
-        raise ValueError("invalid problem: " + "; ".join(issues))
+    return opts, state, t_start
 
 
 def _consensus(problem, xs):
@@ -207,12 +204,10 @@ def _consensus(problem, xs):
 
 
 def _objective(problem, xs):
-    return float(
-        sum(
-            ex.evaluate(s.f, x, problem.parameters[i])[0]
-            for i, (s, x) in enumerate(zip(problem.subproblems, xs))
-        )
-    )
+    return float(sum(
+        ex.evaluate(s.f, x, p)[0]
+        for s, x, p in zip(problem.subproblems, xs, problem.parameters)
+    ))
 
 
 def _local_tolerance(opts, err_prev):
@@ -320,8 +315,107 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
     return res, mlog, t_inner
 
 
-def _finish(problem, state, termination, message, viol_inf, log, timers, t_start):
-    """The run's Solution; a "tolerance-met" message names unconverged locals."""
+def _active_changes(prev, current):
+    if prev is None:
+        return 0
+    return sum(len(set(a) ^ set(bb)) for a, bb in zip(prev, current))
+
+
+def _active_sets(problem, opts, xs):
+    return [
+        detect_active(sub, x, p, opts.act_margin).indices
+        for sub, x, p in zip(problem.subproblems, xs, problem.parameters)
+    ]
+
+
+def _outer_loop(problem, opts, state, step, label, t_start):
+    """Run the shared loop and return its Solution.
+
+    ``step(xs, viol, prev_viol, timings)`` is the coordination: it updates
+    ``state`` (z, lam, and whatever else the solver keeps there), fills its
+    layer timings, and returns the blocks' active sets plus its
+    IterationRecord fields (``qp_step`` and ``comms_floats`` at least).
+    ``prev_viol`` is None on the first iteration.  Progress lines print
+    ``qp_step`` under ``label``.
+    """
+    timers = {
+        "setup": time.perf_counter() - t_start,
+        **dict.fromkeys(LAYERS, 0.0),
+        "total": 0.0,
+    }
+    log = IterationLog()
+    termination = "max-iterations"
+    message = "maximum number of iterations reached"
+    err_prev = None
+    viol_vec = None
+    viol_inf = np.inf
+
+    for k in range(1, opts.max_iter + 1):
+        timings = dict.fromkeys(LAYERS, 0.0)
+        try:
+            tol_k = _local_tolerance(opts, err_prev)
+            t0 = time.perf_counter()
+            state.locals = [
+                solve_local(
+                    sub, state.z[i], state.lam, state.scaling.sigmas[i],
+                    p=problem.parameters[i], warm=state.locals[i], tol=tol_k,
+                )
+                for i, sub in enumerate(problem.subproblems)
+            ]
+            timings["local"] = time.perf_counter() - t0
+            xs = [sol.x for sol in state.locals]
+
+            if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
+                termination = "error"
+                message = f"divergence guard tripped at iteration {k}"
+                break
+
+            prev_viol_vec, viol_vec = viol_vec, _consensus(problem, xs)
+            viol_inf = float(np.abs(viol_vec).max()) if problem.n_c else 0.0
+            local_step = max(
+                float(np.abs(x - zz).max()) if x.size else 0.0
+                for x, zz in zip(xs, state.z)
+            )
+            err_prev = max(viol_inf, local_step)
+
+            done = (
+                opts.term_eps > 0
+                and viol_inf <= opts.term_eps
+                and local_step <= opts.term_eps
+            )
+            if done:
+                acts = _active_sets(problem, opts, xs)
+                fields = {"qp_step": 0.0, "comms_floats": 0}
+            else:
+                acts, fields = step(xs, viol_vec, prev_viol_vec, timings)
+            log.append(IterationRecord(
+                iter=k, consensus_viol=viol_inf, local_step=local_step,
+                active_changes=_active_changes(state.prev_active, acts),
+                timings=timings, z=[zz.copy() for zz in state.z],
+                x=[x.copy() for x in xs], lam=state.lam.copy(), **fields,
+            ))
+            if done:
+                termination = "tolerance-met"
+                message = "both stopping norms within tolerance"
+                break
+            state.prev_active = acts
+
+            if opts.log_every and k % opts.log_every == 0:
+                print(
+                    f"iter {k:4d}  consensus {viol_inf:10.3e}  "
+                    f"local {local_step:10.3e}  {label} {fields['qp_step']:10.3e}"
+                )
+        except SolverError as err:
+            raise type(err)(f"outer iteration {k}: {err}") from err
+        except ex.DomainEvalError as err:
+            raise ex.DomainEvalError(
+                f"outer iteration {k}: {err}", err.node
+            ) from err
+        finally:
+            for key in LAYERS:
+                timers[key] += timings[key]
+
+    # the run's Solution; a "tolerance-met" message names unconverged locals
     timers["total"] = time.perf_counter() - t_start
     sols = state.locals
     xs = [sol.x for sol in sols] if sols[0] is not None else state.z
@@ -347,32 +441,15 @@ def _finish(problem, state, termination, message, viol_inf, log, timers, t_start
     )
 
 
-def _active_changes(prev, current):
-    if prev is None:
-        return 0
-    return sum(
-        len(set(a) ^ set(bb)) for a, bb in zip(prev, current)
-    )
-
-
 def run_aladin(problem, opts=None, z0=None, lam0=None):
     """Solve a separable problem by alternating local NLPs with a consensus QP.
 
-    Per outer iteration: (1) all blocks solve their proximal NLP around the
-    current (z, lam), concurrently when requested; (2) the stopping norms
-    ||sum A_i x_i - b||_inf and ||x - z||_inf are checked; (3) gradients,
-    active sets, and positive definite Hessian models are assembled;
-    (4) the coordination QP runs in the configured variant; (5) z and lam
-    take the (damped) full step; (6) the scaling heuristics update.
-
-    Returns a Solution; module failures are annotated with the iteration
-    index and re-raised, divergence ends the run with termination="error".
+    The step of the shared outer loop: gradients, active sets, and positive
+    definite Hessian models are assembled per block; the coordination QP
+    runs in the configured variant; z and lam take the (damped) full step;
+    the scaling heuristics update.
     """
-    opts = (opts or SolverOptions()).check()
-    _check_problem(problem)
-    t_start = time.perf_counter()
-    timers = {"setup": 0.0, **dict.fromkeys(LAYERS, 0.0), "total": 0.0}
-    state = _init_state(problem, opts, z0, lam0)
+    opts, state, t_start = _start(problem, opts, z0, lam0)
     # each block's coupling rows C(i), fixed for the run (reduced variants)
     rows = (
         None if opts.variant == "fullspace"
@@ -381,169 +458,68 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )
-    timers["setup"] = time.perf_counter() - t_start
-    n_s = problem.n_s
-    log = IterationLog()
-    termination = "max-iterations"
-    message = "maximum number of iterations reached"
-    err_prev = None
-    viol_vec = np.zeros(problem.n_c)
-    viol_inf = np.inf
 
-    for k in range(1, opts.max_iter + 1):
-        state.k = k
-        timings = dict.fromkeys(LAYERS, 0.0)
-        try:
-            tol_k = _local_tolerance(opts, err_prev)
-            t0 = time.perf_counter()
-            state.locals = _map_blocks(
-                lambda i: solve_local(
-                    problem.subproblems[i],
-                    state.z[i],
-                    state.lam,
-                    state.scaling.sigmas[i],
-                    p=problem.parameters[i],
-                    warm=state.locals[i],
-                    tol=tol_k,
-                ),
-                n_s,
-                opts.parallel,
+    def step(xs, viol_vec, prev_viol_vec, timings):
+        t0 = time.perf_counter()
+        packs = [
+            _sensitivity_pack(problem, opts, state, i, state.prev_x)
+            for i in range(problem.n_s)
+        ]
+        timings["sensitivity"] = time.perf_counter() - t0
+        bfgs_min_eig = (
+            [float(np.linalg.eigvalsh(pk.hess).min()) for pk in packs]
+            if opts.hessian != "exact"
+            else None
+        )
+
+        t0 = time.perf_counter()
+        result, mlog, t_inner = _coordinate(
+            problem, opts, state, packs, xs, rows, topology
+        )
+        timings["qp"] = time.perf_counter() - t0
+        timings["inner"] = t_inner
+
+        qp_step = max(
+            (float(np.abs(d).max()) for d in result.dx if d.size), default=0.0
+        )
+        alpha = opts.step_size
+        state.z = [
+            zz + alpha * (x - zz + d)
+            for zz, x, d in zip(state.z, xs, result.dx)
+        ]
+        state.lam = state.lam + alpha * (result.lam_qp - state.lam)
+        state.prev_lam_qp = result.lam_qp.copy()
+        state.prev_x = xs
+
+        state.scaling = update_sigma(state.scaling, opts)
+        if opts.del_up and prev_viol_vec is not None:
+            state.scaling = update_delta_by_violation(
+                state.scaling, viol_vec, prev_viol_vec, opts
             )
-            timings["local"] = time.perf_counter() - t0
-            xs = [sol.x for sol in state.locals]
+        return [pk.active.indices for pk in packs], {
+            "qp_step": qp_step,
+            "comms_floats": mlog.total_floats() if mlog is not None else 0,
+            "inner_residual": mlog.residual if mlog is not None else None,
+            "bfgs_min_eig": bfgs_min_eig,
+        }
 
-            if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
-                termination = "error"
-                message = f"divergence guard tripped at iteration {k}"
-                break
-
-            prev_viol_vec = viol_vec
-            viol_vec = _consensus(problem, xs)
-            viol_inf = float(np.abs(viol_vec).max()) if problem.n_c else 0.0
-            local_step = max(
-                float(np.abs(x - zz).max()) if x.size else 0.0
-                for x, zz in zip(xs, state.z)
-            )
-            err_prev = max(viol_inf, local_step)
-
-            if opts.term_eps > 0 and viol_inf <= opts.term_eps and local_step <= opts.term_eps:
-                acts = [
-                    detect_active(
-                        problem.subproblems[i], xs[i], problem.parameters[i],
-                        opts.act_margin,
-                    ).indices
-                    for i in range(n_s)
-                ]
-                log.append(
-                    IterationRecord(
-                        iter=k, consensus_viol=viol_inf, local_step=local_step,
-                        qp_step=0.0,
-                        active_changes=_active_changes(state.prev_active, acts),
-                        comms_floats=0,
-                        timings=timings,
-                        z=[zz.copy() for zz in state.z],
-                        x=[x.copy() for x in xs],
-                        lam=state.lam.copy(),
-                    )
-                )
-                termination = "tolerance-met"
-                message = "both stopping norms within tolerance"
-                break
-
-            t0 = time.perf_counter()
-            packs = _map_blocks(
-                lambda i: _sensitivity_pack(problem, opts, state, i, state.prev_x),
-                n_s,
-                opts.parallel,
-            )
-            timings["sensitivity"] = time.perf_counter() - t0
-            bfgs_min_eig = (
-                [float(np.linalg.eigvalsh(pk.hess).min()) for pk in packs]
-                if opts.hessian != "exact"
-                else None
-            )
-
-            t0 = time.perf_counter()
-            result, mlog, t_inner = _coordinate(
-                problem, opts, state, packs, xs, rows, topology
-            )
-            timings["qp"] = time.perf_counter() - t0
-            timings["inner"] = t_inner
-
-            qp_step = max(
-                (float(np.abs(d).max()) for d in result.dx if d.size), default=0.0
-            )
-            alpha = opts.step_size
-            state.z = [
-                zz + alpha * (x - zz + d)
-                for zz, x, d in zip(state.z, xs, result.dx)
-            ]
-            state.lam = state.lam + alpha * (result.lam_qp - state.lam)
-            state.prev_lam_qp = result.lam_qp.copy()
-
-            acts = [pk.active.indices for pk in packs]
-            log.append(
-                IterationRecord(
-                    iter=k,
-                    consensus_viol=viol_inf,
-                    local_step=local_step,
-                    qp_step=qp_step,
-                    active_changes=_active_changes(state.prev_active, acts),
-                    comms_floats=mlog.total_floats() if mlog is not None else 0,
-                    inner_residual=mlog.residual if mlog is not None else None,
-                    timings=timings,
-                    z=[zz.copy() for zz in state.z],
-                    x=[x.copy() for x in xs],
-                    lam=state.lam.copy(),
-                    bfgs_min_eig=bfgs_min_eig,
-                )
-            )
-            state.prev_active = acts
-            state.prev_x = xs
-
-            state.scaling = update_sigma(state.scaling, opts)
-            if opts.del_up and k >= 2:
-                state.scaling = update_delta_by_violation(
-                    state.scaling, viol_vec, prev_viol_vec, opts
-                )
-
-            if opts.log_every and k % opts.log_every == 0:
-                print(
-                    f"iter {k:4d}  consensus {viol_inf:10.3e}  "
-                    f"local {local_step:10.3e}  qp {qp_step:10.3e}"
-                )
-        except SolverError as err:
-            raise type(err)(f"outer iteration {k}: {err}") from err
-        except ex.DomainEvalError as err:
-            raise ex.DomainEvalError(
-                f"outer iteration {k}: {err}", err.node
-            ) from err
-        finally:
-            for key in LAYERS:
-                timers[key] += timings[key]
-
-    return _finish(
-        problem, state, termination, message, viol_inf, log, timers, t_start
-    )
+    return _outer_loop(problem, opts, state, step, "qp", t_start)
 
 
 def run_admm(problem, opts=None, z0=None, lam0=None):
     """Consensus ADMM baseline with the same interface and log shape.
 
-    Per iteration: (a) block solves of f_i + lam' A_i x_i
-    + (rho/2) ||A_i (x_i - z_i)||^2 under the local constraints; (b) the
-    coordination projection {z_i} = argmin sum ||A_i (x_i - z_i)||^2 subject
-    to sum A_i z_i = b; (c) the dual ascent lam += rho (sum A_i x_i - b).
+    The shared outer loop's local solves, with the fixed weights
+    Sigma_i = (rho/2) A_i'A_i, minimize f_i + lam' A_i x_i
+    + (rho/2) ||A_i (x_i - z_i)||^2 under the local constraints; the
+    coordination step is the projection {z_i} = argmin sum ||A_i (x_i -
+    z_i)||^2 subject to sum A_i z_i = b, then the dual ascent
+    lam += rho (sum A_i x_i - b).
     """
-    opts = (opts or SolverOptions()).check()
-    _check_problem(problem)
-    t_start = time.perf_counter()
-    timers = {"setup": 0.0, **dict.fromkeys(LAYERS, 0.0), "total": 0.0}
-    state = _init_state(problem, opts, z0, lam0)
+    opts, state, t_start = _start(problem, opts, z0, lam0)
     rho = opts.rho_admm
-    n_s = problem.n_s
     subs = problem.subproblems
-    sigmas = [0.5 * rho * (s.A.T @ s.A) for s in subs]
+    state.scaling.sigmas = [0.5 * rho * (s.A.T @ s.A) for s in subs]
     # range-space projectors and pseudoinverses of each A_i for the z step
     projs, pinvs = [], []
     for s in subs:
@@ -557,106 +533,22 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
             projs.append(np.zeros((problem.n_c, problem.n_c)))
             pinvs.append(np.zeros((s.n_x, problem.n_c)))
     G = sum(projs)
-    timers["setup"] = time.perf_counter() - t_start
 
-    log = IterationLog()
-    termination = "max-iterations"
-    message = "maximum number of iterations reached"
-    err_prev = None
-    viol_inf = np.inf
-    prev_active = None
+    def step(xs, viol_vec, prev_viol_vec, timings):
+        acts = _active_sets(problem, opts, xs)
+        t0 = time.perf_counter()
+        if problem.n_c:
+            nu = np.linalg.lstsq(G, rho * viol_vec, rcond=None)[0]
+            znew = [x - pinv @ nu / rho for x, pinv in zip(xs, pinvs)]
+        else:
+            znew = [x.copy() for x in xs]
+        qp_step = max(
+            float(np.abs(zn - x).max()) if x.size else 0.0
+            for zn, x in zip(znew, xs)
+        )
+        state.z = znew
+        state.lam = state.lam + rho * viol_vec
+        timings["qp"] = time.perf_counter() - t0
+        return acts, {"qp_step": qp_step, "comms_floats": 0}
 
-    for k in range(1, opts.max_iter + 1):
-        timings = dict.fromkeys(LAYERS, 0.0)
-        try:
-            tol_k = _local_tolerance(opts, err_prev)
-            t0 = time.perf_counter()
-            state.locals = _map_blocks(
-                lambda i: solve_local(
-                    subs[i], state.z[i], state.lam, sigmas[i],
-                    p=problem.parameters[i], warm=state.locals[i], tol=tol_k,
-                ),
-                n_s,
-                opts.parallel,
-            )
-            timings["local"] = time.perf_counter() - t0
-            xs = [sol.x for sol in state.locals]
-            if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
-                termination = "error"
-                message = f"divergence guard tripped at iteration {k}"
-                break
-
-            viol_vec = _consensus(problem, xs)
-            viol_inf = float(np.abs(viol_vec).max()) if problem.n_c else 0.0
-            local_step = max(
-                float(np.abs(x - zz).max()) if x.size else 0.0
-                for x, zz in zip(xs, state.z)
-            )
-            err_prev = max(viol_inf, local_step)
-            acts = [
-                detect_active(subs[i], xs[i], problem.parameters[i], opts.act_margin).indices
-                for i in range(n_s)
-            ]
-
-            if opts.term_eps > 0 and viol_inf <= opts.term_eps and local_step <= opts.term_eps:
-                log.append(
-                    IterationRecord(
-                        iter=k, consensus_viol=viol_inf, local_step=local_step,
-                        qp_step=0.0,
-                        active_changes=_active_changes(prev_active, acts),
-                        comms_floats=0,
-                        timings=timings,
-                        z=[zz.copy() for zz in state.z],
-                        x=[x.copy() for x in xs],
-                        lam=state.lam.copy(),
-                    )
-                )
-                termination = "tolerance-met"
-                message = "both stopping norms within tolerance"
-                break
-
-            t0 = time.perf_counter()
-            if problem.n_c:
-                nu = np.linalg.lstsq(G, rho * viol_vec, rcond=None)[0]
-                znew = [xs[i] - pinvs[i] @ nu / rho for i in range(n_s)]
-            else:
-                znew = [x.copy() for x in xs]
-            qp_step = max(
-                float(np.abs(zn - x).max()) if x.size else 0.0
-                for zn, x in zip(znew, xs)
-            )
-            state.z = znew
-            state.lam = state.lam + rho * viol_vec
-            timings["qp"] = time.perf_counter() - t0
-
-            log.append(
-                IterationRecord(
-                    iter=k, consensus_viol=viol_inf, local_step=local_step,
-                    qp_step=qp_step,
-                    active_changes=_active_changes(prev_active, acts),
-                    comms_floats=0,
-                    timings=timings,
-                    z=[zz.copy() for zz in state.z],
-                    x=[x.copy() for x in xs],
-                    lam=state.lam.copy(),
-                )
-            )
-            prev_active = acts
-            if opts.log_every and k % opts.log_every == 0:
-                print(
-                    f"iter {k:4d}  consensus {viol_inf:10.3e}  "
-                    f"local {local_step:10.3e}  z-step {qp_step:10.3e}"
-                )
-        except SolverError as err:
-            raise type(err)(f"outer iteration {k}: {err}") from err
-        except ex.DomainEvalError as err:
-            raise ex.DomainEvalError(
-                f"outer iteration {k}: {err}", err.node
-            ) from err
-        finally:
-            for key in LAYERS:
-                timers[key] += timings[key]
-
-    return _finish(
-        problem, state, termination, message, viol_inf, log, timers, t_start
-    )
+    return _outer_loop(problem, opts, state, step, "z-step", t_start)

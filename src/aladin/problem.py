@@ -283,7 +283,6 @@ class SolverOptions:
     warm_start : reuse the previous dual to initialize the inner solver.
     del_up : rowwise Delta growth driven by per-row consensus violation
         (beta, gamma); valid only with the fullspace variant.
-    parallel : fan per-block work out to a thread pool.
     log_every : print one progress line every N outer iterations (0 = quiet).
     local_tol_floor : tightest tolerance handed to the local solver.
     """
@@ -309,7 +308,6 @@ class SolverOptions:
     del_up: bool = False
     beta: float = 10.0
     gamma: float = 0.25
-    parallel: bool = False
     log_every: int = 0
     local_tol_floor: float = 1e-12
 

