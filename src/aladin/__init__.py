@@ -55,7 +55,6 @@ from .sensitivity import (
 from .coordination import (
     CoordinationResult,
     ScalingState,
-    solve_coordination_full,
     solve_coordination_reduced,
     update_delta_by_violation,
     update_sigma,

@@ -23,7 +23,6 @@ from . import expr as ex
 from .coordination import (
     ScalingState,
     reduced_result,
-    solve_coordination_full,
     solve_coordination_reduced,
     update_delta_by_violation,
     update_sigma,
@@ -261,35 +260,34 @@ def _sensitivity_pack(problem, opts, state, i, x_prev):
 def _coordinate(problem, opts, state, packs, xs, rows, topology):
     """Run the configured coordination path.
 
-    ``rows[i]`` is block i's coupling rows C(i) (reduced variants);
-    ``topology`` the bilevel agents' network.  Returns (result, inner
-    message log or None, inner wall time).
+    Every variant reduces each block onto the nullspace of its active rows
+    and solves the Schur dual system on the coupling rows ``rows[i]`` =
+    C(i): fullspace projects the regularized Hessian and leaves the
+    projection as it is, nullspace and bilevel regularize the projected raw
+    Hessian; bilevel solves the dual system on the agents' ``topology``.
+    A block's LICQ or singular-Hessian failure names the block.  Returns
+    (result, inner message log or None, inner wall time).
     """
     A_list = [s.A for s in problem.subproblems]
     b = problem.b
-    if opts.variant == "fullspace":
-        for i, pk in enumerate(packs):
-            C = pk.jac_active
-            if C.shape[0] and np.linalg.matrix_rank(C) < C.shape[0]:
-                from .errors import LicqError
-
-                raise LicqError(
-                    f"block {i}: active constraint Jacobian is rank deficient"
-                )
-        res = solve_coordination_full(
-            packs, xs, state.lam, state.scaling.delta, A_list, b
-        )
-        return res, None, 0.0
-    Zs = [nullspace_basis(pk.jac_active) for pk in packs]
-    reduced = [
-        reduce_block(pk.hess_raw, pk.grad, A_list[i], Zs[i], opts.reg_param,
-                     reg=opts.reg, rows=rows[i])
-        for i, pk in enumerate(packs)
-    ]
+    full = opts.variant == "fullspace"
+    Zs, reduced = [], []
+    for i, pk in enumerate(packs):
+        try:
+            Z = nullspace_basis(pk.jac_active)
+            red = reduce_block(
+                pk.hess if full else pk.hess_raw, pk.grad, A_list[i], Z,
+                opts.reg_param, reg=opts.reg and not full, rows=rows[i],
+            )
+            red.solved  # factor B_i here, so a singular one names its block
+        except SolverError as err:
+            raise type(err)(f"block {i}: {err}") from err
+        Zs.append(Z)
+        reduced.append(red)
     couplings = [A_list[i][rows[i]] @ xs[i] for i in range(problem.n_s)]
-    mu = state.scaling.mu
-    if opts.variant == "nullspace":
-        res = solve_coordination_reduced(reduced, couplings, state.lam, mu, b, Zs=Zs)
+    delta = state.scaling.delta
+    if opts.variant != "bilevel":
+        res = solve_coordination_reduced(reduced, couplings, state.lam, delta, b, Zs=Zs)
         return res, None, 0.0
     # bilevel: decentralized solve of the Schur dual system
     S_blocks, s_blocks = zip(*(
@@ -299,6 +297,7 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
     lam0 = warm_start(
         state.prev_lam_qp if opts.warm_start else None, problem.n_c
     )
+    mu = state.scaling.mu
     t0 = time.perf_counter()
     if opts.inner_alg == "dcg":
         lam_qp, mlog = run_dcg(
@@ -311,7 +310,7 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
             rho=opts.rho_admm, n_iter=opts.inner_iter,
         )
     t_inner = time.perf_counter() - t0
-    res = reduced_result(reduced, lam_qp, state.lam, mu, mlog.residual, Zs)
+    res = reduced_result(reduced, lam_qp, state.lam, delta, Zs)
     return res, mlog, t_inner
 
 
@@ -450,11 +449,8 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     the scaling heuristics update.
     """
     opts, state, t_start = _start(problem, opts, z0, lam0)
-    # each block's coupling rows C(i), fixed for the run (reduced variants)
-    rows = (
-        None if opts.variant == "fullspace"
-        else [coupling_rows(s.A) for s in problem.subproblems]
-    )
+    # each block's coupling rows C(i), fixed for the run
+    rows = [coupling_rows(s.A) for s in problem.subproblems]
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )

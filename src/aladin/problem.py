@@ -267,22 +267,27 @@ class SolverOptions:
         check and the solver always runs max_iter iterations.
     step_size : primal/dual step length in (0, 1]; 1 is the full step.
     sigma_init : initial proximal weight, Sigma_i = sigma_init * I.
-    mu_init : initial slack penalty; the coordination slack weight matrix is
-        Delta = (mu/2) * I so the full-space and reduced paths coincide.
+    mu_init : initial slack penalty; the coordination QP weighs its slack
+        with the diagonal Delta = (mu/2) * I, and the bilevel inner solvers
+        take the scalar mu.
     r_sigma, r_delta : per-iteration growth factors for Sigma_i and Delta.
     sigma_max, delta_max : growth stops once the pre-update inf-norm reaches
         these caps.
     act_margin : inequality rows with value > -act_margin count as active.
     hessian : "exact" (with optional regularization), "bfgs", or "dbfgs".
     reg, reg_param : eigenvalue-flip regularization switch and its floor.
-    variant : "fullspace", "nullspace" (reduced coordination QP), or
-        "bilevel" (reduced QP solved by a decentralized inner algorithm).
+    variant : how the coordination QP, always solved through its Schur dual
+        system on the active-constraint nullspaces, gets its Hessians:
+        "fullspace" projects the regularized Hessian, "nullspace"
+        regularizes the projected one, and "bilevel" does as nullspace but
+        solves the dual system with a decentralized inner algorithm.
     inner_alg, inner_iter : decentralized inner solver and its iteration cap.
     rho_admm : penalty parameter shared by the ADMM baseline and the
         decentralized inner ADMM.
     warm_start : reuse the previous dual to initialize the inner solver.
     del_up : rowwise Delta growth driven by per-row consensus violation
-        (beta, gamma); valid only with the fullspace variant.
+        (beta, gamma); valid only with the fullspace variant, since the
+        bilevel inner solvers take the scalar mu, not the diagonal Delta.
     log_every : print one progress line every N outer iterations (0 = quiet).
     local_tol_floor : tightest tolerance handed to the local solver.
     """
@@ -337,8 +342,8 @@ class SolverOptions:
         if self.inner_alg not in INNER_ALGS:
             raise ValueError(f"inner_alg must be one of {INNER_ALGS}")
         if self.del_up and self.variant != "fullspace":
-            # rowwise Delta breaks the Delta = (mu/2) I identity the reduced
-            # and bilevel paths rely on
+            # rowwise Delta breaks the Delta = (mu/2) I identity the bilevel
+            # inner solvers rely on
             raise ValueError("del_up requires the fullspace variant")
         return self
 

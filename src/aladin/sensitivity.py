@@ -3,7 +3,7 @@
 Covers active-set detection over the combined inequality vector
 ``h~ = (h, lb - x, x - ub)``, active-constraint Jacobians, eigenvalue-flip
 regularization, (damped) BFGS updates, nullspace bases, and the reduced /
-Schur-complement quantities for the low-dimensional coordination paths.
+Schur-complement quantities the coordination's dual system is built from.
 All operations are pure per-block computations.
 """
 
@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .errors import LicqError
+from .errors import LicqError, SingularKktError
 
 __all__ = [
     "ActiveSet",
@@ -69,12 +69,18 @@ class ReducedBlock:
         """(B^-1 A', B^-1 g), from one solve of B against [A', g].
 
         The Schur term and the step recovery both use them, so B is
-        factored once per block and outer iteration.
+        factored once per block and outer iteration.  Raises
+        SingularKktError when B is singular.
         """
         m = self.A.shape[0]
         if not self.B.size:
             return np.zeros((0, m)), np.zeros(0)
-        X = np.linalg.solve(self.B, np.column_stack([self.A.T, self.g]))
+        try:
+            X = np.linalg.solve(self.B, np.column_stack([self.A.T, self.g]))
+        except np.linalg.LinAlgError as err:
+            raise SingularKktError(
+                f"reduced Hessian ({self.B.shape[0]}x{self.B.shape[0]}) is singular"
+            ) from err
         return X[:, :m], X[:, m]
 
 
@@ -83,11 +89,11 @@ class SensitivityPack:
     """Everything one block contributes to the coordination QP.
 
     ``hess_raw`` is the (possibly indefinite) Lagrangian Hessian or BFGS
-    matrix before processing; ``hess`` is the positive definite matrix the
-    full-space QP uses.  With the exact Hessian only the full-space variant
-    fills ``hess``; the reduced variants leave it None, since
-    ``reduce_block`` regularizes the projected Hessian instead.  BFGS modes
-    always set it to the BFGS matrix.
+    matrix before processing; ``hess`` is the matrix the full-space variant
+    projects, regularized unless ``reg`` is off.  With the exact Hessian
+    only the full-space variant fills ``hess``; the nullspace and bilevel
+    variants leave it None, since ``reduce_block`` regularizes their
+    projected Hessian instead.  BFGS modes always set it to the BFGS matrix.
     """
 
     grad: np.ndarray
@@ -222,10 +228,10 @@ def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
     ``A`` is the block's full coupling matrix (one row per consensus row)
     and ``rows`` its coupling rows C(i) = ``coupling_rows(A)``, computed
     here when not given (the outer loop computes them once per run).
-    Returns ReducedBlock(Z' H Z regularized, Z' g, A[rows] Z, rows); with
-    Z = I the first two are exactly the full-space processed pair.
-    Regularization of the projected Hessian can be switched off together
-    with the full-space regularization option.
+    Returns ReducedBlock(Z' H Z, Z' g, A[rows] Z, rows), with Z' H Z
+    regularized when ``reg`` is set.  The nullspace and bilevel variants
+    pass the raw Hessian with ``reg`` from the options; the full-space
+    variant passes its already regularized Hessian with ``reg=False``.
     """
     A = np.asarray(A, dtype=float)
     if rows is None:

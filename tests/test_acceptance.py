@@ -16,10 +16,10 @@ from aladin.driver import run_admm, run_aladin
 from aladin.examples_lib import coupled_qp, tutorial
 from aladin.problem import SolverOptions
 from aladin.sensitivity import bfgs_update, nullspace_basis, reduce_block, regularize
-from aladin.coordination import solve_coordination_full, solve_coordination_reduced
+from aladin.coordination import solve_coordination_reduced
 
 import oracles
-from test_coordination import make_pack, random_instance
+from test_coordination import fullspace_step, monolithic_oracle, random_instance
 from test_expr import random_smooth_graph
 
 
@@ -105,7 +105,8 @@ class TestAcceptance:
             )
             mu = float(rng.uniform(0.5, 50.0))
             delta = np.full(b.size, mu / 2.0)
-            full = solve_coordination_full(packs, xs, lam, delta, A_list, b)
+            dx, s, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
+            full = fullspace_step(packs, xs, lam, delta, A_list, b)
             Zs = [nullspace_basis(p.jac_active) for p in packs]
             reduced = [
                 reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-10)
@@ -113,12 +114,15 @@ class TestAcceptance:
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
             red = solve_coordination_reduced(
-                reduced, couplings, lam, mu, b, Zs=Zs
+                reduced, couplings, lam, delta, b, Zs=Zs
             )
-            assert np.abs(red.lam_qp - full.lam_qp).max() <= 1e-8
-            for d1, d2 in zip(red.dx, full.dx):
-                assert np.abs(d1 - d2).max() <= 1e-8
-        _ok(4, "50 seeded instances: lifted reduced steps equal full steps")
+            for out in (full, red):
+                assert np.abs(out.lam_qp - lam_qp).max() <= 1e-8
+                assert np.abs(out.s - s).max() <= 1e-8
+                for d1, d2 in zip(out.dx, dx):
+                    assert np.abs(d1 - d2).max() <= 1e-8
+        _ok(4, "50 seeded instances: full-space and nullspace steps equal "
+               "the monolithic KKT's")
 
     @staticmethod
     def _schur_system(seed):

@@ -11,6 +11,8 @@ from aladin.cli import _FLAG_TO_OPTION, _build_parser, _options_from_args, main
 from aladin.examples_lib import tutorial
 from aladin.problem import SolverOptions, problem_to_dict
 
+from test_driver import linear_block_problem
+
 
 class TestExitCodes:
     def test_example_tutorial_ok(self, capsys, tmp_path):
@@ -51,6 +53,14 @@ class TestExitCodes:
 
     def test_bad_flag_combination_exit_1(self, capsys):
         assert main(["example", "tutorial", "--del-up", "--variant", "bilevel"]) == 1
+
+    @pytest.mark.parametrize("variant", ["fullspace", "nullspace"])
+    def test_singular_reduced_hessian_exit_2(self, tmp_path, capsys, variant):
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(problem_to_dict(linear_block_problem())))
+        assert main(["solve", str(path), "--no-reg", "--variant", variant]) == 2
+        err = capsys.readouterr().err
+        assert "solver error: outer iteration 1: block 0: reduced Hessian" in err
 
     def test_unknown_flag_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

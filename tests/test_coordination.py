@@ -1,11 +1,10 @@
-"""Coordination QP (full and reduced paths) and scaling heuristics."""
+"""Coordination QP (full-space and nullspace reductions) and scaling heuristics."""
 
 import numpy as np
 import pytest
 
 from aladin.coordination import (
     ScalingState,
-    solve_coordination_full,
     solve_coordination_reduced,
     update_delta_by_violation,
     update_sigma,
@@ -48,7 +47,7 @@ def random_instance(rng, n_s=2, n_c=3):
 
 
 def monolithic_oracle(packs, A_list, xs, lam, delta, b):
-    """Direct KKT assembly without slack elimination (explицit s block)."""
+    """Direct KKT assembly without slack elimination (explicit s block)."""
     n_c = b.size
     sizes = [p.grad.size for p in packs]
     c_rows = [p.jac_active.shape[0] for p in packs]
@@ -88,10 +87,21 @@ def monolithic_oracle(packs, A_list, xs, lam, delta, b):
     return dx, sol[s_off:s_off + n_c], sol[lam_off:]
 
 
+def fullspace_step(packs, xs, lam, delta, A_list, b):
+    """The full-space variant's coordination: Z'HZ of the processed H, unregularized."""
+    Zs = [nullspace_basis(p.jac_active) for p in packs]
+    reduced = [
+        reduce_block(p.hess, p.grad, A_list[i], Zs[i], 1e-4, reg=False)
+        for i, p in enumerate(packs)
+    ]
+    couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
+    return solve_coordination_reduced(reduced, couplings, lam, delta, b, Zs=Zs)
+
+
 class TestFullSpace:
     def test_unconstrained_newton_step(self):
         packs = [make_pack(2 * np.eye(2), [-2.0, 0.0], np.zeros((0, 2)))]
-        out = solve_coordination_full(
+        out = fullspace_step(
             packs, [np.zeros(2)], np.zeros(0), np.zeros(0),
             [np.zeros((0, 2))], np.zeros(0),
         )
@@ -101,17 +111,18 @@ class TestFullSpace:
     def test_full_rank_active_rows_pin_step(self):
         packs = [make_pack(np.eye(2), [0.3, -0.7], np.eye(2))]
         A = [np.array([[1.0, 0.0]])]
-        out = solve_coordination_full(
+        out = fullspace_step(
             packs, [np.ones(2)], np.zeros(1), np.array([5.0]), A, np.zeros(1)
         )
         np.testing.assert_allclose(out.dx[0], np.zeros(2), atol=1e-12)
 
     def test_matches_monolithic_oracle(self):
+        # a random non-uniform Delta, as the rowwise update leaves it
         rng = np.random.default_rng(21)
         for _ in range(5):
             packs, A_list, xs, lam, b = random_instance(rng)
             delta = rng.uniform(0.5, 3.0, b.size)
-            got = solve_coordination_full(packs, xs, lam, delta, A_list, b)
+            got = fullspace_step(packs, xs, lam, delta, A_list, b)
             dx, s, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
             for d1, d2 in zip(got.dx, dx):
                 np.testing.assert_allclose(d1, d2, atol=1e-8)
@@ -122,20 +133,19 @@ class TestFullSpace:
         rng = np.random.default_rng(22)
         packs, A_list, xs, lam, b = random_instance(rng)
         delta = np.full(b.size, 2.0)
-        out = solve_coordination_full(packs, xs, lam, delta, A_list, b)
+        out = fullspace_step(packs, xs, lam, delta, A_list, b)
         np.testing.assert_allclose(out.s, (out.lam_qp - lam) / (2 * delta), atol=1e-12)
         # the slack equals the post-step consensus violation
         viol = sum(A_list[i] @ (xs[i] + out.dx[i]) for i in range(len(xs))) - b
         np.testing.assert_allclose(viol, out.s, atol=1e-8)
 
     def test_singular_kkt_raises(self):
-        # duplicated active rows -> rank-deficient KKT
-        packs = [make_pack(np.eye(2), [1.0, 1.0], np.array([[1.0, 0.0], [1.0, 0.0]]))]
-        with pytest.raises(SingularKktError):
-            solve_coordination_full(
-                packs, [np.zeros(2)], np.zeros(0), np.zeros(0),
-                [np.zeros((0, 2))], np.zeros(0),
-            )
+        # no curvature along x_1 and nothing active: Z'HZ = H is singular
+        packs = [make_pack(np.diag([1.0, 0.0]), [1.0, 1.0], np.zeros((0, 2)))]
+        A = [np.array([[1.0, 0.0]])]
+        with pytest.raises(SingularKktError, match="reduced Hessian"):
+            fullspace_step(packs, [np.zeros(2)], np.zeros(1), np.ones(1), A,
+                           np.zeros(1))
 
 
 class TestReduced:
@@ -153,7 +163,9 @@ class TestReduced:
             couplings.append(np.zeros(red.rows.size))
         lam = rng.standard_normal(n_c)
         b = rng.standard_normal(n_c)
-        out = solve_coordination_reduced(reduced, couplings, lam, mu, b)
+        out = solve_coordination_reduced(
+            reduced, couplings, lam, np.full(n_c, mu / 2.0), b
+        )
         np.testing.assert_allclose(out.lam_qp, lam - mu * b, atol=1e-10)
         for red, dv in zip(reduced, out.dv):
             np.testing.assert_allclose(dv, -np.linalg.solve(red.B, red.g), atol=1e-10)
@@ -170,7 +182,7 @@ class TestReduced:
         b = rng.standard_normal(n_c)
         red = reduce_block(B, g, A, np.eye(n), 1e-6)
         out = solve_coordination_reduced([red], [A[red.rows] @ x], np.zeros(n_c),
-                                         1e8, b)
+                                         np.full(n_c, 5e7), b)
         # oracle: equality-constrained QP  A(x + dx) = b
         K = np.zeros((n + n_c, n + n_c))
         K[:n, :n] = red.B
@@ -187,16 +199,16 @@ class TestReduced:
             packs, A_list, xs, lam, b = random_instance(rng)
             mu = float(rng.uniform(1.0, 100.0))
             delta = np.full(b.size, mu / 2.0)
-            full = solve_coordination_full(packs, xs, lam, delta, A_list, b)
+            dx, _, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
             Zs = [nullspace_basis(p.jac_active) for p in packs]
             reduced = [
                 reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
                 for i, p in enumerate(packs)
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
-            red = solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=Zs)
-            np.testing.assert_allclose(red.lam_qp, full.lam_qp, atol=1e-8)
-            for d1, d2 in zip(red.dx, full.dx):
+            red = solve_coordination_reduced(reduced, couplings, lam, delta, b, Zs=Zs)
+            np.testing.assert_allclose(red.lam_qp, lam_qp, atol=1e-8)
+            for d1, d2 in zip(red.dx, dx):
                 np.testing.assert_allclose(d1, d2, atol=1e-8)
 
 
@@ -219,10 +231,8 @@ class TestReduced:
         xs = [np.array([0.3, 1.7, -0.2]), rng.standard_normal(2)]
         lam = rng.standard_normal(n_c)
         b = rng.standard_normal(n_c)
-        mu = 20.0
-        full = solve_coordination_full(
-            packs, xs, lam, np.full(n_c, mu / 2.0), A_list, b
-        )
+        delta = np.full(n_c, 10.0)
+        dx, _, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
         Zs = [nullspace_basis(p.jac_active) for p in packs]
         reduced = [
             reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
@@ -231,9 +241,9 @@ class TestReduced:
         np.testing.assert_array_equal(reduced[0].rows, [0, 2])
         assert np.all(reduced[0].A[1] == 0.0)
         couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
-        red = solve_coordination_reduced(reduced, couplings, lam, mu, b, Zs=Zs)
-        np.testing.assert_allclose(red.lam_qp, full.lam_qp, atol=1e-10)
-        for d1, d2 in zip(red.dx, full.dx):
+        red = solve_coordination_reduced(reduced, couplings, lam, delta, b, Zs=Zs)
+        np.testing.assert_allclose(red.lam_qp, lam_qp, atol=1e-10)
+        for d1, d2 in zip(red.dx, dx):
             np.testing.assert_allclose(d1, d2, atol=1e-10)
 
 

@@ -6,7 +6,7 @@ import pytest
 from aladin import expr as ex
 from aladin.expr import VectorFunction, var, param
 from aladin.driver import CSV_HEADER, run_admm, run_aladin
-from aladin.errors import SolverError
+from aladin.errors import LicqError, SingularKktError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.local import solve_local
 from aladin.problem import (
@@ -27,6 +27,30 @@ def convex_coupled_instance(seed, n_blocks=3, block_size=2):
 
 def stack_solution(sol):
     return np.concatenate([np.concatenate(sol.xs), sol.lam])
+
+
+def linear_block_problem():
+    """Block 0 has the linear objective x0 + x1 in a box it does not reach.
+
+    Nothing is active, so its reduced Hessian is its zero Lagrangian
+    Hessian: singular unless it is regularized.
+    """
+    f0 = VectorFunction([var(0) + var(1)], 2)
+    s0 = Subproblem(f0, A=[[1.0, 0.0]], lb=[-10.0, -10.0], ub=[10.0, 10.0],
+                    z0=[0.0, 0.0])
+    f1 = VectorFunction([ex.square(var(0) - 1)], 1)
+    s1 = Subproblem(f1, A=[[-1.0]], z0=[0.0])
+    return SeparableProblem([s0, s1], b=[0.0])
+
+
+def duplicated_row_problem():
+    """Block 1 states x0 <= 2 twice and is pushed onto it: LICQ fails."""
+    f0 = VectorFunction([ex.square(var(0) - 1)], 1)
+    s0 = Subproblem(f0, A=[[1.0]], z0=[0.0])
+    f1 = VectorFunction([ex.square(var(0) - 3) + ex.square(var(1))], 2)
+    h1 = VectorFunction([var(0) - 2, var(0) - 2], 2)
+    s1 = Subproblem(f1, h=h1, A=[[-1.0, 0.0]], z0=[0.0, 0.0])
+    return SeparableProblem([s0, s1], b=[0.0])
 
 
 class TestTutorial:
@@ -378,3 +402,25 @@ class TestSensitivityPacks:
         assert sol.termination == "tolerance-met" and calls == []
         run_aladin(ocp_chain(), SolverOptions(variant="fullspace", max_iter=2))
         assert len(calls) == 2 * len(ocp_chain().subproblems)
+
+
+class TestBlockErrors:
+    @pytest.mark.parametrize("variant", ["fullspace", "nullspace", "bilevel"])
+    def test_singular_reduced_hessian_names_block(self, variant):
+        opts = SolverOptions(variant=variant, reg=False)
+        with pytest.raises(SingularKktError) as exc:
+            run_aladin(linear_block_problem(), opts)
+        assert str(exc.value).startswith(
+            "outer iteration 1: block 0: reduced Hessian (2x2) is singular"
+        )
+        # the regularized default floors the same Hessian and converges
+        sol = run_aladin(linear_block_problem(), SolverOptions(variant=variant))
+        assert sol.termination == "tolerance-met"
+
+    @pytest.mark.parametrize("variant", ["fullspace", "nullspace", "bilevel"])
+    def test_licq_failure_names_block(self, variant):
+        with pytest.raises(LicqError) as exc:
+            run_aladin(duplicated_row_problem(), SolverOptions(variant=variant))
+        assert str(exc.value).startswith(
+            "outer iteration 2: block 1: active constraint Jacobian is rank deficient"
+        )

@@ -139,10 +139,8 @@ def reference_aladin(problem, opts=None, z0=None, lam0=None):
     t_start = time.perf_counter()
     timers = {"setup": 0.0, **dict.fromkeys(LAYERS, 0.0), "total": 0.0}
     state = _init_state(problem, opts, z0, lam0)
-    rows = (
-        None if opts.variant == "fullspace"
-        else [coupling_rows(s.A) for s in problem.subproblems]
-    )
+    # every variant's coordination reads the coupling rows
+    rows = [coupling_rows(s.A) for s in problem.subproblems]
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )
@@ -528,8 +526,12 @@ def test_z0_and_lam0_taken_alike(capsys):
         (ocp_chain, dict(variant="nullspace", step_size=0.7)),
         (ocp_chain, dict(variant="bilevel")),
         (tutorial, dict(variant="bilevel", inner_alg="dadmm", max_iter=12)),
+        (_coupled_qp_50, dict()),
+        (ocp_chain, dict(del_up=True)),
+        (tutorial, dict(hessian="dbfgs")),
     ],
-    ids=["qp50-nullspace", "ocp-nullspace", "ocp-bilevel", "tutorial-dadmm"],
+    ids=["qp50-nullspace", "ocp-nullspace", "ocp-bilevel", "tutorial-dadmm",
+         "qp50-fullspace", "ocp-fullspace-del-up", "tutorial-fullspace-dbfgs"],
 )
 def test_one_solve_per_reduced_block(monkeypatch, build, kwargs):
     real = np.linalg.solve
