@@ -1,9 +1,13 @@
 """The outer loop of the augmented-Lagrangian SQP method and the ADMM baseline.
 
 Both solvers run one loop (``_outer_loop``) and differ only in its
-coordination step.  Per outer iteration: (1) every block solves its proximal
-NLP around the current (z, lam) with its weight Sigma_i, one block after the
-other; (2) a block beyond the divergence guard ends the run with
+coordination step.  The blocks are grouped once per run into lockstep groups
+of structurally identical blocks (``local.group_blocks``).  Per outer
+iteration: (1) every block solves its proximal NLP around the current
+(z, lam) with its weight Sigma_i, one lockstep solve per group, the groups in
+block order, each block's result that of solving it alone; a block that
+fails raises its error, the lowest such block's; (2) a block beyond the
+divergence guard ends the run with
 termination="error"; (3) the stopping norms ||sum A_i x_i - b||_inf and
 ||x - z||_inf are checked; (4) the step moves z and lam; (5) the iteration
 is logged and, every ``log_every`` iterations, printed.  Failures of a layer
@@ -15,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +33,10 @@ from .coordination import (
 )
 from .decentral import run_dadmm, run_dcg, topology_from_rows, warm_start
 from .errors import SolverError
-from .local import LocalSolution, solve_local
+# solve_local stays bound here, where the benchmark's tracer looks for it,
+# though the loop solves whole groups through solve_group; it can go once
+# the tracer's local span wraps solve_group
+from .local import LocalSolution, group_blocks, solve_group, solve_local  # noqa: F401
 from .problem import SolverOptions, validate
 from .sensitivity import (
     SensitivityPack,
@@ -66,23 +73,39 @@ CSV_HEADER = [
 ]
 
 
-@dataclass(slots=True)
 class IterationRecord:
-    iter: int
-    consensus_viol: float
-    local_step: float
-    qp_step: float
-    active_changes: int
-    comms_floats: int
-    # seconds this iteration spent per layer: local, sensitivity, qp, inner
-    timings: dict = field(default_factory=dict)
-    inner_residual: float | None = None
-    # post-update iterate snapshots (primal blocks, local solutions, dual)
-    z: list | None = None
-    x: list | None = None
-    lam: np.ndarray | None = None
-    # smallest eigenvalue of each block's quasi-Newton matrix (bfgs modes)
-    bfgs_min_eig: list | None = None
+    """One outer iteration's diagnostics.
+
+    ``timings``, the seconds the iteration spent per layer, is given as a
+    mapping over LAYERS and kept as the tuple ``layer_s`` in LAYERS order: a
+    run keeps one record per iteration, and a tuple of floats is smaller
+    than a dict and not tracked by the garbage collector.  Reading
+    ``timings`` builds a new dict from ``layer_s``.  ``z``, ``x`` and
+    ``lam`` are the post-update iterate snapshots (primal blocks, local
+    solutions, dual); ``bfgs_min_eig`` is the smallest eigenvalue of each
+    block's quasi-Newton matrix (bfgs modes).
+    """
+
+    __slots__ = ("iter", "consensus_viol", "local_step", "qp_step", "active_changes",
+                 "comms_floats", "layer_s", "inner_residual", "z", "x", "lam",
+                 "bfgs_min_eig")
+
+    def __init__(self, iter, consensus_viol, local_step, qp_step, active_changes,
+                 comms_floats, timings=None, inner_residual=None, z=None, x=None,
+                 lam=None, bfgs_min_eig=None):
+        self.iter, self.consensus_viol = iter, consensus_viol
+        self.local_step, self.qp_step = local_step, qp_step
+        self.active_changes, self.comms_floats = active_changes, comms_floats
+        self.layer_s = tuple(
+            0.0 if timings is None else timings[key] for key in LAYERS
+        )
+        self.inner_residual = inner_residual
+        self.z, self.x, self.lam = z, x, lam
+        self.bfgs_min_eig = bfgs_min_eig
+
+    @property
+    def timings(self):
+        return dict(zip(LAYERS, self.layer_s))
 
 
 class IterationLog:
@@ -320,11 +343,41 @@ def _active_changes(prev, current):
     return sum(len(set(a) ^ set(bb)) for a, bb in zip(prev, current))
 
 
-def _active_sets(problem, opts, xs):
-    return [
-        detect_active(sub, x, p, opts.act_margin).indices
-        for sub, x, p in zip(problem.subproblems, xs, problem.parameters)
-    ]
+def _active_sets(problem, opts, xs, groups):
+    """Each block's active set; a group without inequalities or bounds has
+    none, and its blocks are not asked."""
+    acts = [()] * problem.n_s
+    for grp in groups:
+        if grp.may_act:
+            for i in grp.blocks:
+                acts[i] = detect_active(
+                    problem.subproblems[i], xs[i], problem.parameters[i],
+                    opts.act_margin,
+                ).indices
+    return acts
+
+
+def _solve_locals(problem, groups, state, tol):
+    """Every block's local solution, one lockstep solve per group.
+
+    The error of the lowest failing block is raised, as if the blocks had
+    been solved one after the other.
+    """
+    sols = [None] * problem.n_s
+    for grp in groups:
+        idx = grp.blocks
+        warm = None if state.locals[idx[0]] is None else [state.locals[i] for i in idx]
+        out = solve_group(
+            grp, [state.z[i] for i in idx], state.lam,
+            [state.scaling.sigmas[i] for i in idx],
+            [problem.parameters[i] for i in idx], warm=warm, tol=tol,
+        )
+        for i, sol in zip(idx, out):
+            sols[i] = sol
+    for sol in sols:
+        if isinstance(sol, Exception):
+            raise sol
+    return sols
 
 
 def _outer_loop(problem, opts, state, step, label, t_start):
@@ -334,9 +387,11 @@ def _outer_loop(problem, opts, state, step, label, t_start):
     ``state`` (z, lam, and whatever else the solver keeps there), fills its
     layer timings, and returns the blocks' active sets plus its
     IterationRecord fields (``qp_step`` and ``comms_floats`` at least).
-    ``prev_viol`` is None on the first iteration.  Progress lines print
-    ``qp_step`` under ``label``.
+    ``prev_viol`` is None on the first iteration.  A step may return None
+    for the active sets; the loop then detects them for the log.  Progress
+    lines print ``qp_step`` under ``label``.
     """
+    groups = group_blocks(problem.subproblems)
     timers = {
         "setup": time.perf_counter() - t_start,
         **dict.fromkeys(LAYERS, 0.0),
@@ -354,13 +409,7 @@ def _outer_loop(problem, opts, state, step, label, t_start):
         try:
             tol_k = _local_tolerance(opts, err_prev)
             t0 = time.perf_counter()
-            state.locals = [
-                solve_local(
-                    sub, state.z[i], state.lam, state.scaling.sigmas[i],
-                    p=problem.parameters[i], warm=state.locals[i], tol=tol_k,
-                )
-                for i, sub in enumerate(problem.subproblems)
-            ]
+            state.locals = _solve_locals(problem, groups, state, tol_k)
             timings["local"] = time.perf_counter() - t0
             xs = [sol.x for sol in state.locals]
 
@@ -383,10 +432,11 @@ def _outer_loop(problem, opts, state, step, label, t_start):
                 and local_step <= opts.term_eps
             )
             if done:
-                acts = _active_sets(problem, opts, xs)
-                fields = {"qp_step": 0.0, "comms_floats": 0}
+                acts, fields = None, {"qp_step": 0.0, "comms_floats": 0}
             else:
                 acts, fields = step(xs, viol_vec, prev_viol_vec, timings)
+            if acts is None:
+                acts = _active_sets(problem, opts, xs, groups)
             log.append(IterationRecord(
                 iter=k, consensus_viol=viol_inf, local_step=local_step,
                 active_changes=_active_changes(state.prev_active, acts),
@@ -531,7 +581,6 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     G = sum(projs)
 
     def step(xs, viol_vec, prev_viol_vec, timings):
-        acts = _active_sets(problem, opts, xs)
         t0 = time.perf_counter()
         if problem.n_c:
             nu = np.linalg.lstsq(G, rho * viol_vec, rcond=None)[0]
@@ -545,6 +594,6 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
         state.z = znew
         state.lam = state.lam + rho * viol_vec
         timings["qp"] = time.perf_counter() - t0
-        return acts, {"qp_step": qp_step, "comms_floats": 0}
+        return None, {"qp_step": qp_step, "comms_floats": 0}
 
     return _outer_loop(problem, opts, state, step, "z-step", t_start)

@@ -15,8 +15,15 @@ call; an output with all-constant gradient graphs has a zero Hessian and no
 Hessian graphs at all.  The tapes apply the same operator functions in the
 same order as a direct post-order walk of the graphs, so values, overflow to
 inf and ``DomainEvalError`` (naming the failing node) are exactly those of
-that walk.  Tapes are read-only once built and every call allocates its own
-registers and result, so functions may be evaluated from several threads.
+that walk.  Tapes are read-only once built (their structural ``key``,
+computed on first use, is the same whoever computes it) and every call
+allocates its own registers and result, so functions may be evaluated from
+several threads.
+
+Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
+stacks such tapes of several blocks and runs them on all the blocks'
+points at once, registers being rows over the lanes; each lane's values and
+errors are those of its own tape.
 """
 
 from __future__ import annotations
@@ -284,7 +291,27 @@ class _Tape:
     ``init``, so every call gets fresh registers and a fresh result.
     """
 
-    __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos", "out_reg")
+    __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos",
+                 "out_reg", "_key")
+
+    @property
+    def key(self):
+        """The tape's structure, computed once: everything but its constants.
+
+        Two tapes with equal keys run the same instructions on the same
+        registers, load the same x and p entries and scatter into the same
+        result positions; they differ at most in the values of ``init`` and
+        ``base``.
+        """
+        try:
+            return self._key
+        except AttributeError:
+            self._key = (
+                tuple(op[:4] for op in self.code), tuple(self.x_loads),
+                tuple(self.p_loads), tuple(self.out_pos.tolist()),
+                tuple(self.out_reg), len(self.init), self.base.size,
+            )
+            return self._key
 
     def run(self, x, p):
         out = self.base.copy()
@@ -302,6 +329,104 @@ class _Tape:
                 reg[dst] = _apply_binary(op, reg[a], reg[b], node)
         out[self.out_pos] = [reg[r] for r in self.out_reg]
         return out
+
+
+# operators whose numpy ufuncs round exactly as the scalar operators do; the
+# transcendentals are left to libm, lane by lane, so that every lane's value
+# is bit for bit that of _Tape.run
+_LANE_UFUNCS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+    "neg": np.negative, "square": np.square, "sqrt": np.sqrt,
+}
+
+
+class _LaneTape:
+    """Structurally equal tapes of several blocks, run on all lanes at once.
+
+    Built from tapes with equal ``key``; lane k is the block of ``tapes[k]``.
+    Registers are rows over the lanes run: ``init`` is (n_reg, n_lanes) and
+    ``base`` (n_lanes, size), each lane's constants taken from its own tape.
+    Exactly rounded operators run as one ufunc call per instruction; exp,
+    log, sin, cos and pow run lane by lane through the scalar operator
+    functions.
+    """
+
+    def __init__(self, tapes):
+        first = tapes[0]
+        self.tapes = tapes
+        self.init = np.array([t.init for t in tapes]).T.copy()
+        self.base = np.array([t.base for t in tapes])
+        self.x_regs = [r for r, _ in first.x_loads]
+        self.x_idx = [i for _, i in first.x_loads]
+        self.p_regs = [r for r, _ in first.p_loads]
+        self.p_idx = [i for _, i in first.p_loads]
+        self.code = [
+            (op, _LANE_UFUNCS.get(op), dst, a, b, k)
+            for k, (op, dst, a, b, _) in enumerate(first.code)
+        ]
+        self.out_pos = first.out_pos
+        self.out_reg = np.array(first.out_reg, dtype=np.intp)
+
+    def _fail(self, errors, lanes, row, X, P):
+        """Put the error of this row's lane into ``errors``, unless it has one.
+
+        The lane's own tape runs on its row of X and P, so the error is the
+        one solving its block alone raises, node and message alike.
+        """
+        if row in errors:
+            return
+        try:
+            self.tapes[lanes[row]].run(X[row], P[row])
+        except DomainEvalError as err:
+            errors[row] = err
+
+    def run(self, X, P, lanes, errors):
+        """Rows of results for the ``lanes``, whose x and p are rows of X, P.
+
+        A lane that leaves an operator's domain has its first
+        DomainEvalError put in ``errors`` under its row (an earlier error
+        of that row is kept); the rest of its row is not meaningful.
+        """
+        out = self.base[lanes]
+        if not self.out_reg.size:
+            return out
+        R = self.init[:, lanes]
+        if self.x_regs:
+            R[self.x_regs] = X[:, self.x_idx].T
+        if self.p_regs:
+            R[self.p_regs] = P[:, self.p_idx].T
+        reg = list(R)
+        for op, fn, dst, a, b, k in self.code:
+            u, d = reg[a], reg[dst]
+            v = reg[b] if b >= 0 else None
+            if fn is None:
+                for j in range(u.size):
+                    vj = None if v is None else v[j]
+                    try:
+                        d[j] = _scalar(op, u[j], vj)
+                    except DomainEvalError:
+                        self._fail(errors, lanes, j, X, P)
+                        d[j] = math.nan
+                continue
+            # sqrt and div skip the lanes outside their domain, which fail
+            if op == "sqrt":
+                bad = u < 0.0
+                fn(u, out=d, where=~bad)
+            elif op == "div":
+                bad = v == 0.0
+                fn(u, v, out=d, where=~bad)
+            else:
+                fn(u, out=d) if v is None else fn(u, v, out=d)
+                continue
+            if bad.any():
+                for j in np.flatnonzero(bad):
+                    self._fail(errors, lanes, j, X, P)
+        out[:, self.out_pos] = R[self.out_reg].T
+        return out
+
+
+def _scalar(op, u, v):
+    return _apply_unary(op, u, None) if v is None else _apply_binary(op, u, v, None)
 
 
 _READY = object()  # stack marker in _compile

@@ -56,10 +56,15 @@ class LdlFactor:
         """(n_pos, n_neg, n_zero) eigenvalue counts from the block-diagonal D."""
         npos = nneg = nzero = 0
         k = 0
-        ld, piv = self._ld, self._piv
+        if self.n == 0:
+            return npos, nneg, nzero
+        # Python floats: the loop reads every pivot
+        diag = np.diagonal(self._ld).tolist()
+        sub = np.diagonal(self._ld, -1).tolist()
+        piv = self._piv.tolist()
         while k < self.n:
             if piv[k] > 0:
-                d = ld[k, k]
+                d = diag[k]
                 if d > 0:
                     npos += 1
                 elif d < 0:
@@ -70,7 +75,7 @@ class LdlFactor:
             else:
                 # 2x2 pivot block; Bunch-Kaufman picks these indefinite, but
                 # derive the signs from trace/determinant to be safe
-                a, b_, c = ld[k, k], ld[k + 1, k], ld[k + 1, k + 1]
+                a, b_, c = diag[k], sub[k], diag[k + 1]
                 det = a * c - b_ * b_
                 tr = a + c
                 if det < 0:

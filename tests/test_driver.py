@@ -185,6 +185,28 @@ class TestAdmm:
         rows = sol.log.rows()
         assert len(rows) == 5 and len(rows[0]) == len(CSV_HEADER)
 
+    def test_active_sets_asked_only_of_blocks_with_rows(self, monkeypatch):
+        # blocks without inequalities or bounds have nothing that could be
+        # active, and are not asked on any iteration
+        from aladin import driver
+
+        asked = []
+        detect = driver.detect_active
+
+        def counted(sub, *args):
+            asked.append(sub)
+            return detect(sub, *args)
+
+        monkeypatch.setattr(driver, "detect_active", counted)
+        run_admm(coupled_qp(n_blocks=4), SolverOptions(term_eps=0, max_iter=5))
+        assert asked == []
+        prob = tutorial()
+        sol = run_admm(prob, SolverOptions(term_eps=0, max_iter=5))
+        with_rows = [s for s in prob.subproblems if s.n_h or np.isfinite(s.lb).any()
+                     or np.isfinite(s.ub).any()]
+        assert with_rows and len(asked) == len(with_rows) * sol.iterations
+        assert set(map(id, asked)) == set(map(id, with_rows))
+
     def test_local_failure_names_outer_iteration(self):
         # the local solver evaluates x log x through its gradient log x + 1,
         # which has no value at the start point x = -1

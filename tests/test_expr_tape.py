@@ -15,7 +15,10 @@ import pytest
 
 from aladin import expr as ex
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
+from aladin import local
 from aladin.expr import Expression, VectorFunction, param, var
+from aladin.local import group_blocks
+from aladin.problem import Subproblem
 
 
 # -- reference ---------------------------------------------------------------
@@ -133,15 +136,16 @@ def assert_same(a, b):
     assert np.array_equal(a, b, equal_nan=True)
 
 
-def random_dag(rng, n_x, n_p, n_nodes):
+def random_dag(rng, n_x, n_p, n_nodes, c=0.75):
     """Six outputs summing the nodes of a seeded random DAG of every operator.
 
     Operands are drawn from all earlier nodes, so subexpressions are shared.
     log/sqrt arguments, divisors and pow bases are square(.) + 0.5; pow
     exponents are themselves graphs, so pow with a variable exponent occurs.
+    The one constant leaf is ``c``.
     """
     pool = [var(i) for i in range(n_x)] + [param(j) for j in range(n_p)]
-    pool.append(ex.const(0.75))
+    pool.append(ex.const(c))
     ops = ex.UNARY_OPS + ex.BINARY_OPS
     for k in range(n_nodes):
         op = ops[k % len(ops)]
@@ -349,3 +353,156 @@ def test_concurrent_first_use_matches_sequential():
         assert got is not None
         for a, b in zip(got, want):
             assert_same(a, b)
+
+
+# -- lane tapes ----------------------------------------------------------------
+
+def lane_functions(seed, consts, n_x=3, n_p=2):
+    """One seeded random DAG per constant: equal structure, other constants."""
+    outs = [random_dag(np.random.default_rng(seed), n_x, n_p, 36, c) for c in consts]
+    return [VectorFunction(o, n_x, n_p) for o in outs]
+
+
+def root_sets(fun):
+    """Every tape of a function: outputs, Jacobian, each output's Hessian."""
+    return [fun._compiled_outputs(), fun._compiled_jacobian()] + [
+        fun._compiled_hessian(j) for j in range(fun.n_out)
+    ]
+
+
+def assert_lanes_match(funs, X, P):
+    """Each lane tape against its lanes' scalar tapes, every lane a row."""
+    lanes = np.arange(len(funs))
+    for tapes in zip(*map(root_sets, funs)):
+        if tapes[0] is None:
+            assert all(t is None for t in tapes)
+            continue
+        assert len({t.key for t in tapes}) == 1
+        errors = {}
+        got = ex._LaneTape(list(tapes)).run(X, P, lanes, errors)
+        assert not errors
+        for k, t in enumerate(tapes):
+            want = t.run(X[k], P[k])
+            assert np.array_equal(got[k], want, equal_nan=True)
+            assert np.array_equal(np.signbit(got[k]), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lane_tapes_match_scalar_tapes_on_random_dags(seed):
+    funs = lane_functions(seed, (0.75, 1.3, -0.4, 2.2))
+    assert _kinds(funs[0].outputs) >= set(ex.UNARY_OPS + ex.BINARY_OPS) | {"var", "param"}
+    rng = np.random.default_rng(10 + seed)
+    for _ in range(3):
+        X = rng.uniform(-1.5, 1.5, (4, 3))
+        P = rng.uniform(-1.5, 1.5, (4, 2))
+        assert_lanes_match(funs, X, P)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lane_tapes_overflow_to_inf_lane_by_lane():
+    funs = [VectorFunction([c * ex.exp(var(0)) + ex.square(var(1)), -ex.exp(var(0)) * c],
+                           2) for c in (2.0, -3.0, 0.5)]
+    # lane 0 overflows in exp, lane 1 in the square, lane 2 not at all
+    X = np.array([[800.0, 0.0], [1.0, 1e200], [0.3, 2.0]])
+    assert_lanes_match(funs, X, np.zeros((3, 0)))
+    got = ex._LaneTape([f._compiled_outputs() for f in funs]).run(
+        X, np.zeros((3, 0)), np.arange(3), {}
+    )
+    assert np.isinf(got[0]).all() and np.isinf(got[1, 0]) and np.isfinite(got[2]).all()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: ex.log(var(0) + c) + ex.sqrt(var(1) - c),
+        lambda c: ex.sqrt(var(1) * c) * ex.log(var(0)),
+        lambda c: var(0) / (var(0) - var(1) * c) + ex.log(var(1)),
+        lambda c: (var(0) * c) ** var(1) - ex.sqrt(var(0)),
+        lambda c: var(1) / (var(0) + var(1) * c),
+        lambda c: ex.sqrt(var(0) * c),
+        # the sqrt's operand is a Python float in the scalar run
+        lambda c: ex.sqrt(ex.exp(var(0)) - 4.0 * c),
+    ],
+    ids=["log+sqrt", "sqrt*log", "div+log", "pow-sqrt", "div", "sqrt", "sqrt-of-exp"],
+)
+def test_lane_domain_errors_name_each_lanes_node(build):
+    consts = (0.75, 1.5, -2.5)
+    funs = [VectorFunction([build(c)], 2) for c in consts]
+    tapes = [f._compiled_outputs() for f in funs]
+    lane = ex._LaneTape(tapes)
+    points = [(a, b) for a in (-1.0, 0.0, 2.0) for b in (-1.0, 0.0, 0.5, 2.0)]
+    n_raised = 0
+    for shift in range(len(points)):
+        # every lane at another point, so some rows fail while others run;
+        # row k runs the block lanes[k]
+        X = np.array([points[(shift + k) % len(points)] for k in range(3)])
+        for lanes in (np.arange(3), np.array([2, 0, 1])):
+            errors = {}
+            got = lane.run(X, np.zeros((3, 0)), lanes, errors)
+            for k, t in enumerate(tapes[i] for i in lanes):
+                want = _raised(t.run, X[k], np.zeros(0))
+                if want is None:
+                    assert k not in errors
+                    assert np.array_equal(got[k], t.run(X[k], np.zeros(0)), equal_nan=True)
+                else:
+                    n_raised += 1
+                    assert errors[k].node is want.node
+                    assert str(errors[k]) == str(want)
+    assert n_raised > 0
+
+
+def test_lane_errors_keep_each_rows_first_error():
+    # as a block's evaluation raises at its first failing root set, a row
+    # that fails in two lane tapes run one after the other keeps the first
+    first = [VectorFunction([ex.log(var(0) * c)], 1) for c in (2.0, -3.0)]
+    second = [VectorFunction([ex.sqrt(var(0) * c)], 1) for c in (2.0, -3.0)]
+    X = np.array([[-1.0], [-1.0]])
+    errors = {}
+    for funs in (first, second):
+        ex._LaneTape([f._compiled_outputs() for f in funs]).run(
+            X, np.zeros((2, 0)), np.arange(2), errors
+        )
+    assert list(errors) == [0]
+    want = _raised(first[0]._compiled_outputs().run, X[0], np.zeros(0))
+    assert errors[0].node is want.node and str(errors[0]) == str(want)
+
+
+def test_structural_keys_equal_exactly_for_equal_structure():
+    def block(c, d):
+        f = VectorFunction([c * ex.square(var(0)) + d * var(0) * var(1)], 2)
+        return Subproblem(f, g=VectorFunction([ex.sin(var(1)) * d], 2))
+
+    subs = [block(2.0, -0.5), block(3.5, 0.25), block(1.0, 0.25),
+            block(2.0, 0.0), block(-1.5, 4.0)]
+    keys = [tuple(t.key if t is not None else None for t in root_sets(s.f) + root_sets(s.g))
+            for s in subs]
+    # a constant that folds to 1 or 0 changes the graph, the others only values
+    assert keys[0] == keys[1] == keys[4]
+    assert keys[2] != keys[0] and keys[3] != keys[0] and keys[2] != keys[3]
+    groups = group_blocks(subs)
+    assert [g.blocks for g in groups] == [(0, 1, 4), (2,), (3,)]
+
+
+def test_zero_multiplier_skips_its_hessian_term_per_lane():
+    # the g row's Hessian overflows at x0 = 30; a lane whose multiplier is
+    # zero must not add 0 * inf, nor evaluate the term at all
+    def block(c):
+        f = VectorFunction([ex.square(var(0) - c) + c * ex.square(var(1))], 2)
+        return Subproblem(f, g=VectorFunction([ex.exp(c * ex.square(var(0)))], 2))
+
+    subs = [block(c) for c in (2.0, 3.0, 0.7)]
+    (group,) = group_blocks(subs)
+    w = local._Work(group, np.zeros((3, 2)), np.zeros(0), np.array([np.eye(2)] * 3),
+                    np.zeros((3, 0)))
+    x = np.array([[30.0, 1.0], [30.0, -1.0], [0.2, 0.3]])
+    for kappa in ([0.0, 1.5, -0.5], [2.0, 0.0, 0.0], [0.0, -0.0, 0.0]):
+        kappa = np.array(kappa)[:, None]
+        errors = {}
+        H = w.hess(x, kappa, np.zeros((3, 0)), errors)
+        assert not errors
+        for k, sub in enumerate(subs):
+            want = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x[k], np.zeros(0),
+                                         kappa[k], np.zeros(0)) + 2.0 * np.eye(2)
+            assert np.array_equal(H[k], want, equal_nan=True)
+            assert np.array_equal(np.signbit(H[k]), np.signbit(want))
+        assert np.isfinite(H[kappa[:, 0] == 0.0]).all()
