@@ -21,7 +21,9 @@ from .driver import run_admm, run_aladin
 from .errors import SolverError
 from .examples_lib import EXAMPLE_NAMES, example_library
 from .expr import DomainEvalError
-from .problem import SolverOptions, load_problem_json, validate
+from .problem import (
+    HESSIAN_MODES, INNER_ALGS, VARIANTS, SolverOptions, load_problem_json, validate,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,14 +46,12 @@ def _add_solver_flags(p):
     p.add_argument("--sigma-max", type=float, default=None)
     p.add_argument("--delta-max", type=float, default=None)
     p.add_argument("--act-margin", type=float, default=None)
-    p.add_argument("--hess", choices=("exact", "bfgs", "dbfgs"), default=None)
+    p.add_argument("--hess", choices=HESSIAN_MODES, default=None)
     p.add_argument("--reg", dest="reg", action="store_true", default=None)
     p.add_argument("--no-reg", dest="reg", action="store_false")
     p.add_argument("--reg-param", type=float, default=None)
-    p.add_argument(
-        "--variant", choices=("fullspace", "nullspace", "bilevel"), default=None
-    )
-    p.add_argument("--inner-alg", choices=("dcg", "dadmm"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
+    p.add_argument("--inner-alg", choices=INNER_ALGS, default=None)
     p.add_argument("--inner-iter", type=int, default=None)
     p.add_argument("--rho-adm", type=float, default=None)
     p.add_argument(

@@ -22,8 +22,9 @@ several threads.
 
 Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
 stacks such tapes of several blocks and runs them on all the blocks'
-points at once, registers being rows over the lanes; each lane's values and
-errors are those of its own tape.
+points at once; each lane's values and errors are those of its own tape.
+A run on a single lane is its own ``_Tape.run``, a run on several lanes
+takes one ufunc per instruction: each is the faster on its own traffic.
 """
 
 from __future__ import annotations
@@ -341,13 +342,14 @@ _LANE_UFUNCS = {
 
 
 class _LaneTape:
-    """Structurally equal tapes of several blocks, run on all lanes at once.
+    """Structurally equal tapes of one or more blocks, run on their lanes.
 
     Built from tapes with equal ``key``; lane k is the block of ``tapes[k]``.
-    Registers are rows over the lanes run: ``init`` is (n_reg, n_lanes) and
+    A run on one lane is that lane's ``_Tape.run``.  A run on several has
+    registers as rows over the lanes: ``init`` is (n_reg, n_lanes) and
     ``base`` (n_lanes, size), each lane's constants taken from its own tape.
-    Exactly rounded operators run as one ufunc call per instruction; exp,
-    log, sin, cos and pow run lane by lane through the scalar operator
+    Exactly rounded operators then run as one ufunc call per instruction;
+    exp, log, sin, cos and pow run lane by lane through the scalar operator
     functions.
     """
 
@@ -383,10 +385,21 @@ class _LaneTape:
     def run(self, X, P, lanes, errors):
         """Rows of results for the ``lanes``, whose x and p are rows of X, P.
 
-        A lane that leaves an operator's domain has its first
-        DomainEvalError put in ``errors`` under its row (an earlier error
-        of that row is kept); the rest of its row is not meaningful.
+        A single lane runs its own tape's ``_Tape.run`` on row 0, several
+        run ``_run_lanes``.  A lane that leaves an operator's domain has its
+        first DomainEvalError put in ``errors`` under its row (an earlier
+        error of that row is kept); the rest of its row is not meaningful.
         """
+        if len(lanes) != 1:
+            return self._run_lanes(X, P, lanes, errors)
+        try:
+            return self.tapes[lanes[0]].run(X[0], P[0])[None]
+        except DomainEvalError as err:
+            errors.setdefault(0, err)
+            return np.full((1, self.base.shape[1]), np.nan)
+
+    def _run_lanes(self, X, P, lanes, errors):
+        """``run`` on several lanes, registers being rows over them."""
         out = self.base[lanes]
         if not self.out_reg.size:
             return out

@@ -36,7 +36,7 @@ class LdlFactor:
             raise SingularKktError(f"illegal argument to sytrf ({info})")
         self._ld, self._piv = ld, piv
 
-    def solve(self, rhs, refine=True):
+    def solve(self, rhs):
         """Solve K x = rhs with one refinement step."""
         rhs = np.asarray(rhs, dtype=float)
         if self.n == 0:
@@ -45,11 +45,10 @@ class LdlFactor:
         if info != 0:
             raise SingularKktError(f"sytrs failed ({info})")
         x = np.asarray(x).reshape(rhs.shape)
-        if refine:
-            r = rhs - self.K @ x
-            dx, info = lapack.dsytrs(self._ld, self._piv, r, lower=1)
-            if info == 0:
-                x = x + np.asarray(dx).reshape(rhs.shape)
+        r = rhs - self.K @ x
+        dx, info = lapack.dsytrs(self._ld, self._piv, r, lower=1)
+        if info == 0:
+            x = x + np.asarray(dx).reshape(rhs.shape)
         return x
 
     def inertia(self):
@@ -98,7 +97,7 @@ class LdlFactor:
         return npos, nneg, nzero
 
 
-def sym_solve(K, rhs, check=True):
+def sym_solve(K, rhs):
     """Solve a dense symmetric indefinite system and verify the residual.
 
     Raises SingularKktError when the factorization breaks down or the
@@ -106,11 +105,10 @@ def sym_solve(K, rhs, check=True):
     """
     rhs = np.asarray(rhs, dtype=float)
     x = LdlFactor(K).solve(rhs)
-    if check:
-        scale = 1.0 + (np.abs(rhs).max() if rhs.size else 0.0)
-        res = np.abs(rhs - K @ x).max() if rhs.size else 0.0
-        if not np.isfinite(res) or res > 1e-8 * scale:
-            raise SingularKktError(
-                f"KKT solve residual {res:.3e} exceeds 1e-8 * (1 + ||rhs||)"
-            )
+    scale = 1.0 + (np.abs(rhs).max() if rhs.size else 0.0)
+    res = np.abs(rhs - K @ x).max() if rhs.size else 0.0
+    if not np.isfinite(res) or res > 1e-8 * scale:
+        raise SingularKktError(
+            f"KKT solve residual {res:.3e} exceeds 1e-8 * (1 + ||rhs||)"
+        )
     return x

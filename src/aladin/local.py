@@ -16,14 +16,16 @@ Blocks are solved in groups.  ``group_blocks`` forms them once per run: a
 the constants may differ) and whose dimensions and finite-bound masks are
 equal.  ``solve_group`` runs one interior-point loop over a group in
 lockstep.  Every block is a lane: each iterate is an array with the lanes
-first, and each tape runs once for all lanes (``expr._LaneTape``).  Every
-lane keeps its own decisions (warm check, interior projection, barrier
+first, and each tape runs once for all lanes through the group's
+``expr._LaneTape``, which picks the interpreter: a single lane runs its
+block's own scalar tape, several run one ufunc per instruction.  Every lane
+keeps its own decisions (warm check, interior projection, barrier
 parameter, stall watch, step lengths, backtracking, domain errors) and
 leaves the loop when it converges, stalls, fails or runs out of Newton
 steps; the lanes still iterating are then compacted, so a lane costs nothing
-once it has left.  The KKT step is solved lane by lane.  A lane's result is bit for bit
-that of solving its block alone.  ``solve_local`` is that: a group of one,
-whose evaluations go through the scalar tapes.
+once it has left.  The KKT step is solved lane by lane.  A lane's result is
+bit for bit that of solving its block alone, and ``solve_local`` is that: a
+group of one.
 
 Each point is evaluated and reduced to its residual parts once: the
 stationarity, equality and slacked-inequality residuals r_x, r_g, r_h and the
@@ -32,8 +34,9 @@ depend on the barrier parameter.  The KKT error at any mu subtracts mu from
 the products only, so an accepted trial point carries its parts into the
 next iteration's convergence test, barrier update and Newton right-hand
 side.  A warm start's check point is the start point itself when the interior
-projection and the start's floors leave it unchanged.  Empty constraint
-blocks cost no evaluation and no step arithmetic.
+projection and the start's floors leave it unchanged; when the projection
+moves any lane, every lane is evaluated again at its start point.  Empty
+constraint blocks cost no evaluation and no step arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 from . import expr as ex
 from .errors import SingularKktError, SolverError
 from .linalg import LdlFactor
-from .problem import Subproblem
 
 __all__ = ["BlockGroup", "LocalSolution", "group_blocks", "solve_group", "solve_local"]
 
@@ -101,8 +103,8 @@ class BlockGroup:
     ``n_h``, the finite-bound masks ``mL``/``mU`` and their indices
     ``iL``/``iU``, and ``rows``, the (0 for g or 1 for h, row, root-set
     position) of every constraint row whose Hessian is not zero; ``lb`` and
-    ``ub`` stack the bounds, lanes first.  A group of several blocks also
-    keeps one ``_LaneTape`` per root set in ``lane``.
+    ``ub`` stack the bounds, lanes first, and ``lane`` holds one
+    ``_LaneTape`` per root set (None where the blocks have no such tape).
     """
 
     def __init__(self, subs, blocks=None):
@@ -123,12 +125,10 @@ class BlockGroup:
             for k in range(self.n_g + self.n_h)
             if self.tapes[0][_ROWS + k] is not None
         ]
-        self.lane = None
-        if len(self.subs) > 1:
-            self.lane = [
-                None if ts[0] is None else ex._LaneTape(list(ts))
-                for ts in zip(*self.tapes)
-            ]
+        self.lane = [
+            None if ts[0] is None else ex._LaneTape(list(ts))
+            for ts in zip(*self.tapes)
+        ]
 
     def __len__(self):
         return len(self.subs)
@@ -158,30 +158,20 @@ class _Work:
     Per lane, lanes first: ``z``, ``Sigma``, ``p``, ``Alam`` = A' lam, the
     bounds ``lb``/``ub`` and the finite ones ``lbL``/``ubU``; ``lanes``
     indexes the group's blocks, and ``w[rows]`` is the work of some of the
-    lanes.  Given one Subproblem instead of a group (and its z, Sigma, p),
-    the arrays have no lane axis and ``eval_point`` evaluates that block.
-    A single lane runs its block's scalar tapes, several run the lane tapes.
-    Absent g/h are stood in for by empty arrays and never evaluated.
+    lanes.  Every evaluation runs the group's lane tapes.  Absent g/h are
+    stood in for by empty arrays and never evaluated.
     """
 
     _PER_LANE = ("lanes", "z", "Sigma", "Sigma2", "p", "Alam", "lb", "ub", "lbL",
                  "ubU")
 
     def __init__(self, group, z, lam, Sigma, p):
-        if isinstance(group, Subproblem):  # one block, no lane axis
-            # no solver path builds this; test_local_reference's
-            # test_error_norm_keeps_the_nan_order does, and is kept unchanged
-            group = BlockGroup([group])
-            self.lanes = None
-            self.Alam = group.subs[0].A.T @ lam if lam.size else np.zeros(group.n)
-            self.lb, self.ub = group.lb[0], group.ub[0]
-        else:
-            self.lanes = np.arange(len(group))
-            self.Alam = np.array([
-                s.A.T @ lam if lam.size else np.zeros(group.n) for s in group.subs
-            ])
-            self.lb, self.ub = group.lb, group.ub
         self.group = group
+        self.lanes = np.arange(len(group))
+        self.Alam = np.array([
+            s.A.T @ lam if lam.size else np.zeros(group.n) for s in group.subs
+        ])
+        self.lb, self.ub = group.lb, group.ub
         self.z, self.Sigma, self.p = z, Sigma, p
         self.Sigma2 = 2.0 * Sigma  # the proximal term's Hessian
         self.n, self.n_g, self.n_h = group.n, group.n_g, group.n_h
@@ -197,16 +187,10 @@ class _Work:
         return new
 
     def _runner(self, x, errors):
-        """run(position, rows=None): one root set's results at x, lanes first.
-
-        A single lane runs its scalar tape, which raises; lane tapes put
-        each lane's DomainEvalError into ``errors`` under its row.
-        """
-        lanes, p = self.lanes, self.p
-        if lanes.size == 1:
-            tapes, x0, p0 = self.group.tapes[lanes[0]], x[0], p[0]
-            return lambda i, rows=None: tapes[i].run(x0, p0)[None]
-        tapes = self.group.lane
+        """run(position, rows=None): one root set's results at x, lanes first,
+        or at the given rows only; each lane's DomainEvalError goes into
+        ``errors`` under its row, an earlier error of the row being kept."""
+        tapes, lanes, p = self.group.lane, self.lanes, self.p
 
         def run(i, rows=None):
             if rows is None:
@@ -219,38 +203,21 @@ class _Work:
 
         return run
 
-    def _shape(self, run, lead):
-        """(g, h, grad f, Jg, Jh) from ``run``, with ``lead`` leading axes."""
-        n, n_g, n_h = self.n, self.n_g, self.n_h
-        g = run(_G) if n_g else np.zeros(lead + (0,))
-        h = run(_H) if n_h else np.zeros(lead + (0,))
-        grad_f = run(_GRAD_F)
-        Jg = run(_JG).reshape(lead + (n_g, n)) if n_g else np.zeros(lead + (0, n))
-        Jh = run(_JH).reshape(lead + (n_h, n)) if n_h else np.zeros(lead + (0, n))
-        return g, h, grad_f, Jg, Jh
-
-    def eval_point(self, x, errors=None):
+    def eval_point(self, x, errors):
         """(g, h, grad f, Jg, Jh) at x, lanes first.
 
-        A lane whose evaluation leaves the domain has its DomainEvalError
-        put in ``errors`` under its row, and its row of the results is not
-        meaningful; with ``errors`` None the error is raised.
+        A lane whose evaluation leaves the domain has its first
+        DomainEvalError put in ``errors`` under its row, and its row of the
+        results is not meaningful.
         """
-        if self.lanes is None:  # __init__'s one-block mode
-            tapes, p = self.group.tapes[0], self.p
-            return self._shape(lambda i: tapes[i].run(x, p), ())
-        errs = {}
-        try:
-            ev = self._shape(self._runner(x, errs), x.shape[:1])
-        except ex.DomainEvalError as err:  # a single lane's scalar tape
-            errs[0] = err
-            tapes = self.group.tapes[self.lanes[0]]
-            ev = self._shape(lambda i: np.full((1, tapes[i].base.size), np.nan), (1,))
-        if errs:
-            if errors is None:
-                raise errs[min(errs)]
-            errors.update(errs)
-        return ev
+        run = self._runner(x, errors)
+        k, n, n_g, n_h = len(x), self.n, self.n_g, self.n_h
+        g = run(_G) if n_g else np.zeros((k, 0))
+        h = run(_H) if n_h else np.zeros((k, 0))
+        grad_f = run(_GRAD_F)
+        Jg = run(_JG).reshape(k, n_g, n) if n_g else np.zeros((k, 0, n))
+        Jh = run(_JH).reshape(k, n_h, n) if n_h else np.zeros((k, 0, n))
+        return g, h, grad_f, Jg, Jh
 
     def hess(self, x, kappa, gamma, errors):
         """Hessian of the proximal Lagrangian per lane; errors as eval_point.
@@ -261,22 +228,18 @@ class _Work:
         """
         k, n = self.lanes.size, self.n
         run = self._runner(x, errors)
-        try:
-            H = (
-                run(_HESS_F).reshape(k, n, n)
-                if self.group.tapes[0][_HESS_F] is not None else np.zeros((k, n, n))
-            )
-            for which, j, i in self.group.rows:
-                mult = (kappa, gamma)[which][:, j]
-                on = mult != 0.0
-                if on.all():
-                    H += mult[:, None, None] * run(i).reshape(k, n, n)
-                elif on.any():
-                    rows = np.flatnonzero(on)
-                    H[rows] += mult[rows, None, None] * run(i, rows).reshape(-1, n, n)
-        except ex.DomainEvalError as err:  # a single lane's scalar tape
-            errors[0] = err
-            H = np.full((1, n, n), np.nan)
+        H = (
+            run(_HESS_F).reshape(k, n, n)
+            if self.group.lane[_HESS_F] is not None else np.zeros((k, n, n))
+        )
+        for which, j, i in self.group.rows:
+            mult = (kappa, gamma)[which][:, j]
+            on = mult != 0.0
+            if on.all():
+                H += mult[:, None, None] * run(i).reshape(k, n, n)
+            elif on.any():
+                rows = np.flatnonzero(on)
+                H[rows] += mult[rows, None, None] * run(i, rows).reshape(-1, n, n)
         return H + self.Sigma2
 
 
@@ -298,7 +261,7 @@ def _first_max(parts):
 class _Point:
     """A primal-dual point with its evaluation and mu-free residual parts.
 
-    Every array has the lanes first (or no lane axis, as its ``_Work``).
+    Every array has the lanes first.
     ``dL``/``dU`` are the distances to the finite bounds, ``eL``/``eU`` the
     multipliers on them and ``cs``/``pL``/``pU`` the complementarity
     products; ``r_g`` is g itself.  ``fixed`` is the max norm of the mu-free
@@ -551,23 +514,10 @@ def _lockstep(w, warm, tol):
         x = np.where(w.mL, np.maximum(x, w.lb + margin), x)
         x = np.where(w.mU, np.minimum(x, w.ub - margin), x)
 
-    # the warm check's evaluation stands for every lane the projection kept
-    moved = False
-    if warm is None:
+    # the warm check's evaluation stands unless the projection moved a lane
+    moved = warm is not None and w.bounded and not (x == wx).all()
+    if warm is None or moved:
         ev = w.eval_point(x, errors)
-    elif w.bounded:
-        moved = ~(x == wx).all(axis=-1)
-        if moved.all():
-            ev = w.eval_point(x, errors)
-        elif moved.any():
-            rows = np.flatnonzero(moved)
-            errs = {}
-            ev_m = w[rows].eval_point(x[rows], errs)
-            ev = tuple(v.copy() for v in ev)
-            for v, vm in zip(ev, ev_m):
-                v[rows] = vm
-            errors = {rows[r]: e for r, e in errs.items()}
-        moved = moved.any()
     if errors:
         keep = np.ones(len(ids), dtype=bool)
         for r, e in errors.items():

@@ -256,23 +256,20 @@ def lagrangian_like_gradient(sub, x, p, kappa, gamma):
     return r
 
 
-def schur_contribution(red, v=None, coupling=None):
+def schur_contribution(red, coupling):
     """One block's dual-system term on its rows: S = A B^-1 A', s = c - A B^-1 g.
 
     Both are compact: S is |C(i)| x |C(i)| and s has |C(i)| entries, indexed
     like ``red.rows``, since the block's term is zero outside its coupling
-    rows.  The coupling value c is A_i x_i on those rows; pass it as
-    ``coupling``, or pass the block's value ``v`` in reduced coordinates to
-    use c = red.A v (the outer loop passes ``coupling``, since the local
-    iterate need not lie in the span of Z).  Rows of red.A that vanish (a
-    coupled variable fixed by an active constraint) yield exactly zero rows
-    and columns of S; their entries of s still carry the coupling value.
+    rows.  ``coupling`` is the coupling value c = A_i x_i on those rows,
+    taken from the local iterate, which need not lie in the span of Z.
+    Rows of red.A that vanish (a coupled variable fixed by an active
+    constraint) yield exactly zero rows and columns of S; their entries of s
+    still carry the coupling value.
     """
     A = red.A
     m = A.shape[0]
-    if (v is None) == (coupling is None):
-        raise ValueError("pass exactly one of v or coupling")
-    base = A @ np.asarray(v, dtype=float) if v is not None else np.asarray(coupling, dtype=float)
+    base = np.asarray(coupling, dtype=float)
     if base.shape != (m,):
         raise ValueError(f"coupling value must have length {m}")
     BinvA, Binvg = red.solved

@@ -9,7 +9,9 @@ import pytest
 
 from aladin.cli import _FLAG_TO_OPTION, _build_parser, _options_from_args, main
 from aladin.examples_lib import tutorial
-from aladin.problem import SolverOptions, problem_to_dict
+from aladin.problem import (
+    HESSIAN_MODES, INNER_ALGS, VARIANTS, SolverOptions, problem_to_dict,
+)
 
 from test_driver import linear_block_problem
 
@@ -162,3 +164,17 @@ class TestFlagMap:
             assert getattr(opts, option) == value != default
             return
         pytest.fail(f"no flag sets {option} to a valid non-default value")
+
+    @pytest.mark.parametrize(
+        "flag, option, values",
+        [("hess", "hessian", HESSIAN_MODES), ("variant", "variant", VARIANTS),
+         ("inner_alg", "inner_alg", INNER_ALGS)],
+    )
+    def test_every_listed_choice_parses_into_the_options(self, flag, option, values):
+        parser, by_dest = _example_flag_actions()
+        (action,) = by_dest[flag]
+        assert tuple(action.choices) == values
+        for value in values:
+            argv = ["example", "tutorial", action.option_strings[0], value]
+            args = parser.parse_args(argv)
+            assert getattr(_options_from_args(args), option) == value

@@ -467,6 +467,82 @@ def test_lane_errors_keep_each_rows_first_error():
     assert errors[0].node is want.node and str(errors[0]) == str(want)
 
 
+def one_lane_only(monkeypatch):
+    """Make the lane loop fail if a single-lane run enters it."""
+    def refuse(*args):
+        raise AssertionError("a single lane entered the ufunc loop")
+
+    monkeypatch.setattr(ex._LaneTape, "_run_lanes", refuse)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_lane_runs_its_own_scalar_tape_bit_for_bit(monkeypatch, seed):
+    one_lane_only(monkeypatch)
+    funs = lane_functions(seed, (0.75, 1.3, -0.4))
+    # signed zeros come out of neg and of products with a negative constant
+    signed = [VectorFunction([ex.neg(var(0)), c * var(0) * var(1), var(1) - var(0)], 2)
+              for c in (-2.0, 3.0, -0.5)]
+    rng = np.random.default_rng(20 + seed)
+    cases = [(funs, rng.uniform(-1.5, 1.5, (1, 3)), rng.uniform(-1.5, 1.5, (1, 2))),
+             (signed, np.array([[0.0, -0.0]]), np.zeros((1, 0)))]
+    n_negzero = 0
+    for group, X, P in cases:
+        for tapes in zip(*map(root_sets, group)):
+            if tapes[0] is None:
+                continue
+            lane = ex._LaneTape(list(tapes))
+            for k, t in enumerate(tapes):
+                errors = {}
+                got = lane.run(X, P, np.array([k]), errors)
+                want = t.run(X[0], P[0])
+                assert not errors
+                assert got.shape == (1,) + want.shape
+                assert np.array_equal(got[0], want, equal_nan=True)
+                assert np.array_equal(np.signbit(got[0]), np.signbit(want))
+                n_negzero += int(np.sum((want == 0.0) & np.signbit(want)))
+    assert n_negzero > 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: ex.log(var(0) + c) + ex.sqrt(var(1) - c),
+        lambda c: var(0) / (var(0) - var(1) * c) + ex.log(var(1)),
+        # a constant exponent, and a base that is a Python float in the
+        # scalar run: the message is the scalar run's
+        lambda c: (ex.exp(var(0)) - 4.0 * c) ** 0.5,
+    ],
+    ids=["log+sqrt", "div+log", "pow-const-exponent"],
+)
+def test_one_lane_puts_the_scalar_error_under_row_0(monkeypatch, build):
+    one_lane_only(monkeypatch)
+    funs = [VectorFunction([build(c)], 2) for c in (0.75, 1.5, -2.5)]
+    tapes = [f._compiled_outputs() for f in funs]
+    lane = ex._LaneTape(tapes)
+    n_raised = 0
+    for a in (-1.0, 0.0, 2.0):
+        for b in (-1.0, 0.0, 0.5, 2.0):
+            X = np.array([[a, b]])
+            for k, t in enumerate(tapes):
+                errors = {}
+                got = lane.run(X, np.zeros((1, 0)), np.array([k]), errors)
+                want = _raised(t.run, X[0], np.zeros(0))
+                if want is None:
+                    assert not errors
+                    assert np.array_equal(got[0], t.run(X[0], np.zeros(0)))
+                    continue
+                n_raised += 1
+                assert list(errors) == [0]
+                assert errors[0].node is want.node
+                assert str(errors[0]) == str(want)
+                assert got.shape == (1, 1) and np.isnan(got).all()
+                # an earlier error of the row is kept
+                kept = {0: want}
+                lane.run(X, np.zeros((1, 0)), np.array([k]), kept)
+                assert kept[0] is want
+    assert n_raised > 0
+
+
 def test_structural_keys_equal_exactly_for_equal_structure():
     def block(c, d):
         f = VectorFunction([c * ex.square(var(0)) + d * var(0) * var(1)], 2)

@@ -465,6 +465,37 @@ def test_partial_warm_hits(monkeypatch):
     assert [s.iterations == 0 for s in sols] == [k % 2 == 0 for k in range(6)]
 
 
+def test_a_group_of_one_runs_only_its_scalar_tapes(monkeypatch):
+    # ocp_chain's blocks are groups of one: every evaluation is one of the
+    # block's own _Tape.run calls, and the lane tapes' ufunc loop is never
+    # entered, cold or warm
+    problem = ocp_chain()
+    rng = np.random.default_rng(4)
+    group = group_blocks(problem.subproblems)[1]
+    own = {id(t) for t in group.tapes[0] if t is not None}
+    z, Sigma, p = lane_data(problem, group, rng)
+    lam = rng.standard_normal(problem.n_c)
+    refs = run_group(monkeypatch, group, z, lam, Sigma, p, tol=1e-9)
+    z2 = [v + 0.05 * rng.standard_normal(v.size) for v in z]
+    runs = []
+    scalar_run = ex._Tape.run
+
+    def counted(tape, x, p):
+        runs.append(id(tape))
+        return scalar_run(tape, x, p)
+
+    def refuse(*args):
+        raise AssertionError("a group of one entered the ufunc loop")
+
+    monkeypatch.setattr(ex._Tape, "run", counted)
+    monkeypatch.setattr(ex._LaneTape, "_run_lanes", refuse)
+    for warm in (None, refs):
+        del runs[:]
+        (sol,) = solve_group(group, z2, lam, Sigma, p, warm=warm, tol=1e-9)
+        assert isinstance(sol, LocalSolution) and sol.iterations > 0
+        assert len(runs) > sol.iterations and set(runs) <= own
+
+
 def x_log_x_block(c, d):
     """c x0 log x0 + (x1 - d)^2: equal structure for every c, d not 0 or 1."""
     f = VectorFunction([c * (var(0) * ex.log(var(0))) + ex.square(var(1) - d)], 2)

@@ -469,7 +469,9 @@ def test_error_norm_keeps_the_nan_order(seed):
     Sigma = random_sigma(rng, n)
     lam = np.zeros(0)
     w_ref = _Work(sub, z, lam, Sigma, sub.p0)
-    w_new = local._Work(sub, z, lam, Sigma, sub.p0)
+    # the solver's work on a group of this one block; lane 0 is compared
+    w_new = local._Work(local.BlockGroup([sub]), z[None], lam, Sigma[None],
+                        sub.p0[None])
     x = rng.uniform(-1.0, 1.0, n)
     s = rng.uniform(0.1, 1.0, sub.n_h)
     kappa = rng.standard_normal(sub.n_g)
@@ -478,7 +480,7 @@ def test_error_norm_keeps_the_nan_order(seed):
     etaU = np.where(np.isfinite(sub.ub), rng.uniform(0.1, 1.0, n), 0.0)
     names = ("g", "h", "grad_f", "Jg", "Jh")
     for poison in [None, *names, "s", "etaL", "etaU"]:
-        ev = dict(zip(names, w_new.eval_point(x)))
+        ev = dict(zip(names, (v[0] for v in w_new.eval_point(x[None], {}))))
         args = {"s": s.copy(), "etaL": etaL.copy(), "etaU": etaU.copy()}
         target = ev.get(poison, args.get(poison))
         if target is not None and target.size:
@@ -487,7 +489,8 @@ def test_error_norm_keeps_the_nan_order(seed):
             ref, _ = _residuals(w_ref, x, args["s"], kappa, gamma,
                                 args["etaL"], args["etaU"], mu, ev)
             new = local._Point(
-                w_new, x, args["s"], kappa, gamma, args["etaL"], args["etaU"],
-                tuple(ev[k] for k in names),
-            ).err(mu)
+                w_new, *(v[None] for v in (x, args["s"], kappa, gamma,
+                                           args["etaL"], args["etaU"])),
+                tuple(ev[k][None] for k in names),
+            ).err(mu)[0]
             assert np.array_equal(new, ref, equal_nan=True), (poison, mu)

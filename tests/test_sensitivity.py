@@ -261,24 +261,16 @@ class TestSchurContribution:
     def test_zero_coupling(self):
         red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.zeros((3, 2)),
                            rows=np.arange(3))
-        S, s = schur_contribution(red, v=np.array([1.0, 2.0]))
+        S, s = schur_contribution(red, coupling=red.A @ np.array([1.0, 2.0]))
         np.testing.assert_allclose(S, np.zeros((3, 3)))
         np.testing.assert_allclose(s, np.zeros(3))
 
     def test_direct_formula(self):
         red = ReducedBlock(B=np.eye(2), g=np.zeros(2), A=np.array([[1.0, 0.0]]),
                            rows=np.array([0]))
-        S, s = schur_contribution(red, v=np.array([3.0, 5.0]))
+        S, s = schur_contribution(red, coupling=red.A @ np.array([3.0, 5.0]))
         np.testing.assert_allclose(S, [[1.0]])
         np.testing.assert_allclose(s, [3.0])
-
-    def test_requires_exactly_one_value(self):
-        red = ReducedBlock(B=np.eye(1), g=np.zeros(1), A=np.ones((1, 1)),
-                           rows=np.array([0]))
-        with pytest.raises(ValueError):
-            schur_contribution(red)
-        with pytest.raises(ValueError):
-            schur_contribution(red, v=np.zeros(1), coupling=np.zeros(1))
 
     def test_zero_rows_exactly_zero(self):
         rng = np.random.default_rng(6)
@@ -286,7 +278,7 @@ class TestSchurContribution:
         A[2, :] = 0.0
         red = ReducedBlock(B=np.eye(3) + 0.1, g=rng.standard_normal(3), A=A,
                            rows=np.arange(4))
-        S, _ = schur_contribution(red, v=rng.standard_normal(3))
+        S, _ = schur_contribution(red, coupling=A @ rng.standard_normal(3))
         assert np.all(S[2, :] == 0.0) and np.all(S[:, 2] == 0.0)
 
     def test_vanished_row_keeps_its_coupling_value(self):
@@ -329,7 +321,7 @@ class TestSchurContribution:
         S_sum = np.zeros((n_c, n_c))
         s_sum = np.zeros(n_c)
         for red, v in zip(blocks, vs):
-            S, s = schur_contribution(red, v=v)
+            S, s = schur_contribution(red, coupling=red.A @ v)
             S_sum[np.ix_(red.rows, red.rows)] += S
             s_sum[red.rows] += s
         lam_schur = np.linalg.solve(S_sum + np.eye(n_c) / mu, s_sum + lam / mu - b)
