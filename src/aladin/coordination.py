@@ -46,23 +46,20 @@ class CoordinationResult:
 
 @dataclass
 class ScalingState:
-    """Proximal weights Sigma_i, slack weight diagonal Delta, and mu.
+    """Proximal weights Sigma_i and the slack weight diagonal Delta.
 
-    The coordination QP weighs its slack with the diagonal Delta.  Without
-    rowwise updates Delta stays (mu/2) * ones, so 2 Delta equals mu bit for
-    bit; the bilevel inner solvers, which take a scalar, use mu.
+    Delta starts at (mu_init/2) * ones; every variant's coordination QP,
+    and the bilevel inner solvers with it, weighs its slack with it.
     """
 
     sigmas: list[np.ndarray]
     delta: np.ndarray
-    mu: float
 
     @classmethod
     def initial(cls, problem, opts):
         return cls(
             sigmas=[opts.sigma_init * np.eye(s.n_x) for s in problem.subproblems],
             delta=np.full(problem.n_c, opts.mu_init / 2.0),
-            mu=opts.mu_init,
         )
 
 
@@ -128,22 +125,18 @@ def update_sigma(state, opts):
         else:
             sigmas.append(S.copy())
     delta = state.delta
-    mu = state.mu
     if delta.size and np.abs(delta).max() < opts.delta_max:
         delta = opts.r_delta * delta
-        mu = opts.r_delta * mu
     else:
         delta = delta.copy()
-    return ScalingState(sigmas=sigmas, delta=delta, mu=mu)
+    return ScalingState(sigmas=sigmas, delta=delta)
 
 
 def update_delta_by_violation(state, violation, prev_violation, opts):
     """Rowwise Delta growth wherever the consensus violation stopped falling.
 
     Row c is scaled by beta when |viol_c| > gamma |prev_viol_c|, capped at
-    delta_max.  Delta then loses its tie to mu: the Schur system takes the
-    diagonal, but the bilevel inner solvers take the scalar mu only, and
-    SolverOptions allows the update with the fullspace variant alone.
+    delta_max.  Every variant takes the rowwise diagonal.
     """
     violation = np.asarray(violation, dtype=float)
     prev_violation = np.asarray(prev_violation, dtype=float)
@@ -152,8 +145,4 @@ def update_delta_by_violation(state, violation, prev_violation, opts):
     grow = np.abs(violation) > opts.gamma * np.abs(prev_violation)
     delta = np.where(grow, np.minimum(opts.beta * state.delta, opts.delta_max),
                      state.delta)
-    return ScalingState(
-        sigmas=[S.copy() for S in state.sigmas],
-        delta=delta,
-        mu=state.mu,
-    )
+    return ScalingState(sigmas=[S.copy() for S in state.sigmas], delta=delta)

@@ -1,7 +1,8 @@
 """Decentralized solution of the coordination dual (Schur) system.
 
-The assembled dual system  (sum_i S_i + I/mu) lam = sum_i s_i + lam_k/mu - b
-is block-sparse: agent i only touches the consensus rows C(i) where its
+The assembled dual system  (sum_i S_i + diag(1/mu)) lam = sum_i s_i +
+lam_k/mu - b,  where mu = 2 Delta holds one slack weight per consensus row, is
+block-sparse: agent i only touches the consensus rows C(i) where its
 original coupling matrix A_i has nonzero rows, and its term (S_i, s_i)
 arrives in that compact form (|C(i)| x |C(i)| and |C(i)|, ordered like
 C(i)).  C(i) comes from A_i, not from the projected A_i Z_i: a row that an
@@ -185,11 +186,12 @@ class MessageLog:
 
 
 def _fold(top, S_blocks, s_blocks, mu, lam_outer, b):
-    """Stack the agents' terms and absorb the I/mu and (lam/mu - b) shares.
+    """Stack the agents' terms and absorb the diag(1/mu) and (lam/mu - b) shares.
 
     Returns one (n_agents_k, k, k) block stack per size group of
-    ``top.copies`` and the right-hand side as a copy vector.  Each consensus
-    row's share is split evenly over the agents containing it, so the folded
+    ``top.copies`` and the right-hand side as a copy vector.  mu is one
+    weight per consensus row, or one scalar for all.  Each consensus row's
+    share is split evenly over the agents containing it, so the folded
     terms still sum to the full dual system.  mu=None leaves the terms
     untouched (plain  sum S_i lam = sum s_i  systems).
     """
@@ -200,10 +202,11 @@ def _fold(top, S_blocks, s_blocks, mu, lam_outer, b):
     S_hat = [np.array([S_blocks[i] for i in agents], dtype=float) for agents, _ in lay.groups]
     s_hat = np.concatenate([np.zeros(0), *s_blocks])
     if mu is not None:
+        rows = lay.cat_rows
+        mu = np.broadcast_to(mu, (top.n_c,))[rows]  # one weight per copy
         for S, (_, pos) in zip(S_hat, lay.groups):
             diag = np.arange(pos.shape[1])
-            S[:, diag, diag] += lay.inv_mult[pos] / mu
-        rows = lay.cat_rows
+            S[:, diag, diag] += lay.inv_mult[pos] / mu[pos]
         s_hat += lay.inv_mult * (lam_outer[rows] / mu - b[rows])
     return S_hat, s_hat
 

@@ -320,7 +320,7 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
     lam0 = warm_start(
         state.prev_lam_qp if opts.warm_start else None, problem.n_c
     )
-    mu = state.scaling.mu
+    mu = 2.0 * delta
     t0 = time.perf_counter()
     if opts.inner_alg == "dcg":
         lam_qp, mlog = run_dcg(

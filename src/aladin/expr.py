@@ -3,33 +3,38 @@
 Objective and constraint functions are built as immutable DAGs over decision
 variables ``var(i)`` and parameters ``param(j)``.  Derivatives (gradients,
 Jacobians, Lagrangian Hessians) are obtained by symbolic graph rewriting with
-constant folding.
+constant folding.  As in CasADi's SX machine, each operator is written once,
+in the table ``_OPS``: its scalar value, its exactly rounded numpy ufunc and
+domain, and its derivative rule.  Folding, differentiation and both tape
+interpreters look it up there.
 
 Evaluation does not walk the graphs.  On first use, each root set of a
 ``VectorFunction`` (its outputs, its gradient graphs, or the Hessian of one
-output) is compiled once into a ``_Tape``, in the manner of CasADi's SX
-virtual machine: the nonconstant nodes in post-order, deduplicated by node
-identity, one register each.  Roots that are constants are folded into a
-stored result array, so a constant Jacobian or Hessian costs one copy per
-call; an output with all-constant gradient graphs has a zero Hessian and no
-Hessian graphs at all.  The tapes apply the same operator functions in the
-same order as a direct post-order walk of the graphs, so values, overflow to
-inf and ``DomainEvalError`` (naming the failing node) are exactly those of
-that walk.  Tapes are read-only once built (their structural ``key``,
-computed on first use, is the same whoever computes it) and every call
-allocates its own registers and result, so functions may be evaluated from
-several threads.
+output) is compiled once into a ``_Tape``: the nonconstant nodes in
+post-order, deduplicated by node identity, one register each.  Roots that are
+constants are folded into a stored result array, so a constant Jacobian or
+Hessian costs one copy per call; an output with all-constant gradient graphs
+has a zero Hessian and no Hessian graphs at all.  The tapes apply the same
+scalar functions in the same order as a direct post-order walk of the graphs,
+so values, overflow to inf and ``DomainEvalError`` (naming the failing node)
+are exactly those of that walk.  Tapes are read-only once built (their
+structural ``key``, computed on first use, is the same whoever computes it)
+and every call allocates its own registers and result, so functions may be
+evaluated from several threads.
 
 Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
 stacks such tapes of several blocks and runs them on all the blocks'
 points at once; each lane's values and errors are those of its own tape.
 A run on a single lane is its own ``_Tape.run``, a run on several lanes
-takes one ufunc per instruction: each is the faster on its own traffic.
+takes one ufunc per instruction that has one: each is the faster on its own
+traffic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,13 +164,13 @@ def _is_const(e, v=None):
 
 def _unary(op, a):
     if a.kind == "const":
-        return const(_apply_unary(op, a.value, None))
+        return const(_OPS[op].fn(a.value))
     return Expression(op, args=(a,))
 
 
 def _binary(op, a, b):
     if a.kind == "const" and b.kind == "const":
-        return const(_apply_binary(op, a.value, b.value, None))
+        return const(_OPS[op].fn(a.value, b.value))
     # identity folds keep derivative graphs small
     if op == "add":
         if _is_const(a, 0.0):
@@ -228,57 +233,99 @@ def square(a):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the operator table
 # ---------------------------------------------------------------------------
 
-def _apply_unary(op, u, node):
+def _exp(u):
     try:
-        if op == "neg":
-            return -u
-        if op == "exp":
-            return math.exp(u)
-        if op == "log":
-            if u <= 0.0:
-                raise DomainEvalError(f"log of non-positive value {u!r}", node)
-            return math.log(u)
-        if op == "sin":
-            return math.sin(u)
-        if op == "cos":
-            return math.cos(u)
-        if op == "sqrt":
-            if u < 0.0:
-                raise DomainEvalError(f"sqrt of negative value {u!r}", node)
-            return math.sqrt(u)
-        if op == "square":
-            return u * u
-    except OverflowError:
-        return math.inf if op != "neg" else -math.inf
-    raise ValueError(f"unknown unary op {op!r}")
-
-
-def _apply_binary(op, u, v, node):
-    try:
-        if op == "add":
-            return u + v
-        if op == "sub":
-            return u - v
-        if op == "mul":
-            return u * v
-        if op == "div":
-            if v == 0.0:
-                raise DomainEvalError("division by zero", node)
-            return u / v
-        if op == "pow":
-            try:
-                return math.pow(u, v)
-            except ValueError:
-                raise DomainEvalError(
-                    f"pow({u!r}, {v!r}) is undefined over the reals", node
-                ) from None
+        return math.exp(u)
     except OverflowError:
         return math.inf
-    raise ValueError(f"unknown binary op {op!r}")
 
+
+def _log(u):
+    if u <= 0.0:
+        raise DomainEvalError(f"log of non-positive value {u!r}")
+    return math.log(u)
+
+
+def _sqrt(u):
+    if u < 0.0:
+        raise DomainEvalError(f"sqrt of negative value {u!r}")
+    return math.sqrt(u)
+
+
+def _square(u):
+    return u * u
+
+
+def _div(u, v):
+    if v == 0.0:
+        raise DomainEvalError("division by zero")
+    return u / v
+
+
+def _pow(u, v):
+    try:
+        return math.pow(u, v)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        raise DomainEvalError(f"pow({u!r}, {v!r}) is undefined over the reals") from None
+
+
+def _d_pow(e, a, b, da, db):
+    if b.kind == "const":
+        c = const(b.value - 1.0)
+        return _binary("mul", _binary("mul", b, _binary("pow", a, c)), da)
+    if a.kind == "const":
+        return _binary("mul", _binary("mul", e, _unary("log", a)), db)
+    # u^v with both varying: u^v * (v' log u + v u'/u)
+    inner = _binary("add", _binary("mul", db, _unary("log", a)),
+                    _binary("div", _binary("mul", b, da), a))
+    return _binary("mul", e, inner)
+
+
+# Per operator: ``fn``, its scalar function of one or two operands, which
+# outside the domain raises DomainEvalError without a node (the tape running
+# it attaches one); ``ufunc``, the numpy ufunc that rounds exactly as fn does,
+# or None (the transcendentals are left to libm, lane by lane, so every lane's
+# value is bit for bit that of _Tape.run); ``outside``, the mask of the
+# ufunc's operands outside the domain, or None; and ``d(e, *args,
+# *arg_derivatives)``, the derivative graph of a node e of the operator.
+_Op = namedtuple("_Op", "fn ufunc outside d")
+_OPS = {
+    "neg": _Op(operator.neg, np.negative, None, lambda e, a, da: _unary("neg", da)),
+    "exp": _Op(_exp, None, None, lambda e, a, da: _binary("mul", e, da)),
+    "log": _Op(_log, None, None, lambda e, a, da: _binary("div", da, a)),
+    "sin": _Op(math.sin, None, None,
+               lambda e, a, da: _binary("mul", _unary("cos", a), da)),
+    "cos": _Op(math.cos, None, None,
+               lambda e, a, da: _unary("neg", _binary("mul", _unary("sin", a), da))),
+    "sqrt": _Op(_sqrt, np.sqrt, lambda u: u < 0.0,
+                lambda e, a, da: _binary("div", da, _binary("mul", const(2.0), e))),
+    "square": _Op(_square, np.square, None,
+                  lambda e, a, da: _binary("mul", _binary("mul", const(2.0), a), da)),
+    "add": _Op(operator.add, np.add, None,
+               lambda e, a, b, da, db: _binary("add", da, db)),
+    "sub": _Op(operator.sub, np.subtract, None,
+               lambda e, a, b, da, db: _binary("sub", da, db)),
+    "mul": _Op(operator.mul, np.multiply, None,
+               lambda e, a, b, da, db: _binary(
+                   "add", _binary("mul", da, b), _binary("mul", a, db))),
+    "div": _Op(_div, np.divide, lambda u, v: v == 0.0,
+               lambda e, a, b, da, db: _binary(
+                   "sub",
+                   _binary("div", da, b),
+                   _binary("div", _binary("mul", a, db), _unary("square", b)),
+               )),
+    "pow": _Op(_pow, None, None, _d_pow),
+}
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
 
 class _Tape:
     """One compiled root set: a flat instruction list over numbered registers.
@@ -288,8 +335,12 @@ class _Tape:
     filled in, every other register 0.0).  ``x_loads``/``p_loads`` copy x
     and p entries into their registers, ``code`` runs the operator nodes in
     the walk order of the graph, and ``out_pos``/``out_reg`` scatter the
-    nonconstant roots into the result.  Evaluation copies ``base`` and
-    ``init``, so every call gets fresh registers and a fresh result.
+    nonconstant roots into the result.  An instruction ``(fn, dst, a, b,
+    node)`` holds its operator's scalar function from ``_OPS`` (b < 0 for a
+    unary one) and its node, attached to any DomainEvalError the function
+    raises.
+    Evaluation copies ``base`` and ``init``, so every call gets fresh
+    registers and a fresh result.
     """
 
     __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos",
@@ -308,9 +359,10 @@ class _Tape:
             return self._key
         except AttributeError:
             self._key = (
-                tuple(op[:4] for op in self.code), tuple(self.x_loads),
-                tuple(self.p_loads), tuple(self.out_pos.tolist()),
-                tuple(self.out_reg), len(self.init), self.base.size,
+                tuple((node.kind, dst, a, b) for _, dst, a, b, node in self.code),
+                tuple(self.x_loads), tuple(self.p_loads),
+                tuple(self.out_pos.tolist()), tuple(self.out_reg),
+                len(self.init), self.base.size,
             )
             return self._key
 
@@ -323,22 +375,14 @@ class _Tape:
             reg[r] = x[i]
         for r, i in self.p_loads:
             reg[r] = p[i]
-        for op, dst, a, b, node in self.code:
-            if b < 0:
-                reg[dst] = _apply_unary(op, reg[a], node)
-            else:
-                reg[dst] = _apply_binary(op, reg[a], reg[b], node)
+        try:
+            for fn, dst, a, b, node in self.code:
+                reg[dst] = fn(reg[a]) if b < 0 else fn(reg[a], reg[b])
+        except DomainEvalError as err:
+            err.node = node
+            raise
         out[self.out_pos] = [reg[r] for r in self.out_reg]
         return out
-
-
-# operators whose numpy ufuncs round exactly as the scalar operators do; the
-# transcendentals are left to libm, lane by lane, so that every lane's value
-# is bit for bit that of _Tape.run
-_LANE_UFUNCS = {
-    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
-    "neg": np.negative, "square": np.square, "sqrt": np.sqrt,
-}
 
 
 class _LaneTape:
@@ -348,9 +392,10 @@ class _LaneTape:
     A run on one lane is that lane's ``_Tape.run``.  A run on several has
     registers as rows over the lanes: ``init`` is (n_reg, n_lanes) and
     ``base`` (n_lanes, size), each lane's constants taken from its own tape.
-    Exactly rounded operators then run as one ufunc call per instruction;
-    exp, log, sin, cos and pow run lane by lane through the scalar operator
-    functions.
+    Each instruction's ``_OPS`` entry is resolved when the lane tape is
+    built: an operator with a ufunc runs as one ufunc call over the lanes,
+    skipping those outside its domain; the others run their scalar function
+    lane by lane.
     """
 
     def __init__(self, tapes):
@@ -362,10 +407,10 @@ class _LaneTape:
         self.x_idx = [i for _, i in first.x_loads]
         self.p_regs = [r for r, _ in first.p_loads]
         self.p_idx = [i for _, i in first.p_loads]
-        self.code = [
-            (op, _LANE_UFUNCS.get(op), dst, a, b, k)
-            for k, (op, dst, a, b, _) in enumerate(first.code)
-        ]
+        self.code = []
+        for _, dst, a, b, node in first.code:
+            op = _OPS[node.kind]
+            self.code.append((op.fn, op.ufunc, op.outside, dst, a, b))
         self.out_pos = first.out_pos
         self.out_reg = np.array(first.out_reg, dtype=np.intp)
 
@@ -409,37 +454,28 @@ class _LaneTape:
         if self.p_regs:
             R[self.p_regs] = P[:, self.p_idx].T
         reg = list(R)
-        for op, fn, dst, a, b, k in self.code:
+        for fn, ufunc, outside, dst, a, b in self.code:
             u, d = reg[a], reg[dst]
-            v = reg[b] if b >= 0 else None
-            if fn is None:
-                for j in range(u.size):
-                    vj = None if v is None else v[j]
+            if outside is None and ufunc is not None:
+                ufunc(u, out=d) if b < 0 else ufunc(u, reg[b], out=d)
+                continue
+            args = (u,) if b < 0 else (u, reg[b])
+            if ufunc is None:
+                for j, vals in enumerate(zip(*[w.tolist() for w in args])):
                     try:
-                        d[j] = _scalar(op, u[j], vj)
+                        d[j] = fn(*vals)
                     except DomainEvalError:
                         self._fail(errors, lanes, j, X, P)
                         d[j] = math.nan
-                continue
-            # sqrt and div skip the lanes outside their domain, which fail
-            if op == "sqrt":
-                bad = u < 0.0
-                fn(u, out=d, where=~bad)
-            elif op == "div":
-                bad = v == 0.0
-                fn(u, v, out=d, where=~bad)
             else:
-                fn(u, out=d) if v is None else fn(u, v, out=d)
-                continue
-            if bad.any():
-                for j in np.flatnonzero(bad):
-                    self._fail(errors, lanes, j, X, P)
+                # the lanes outside the domain are skipped, and fail
+                bad = outside(*args)
+                ufunc(*args, out=d, where=~bad)
+                if bad.any():
+                    for j in np.flatnonzero(bad):
+                        self._fail(errors, lanes, j, X, P)
         out[:, self.out_pos] = R[self.out_reg].T
         return out
-
-
-def _scalar(op, u, v):
-    return _apply_unary(op, u, None) if v is None else _apply_binary(op, u, v, None)
 
 
 _READY = object()  # stack marker in _compile
@@ -491,10 +527,10 @@ def _compile(roots, positions, size):
             elif kind == "param":
                 p_loads.append((r, node.index))
             elif len(node.args) == 1:
-                code.append((kind, r, regs[id(node.args[0])], -1, node))
+                code.append((_OPS[kind].fn, r, regs[id(node.args[0])], -1, node))
             else:
                 a, b = node.args
-                code.append((kind, r, regs[id(a)], regs[id(b)], node))
+                code.append((_OPS[kind].fn, r, regs[id(a)], regs[id(b)], node))
         out_pos.extend(pos)
         out_reg.extend([regs[id(root)]] * len(pos))
     tape = _Tape()
@@ -519,62 +555,14 @@ def _diff_memo(e, i, memo):
     key = id(e)
     if key in memo:
         return memo[key]
-    kind = e.kind
-    if kind == "const" or kind == "param":
-        d = _ZERO
-    elif kind == "var":
-        d = _ONE if e.index == i else _ZERO
-    elif kind in UNARY_OPS:
-        (a,) = e.args
-        da = _diff_memo(a, i, memo)
-        if kind == "neg":
-            d = _unary("neg", da)
-        elif kind == "exp":
-            d = _binary("mul", e, da)
-        elif kind == "log":
-            d = _binary("div", da, a)
-        elif kind == "sin":
-            d = _binary("mul", _unary("cos", a), da)
-        elif kind == "cos":
-            d = _unary("neg", _binary("mul", _unary("sin", a), da))
-        elif kind == "sqrt":
-            d = _binary("div", da, _binary("mul", const(2.0), e))
-        else:  # square
-            d = _binary("mul", _binary("mul", const(2.0), a), da)
+    args = e.args
+    if len(args) == 2:
+        a, b = args
+        d = _OPS[e.kind].d(e, a, b, _diff_memo(a, i, memo), _diff_memo(b, i, memo))
+    elif args:
+        d = _OPS[e.kind].d(e, args[0], _diff_memo(args[0], i, memo))
     else:
-        a, b = e.args
-        da = _diff_memo(a, i, memo)
-        db = _diff_memo(b, i, memo)
-        if kind == "add":
-            d = _binary("add", da, db)
-        elif kind == "sub":
-            d = _binary("sub", da, db)
-        elif kind == "mul":
-            d = _binary("add", _binary("mul", da, b), _binary("mul", a, db))
-        elif kind == "div":
-            d = _binary(
-                "sub",
-                _binary("div", da, b),
-                _binary("div", _binary("mul", a, db), _unary("square", b)),
-            )
-        else:  # pow
-            if b.kind == "const":
-                c = b.value
-                d = _binary(
-                    "mul",
-                    _binary("mul", b, _binary("pow", a, const(c - 1.0))),
-                    da,
-                )
-            elif a.kind == "const":
-                d = _binary("mul", _binary("mul", e, _unary("log", a)), db)
-            else:
-                # u^v with both varying: u^v * (v' log u + v u'/u)
-                inner = _binary(
-                    "add",
-                    _binary("mul", db, _unary("log", a)),
-                    _binary("div", _binary("mul", b, da), a),
-                )
-                d = _binary("mul", e, inner)
+        d = _ONE if e.kind == "var" and e.index == i else _ZERO
     memo[key] = d
     return d
 

@@ -409,12 +409,12 @@ def _solve_newton(W, Jg, rhs_x, rhs_g):
     raise SingularKktError("local KKT system could not be corrected to solvable form")
 
 
-def _settle(out, ids, pt, rows, status, newton, err0):
+def _settle(out, w, pt, rows, status, newton, err0):
     """Put the LocalSolutions of the given rows, after ``newton`` steps, into
-    ``out``."""
+    ``out`` at their blocks ``w.lanes``."""
     eta = np.concatenate([pt.etaL[rows], pt.etaU[rows]], axis=-1)
     for k, x, kappa, gamma, e, err in zip(
-        ids[rows], pt.x[rows], pt.kappa[rows], pt.gamma[rows], eta, err0[rows],
+        w.lanes[rows], pt.x[rows], pt.kappa[rows], pt.gamma[rows], eta, err0[rows],
     ):
         out[k] = LocalSolution(x, kappa, gamma, e, status, newton, err)
 
@@ -468,8 +468,7 @@ def _stack(name, rows, N, size):
 def _lockstep(w, warm, tol):
     N, n, n_g, n_h = len(w.lanes), w.n, w.n_g, w.n_h
     iL, iU = w.iL, w.iU
-    out = [None] * N
-    ids = np.arange(N)  # the block (row of the group) of each lane still running
+    out = [None] * N  # by block; w.lanes holds the block of each lane still running
     errors = {}
 
     # shortcut: a warm start already at KKT quality is returned unchanged
@@ -498,9 +497,7 @@ def _lockstep(w, warm, tol):
             keep = ~done
             if not keep.any():
                 return out
-            w, ids, wx, kap, gam, eta, chk = (
-                v[keep] for v in (w, ids, wx, kap, gam, eta, chk)
-            )
+            w, wx, kap, gam, eta, chk = (v[keep] for v in (w, wx, kap, gam, eta, chk))
             ev = tuple(v[keep] for v in ev)
         errors = {}
 
@@ -519,16 +516,16 @@ def _lockstep(w, warm, tol):
     if warm is None or moved:
         ev = w.eval_point(x, errors)
     if errors:
-        keep = np.ones(len(ids), dtype=bool)
+        keep = np.ones(len(w.lanes), dtype=bool)
         for r, e in errors.items():
-            out[ids[r]], keep[r] = e, False
+            out[w.lanes[r]], keep[r] = e, False
         if not keep.any():
             return out
-        w, ids, x = w[keep], ids[keep], x[keep]
+        w, x = w[keep], x[keep]
         ev = tuple(v[keep] for v in ev)
         if warm is not None:
             wx, kap, gam, eta, chk = (v[keep] for v in (wx, kap, gam, eta, chk))
-    M = len(ids)
+    M = len(w.lanes)
     h = ev[1]
     etaL = np.zeros((M, n))
     etaU = np.zeros((M, n))
@@ -584,17 +581,17 @@ def _lockstep(w, warm, tol):
         best_pri = np.fmin(best_pri, pri)
         if stop.any():
             if conv.any():
-                _settle(out, ids, pt, conv, "converged", newton, err0)
+                _settle(out, w, pt, conv, "converged", newton, err0)
             if stop is not conv:
-                _settle(out, ids, pt, stop & ~conv, "stalled", newton, err0)
+                _settle(out, w, pt, stop & ~conv, "stalled", newton, err0)
             keep = ~stop
             if not keep.any():
                 return out
-            pt, w, ids, mu, best_pri, stall, err0, err_mu = (
+            pt, w, mu, best_pri, stall, err0, err_mu = (
                 None if v is None else v[keep]
-                for v in (pt, w, ids, mu, best_pri, stall, err0, err_mu)
+                for v in (pt, w, mu, best_pri, stall, err0, err_mu)
             )
-            M = len(ids)
+            M = len(w.lanes)
 
         mu_c = mu[:, None]
         cut = (err_mu <= 10.0 * mu) & (mu > mu_min)
@@ -636,16 +633,16 @@ def _lockstep(w, warm, tol):
         if failed:
             keep = np.ones(M, dtype=bool)
             for r, e in failed.items():
-                out[ids[r]], keep[r] = e, False
+                out[w.lanes[r]], keep[r] = e, False
             if not keep.any():
                 return out
-            (pt, w, ids, mu, mu_c, best_pri, stall, err0, err_mu, dx, dkappa,
+            (pt, w, mu, mu_c, best_pri, stall, err0, err_mu, dx, dkappa,
              r_L, r_U, r_cs) = (
                 None if v is None else v[keep]
-                for v in (pt, w, ids, mu, mu_c, best_pri, stall, err0, err_mu,
+                for v in (pt, w, mu, mu_c, best_pri, stall, err0, err_mu,
                           dx, dkappa, r_L, r_U, r_cs)
             )
-            M = len(ids)
+            M = len(w.lanes)
 
         # multiplier steps and the step lengths to the boundary, per lane
         x, s, kappa, gamma, etaL, etaU = pt.x, pt.s, pt.kappa, pt.gamma, pt.etaL, pt.etaU
@@ -722,17 +719,17 @@ def _lockstep(w, warm, tol):
             # every trial left the evaluation domain; give up on these centers
             gave_up = np.zeros(M, dtype=bool)
             gave_up[search] = True
-            _settle(out, ids, pt, gave_up, "stalled", newton + 1, err0)
+            _settle(out, w, pt, gave_up, "stalled", newton + 1, err0)
             keep = ~gave_up
             if not keep.any():
                 return out
-            w, ids, mu, best_pri, stall, err0 = (
+            w, mu, best_pri, stall, err0 = (
                 None if v is None else v[keep]
-                for v in (w, ids, mu, best_pri, stall, err0)
+                for v in (w, mu, best_pri, stall, err0)
             )
             slot = np.cumsum(keep) - 1  # a kept row's new position
             pieces = [(slot[rows], *rest) for rows, *rest in pieces]
-            M = len(ids)
+            M = len(w.lanes)
         if pieces[0][0] is None:  # every lane accepted its first trial
             pt, err_mu = pieces[0][1], pieces[0][3]
         else:
@@ -743,7 +740,7 @@ def _lockstep(w, warm, tol):
     else:
         newton = MAX_NEWTON
 
-    _settle(out, ids, pt, slice(None), "max-iter", newton, err0)
+    _settle(out, w, pt, slice(None), "max-iter", newton, err0)
     return out
 
 

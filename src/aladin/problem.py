@@ -268,8 +268,7 @@ class SolverOptions:
     step_size : primal/dual step length in (0, 1]; 1 is the full step.
     sigma_init : initial proximal weight, Sigma_i = sigma_init * I.
     mu_init : initial slack penalty; the coordination QP weighs its slack
-        with the diagonal Delta = (mu/2) * I, and the bilevel inner solvers
-        take the scalar mu.
+        with the diagonal Delta, which starts at (mu_init/2) * I.
     r_sigma, r_delta : per-iteration growth factors for Sigma_i and Delta.
     sigma_max, delta_max : growth stops once the pre-update inf-norm reaches
         these caps.
@@ -286,8 +285,7 @@ class SolverOptions:
         decentralized inner ADMM.
     warm_start : reuse the previous dual to initialize the inner solver.
     del_up : rowwise Delta growth driven by per-row consensus violation
-        (beta, gamma); valid only with the fullspace variant, since the
-        bilevel inner solvers take the scalar mu, not the diagonal Delta.
+        (beta, gamma).
     log_every : print one progress line every N outer iterations (0 = quiet).
     local_tol_floor : tightest tolerance handed to the local solver.
     """
@@ -341,10 +339,6 @@ class SolverOptions:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.inner_alg not in INNER_ALGS:
             raise ValueError(f"inner_alg must be one of {INNER_ALGS}")
-        if self.del_up and self.variant != "fullspace":
-            # rowwise Delta breaks the Delta = (mu/2) I identity the bilevel
-            # inner solvers rely on
-            raise ValueError("del_up requires the fullspace variant")
         return self
 
 

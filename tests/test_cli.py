@@ -54,7 +54,8 @@ class TestExitCodes:
         assert main(["example", "nope"]) == 1
 
     def test_bad_flag_combination_exit_1(self, capsys):
-        assert main(["example", "tutorial", "--del-up", "--variant", "bilevel"]) == 1
+        # every flag parses, but SolverOptions.check rejects the value
+        assert main(["example", "tutorial", "--step-size", "1.5"]) == 1
 
     @pytest.mark.parametrize("variant", ["fullspace", "nullspace"])
     def test_singular_reduced_hessian_exit_2(self, tmp_path, capsys, variant):

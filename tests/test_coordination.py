@@ -254,58 +254,54 @@ def options(**kw):
 class TestScalingUpdates:
     def test_sigma_doubles(self):
         opts = options(r_sigma=2.0, sigma_max=1e4)
-        st = ScalingState(sigmas=[np.eye(2)], delta=np.array([1.0]), mu=2.0)
+        st = ScalingState(sigmas=[np.eye(2)], delta=np.array([1.0]))
         out = update_sigma(st, opts)
         np.testing.assert_allclose(out.sigmas[0], 2 * np.eye(2))
 
     def test_cap_freezes(self):
         opts = options(sigma_max=1e4, delta_max=1e4)
-        st = ScalingState(
-            sigmas=[1e4 * np.eye(2)], delta=np.array([1e4]), mu=2e4
-        )
+        st = ScalingState(sigmas=[1e4 * np.eye(2)], delta=np.array([1e4]))
         out = update_sigma(st, opts)
         np.testing.assert_allclose(out.sigmas[0], 1e4 * np.eye(2))
         np.testing.assert_allclose(out.delta, [1e4])
-        assert out.mu == 2e4
 
     def test_growth_sequence_overshoots_then_freezes(self):
         # pre-update norm gates the growth: from I with cap 100 the last
         # applied update happens at norm 64, landing at 128 and freezing
         opts = options(r_sigma=2.0, sigma_max=100.0)
-        st = ScalingState(sigmas=[np.eye(3)], delta=np.array([1.0]), mu=2.0,)
+        st = ScalingState(sigmas=[np.eye(3)], delta=np.array([1.0]))
         for _ in range(10):
             st = update_sigma(st, opts)
         np.testing.assert_allclose(st.sigmas[0], 128 * np.eye(3))
 
-    def test_mu_tracks_delta(self):
+    def test_delta_grows_by_r_delta(self):
         opts = options(r_delta=3.0)
-        st = ScalingState(sigmas=[np.eye(1)], delta=np.array([2.0, 2.0]), mu=4.0)
+        st = ScalingState(sigmas=[np.eye(1)], delta=np.array([2.0, 2.0]))
         out = update_sigma(st, opts)
         np.testing.assert_allclose(out.delta, [6.0, 6.0])
-        assert out.mu == 12.0
 
 
 class TestDeltaByViolation:
     def test_stagnant_row_scaled(self):
         opts = options(del_up=True, beta=10.0, gamma=0.25)
-        st = ScalingState(sigmas=[], delta=np.array([1.0, 1.0]), mu=2.0)
+        st = ScalingState(sigmas=[], delta=np.array([1.0, 1.0]))
         out = update_delta_by_violation(st, [0.5, 0.01], [0.5, 0.5], opts)
         np.testing.assert_allclose(out.delta, [10.0, 1.0])
 
     def test_zero_over_zero_unchanged(self):
         opts = options(del_up=True)
-        st = ScalingState(sigmas=[], delta=np.array([3.0]), mu=6.0)
+        st = ScalingState(sigmas=[], delta=np.array([3.0]))
         out = update_delta_by_violation(st, [0.0], [0.0], opts)
         np.testing.assert_allclose(out.delta, [3.0])
 
     def test_capped(self):
         opts = options(del_up=True, beta=10.0, delta_max=5.0)
-        st = ScalingState(sigmas=[], delta=np.array([1.0]), mu=2.0)
+        st = ScalingState(sigmas=[], delta=np.array([1.0]))
         out = update_delta_by_violation(st, [1.0], [1.0], opts)
         np.testing.assert_allclose(out.delta, [5.0])
 
     def test_dimension_check(self):
         opts = options(del_up=True)
-        st = ScalingState(sigmas=[], delta=np.array([1.0, 2.0]), mu=2.0)
+        st = ScalingState(sigmas=[], delta=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             update_delta_by_violation(st, [1.0], [1.0, 2.0], opts)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from aladin import driver
 from aladin import expr as ex
+from aladin.coordination import update_delta_by_violation
 from aladin.expr import VectorFunction, var, param
 from aladin.driver import CSV_HEADER, run_admm, run_aladin
 from aladin.errors import LicqError, SingularKktError
@@ -142,6 +144,29 @@ class TestVariantConsistency:
                 np.testing.assert_allclose(za, zb, atol=1e-6)
             np.testing.assert_allclose(ra.lam, rb.lam, atol=1e-6)
 
+
+    def test_bilevel_del_up_equals_nullspace_del_up(self, monkeypatch):
+        # the bilevel inner solvers weigh each consensus row's slack with
+        # its own Delta, so with an inner solve run to convergence they
+        # follow the nullspace trajectory once rowwise updates split Delta
+        deltas = []
+
+        def record(*args):
+            out = update_delta_by_violation(*args)
+            deltas.append(out.delta)
+            return out
+
+        monkeypatch.setattr(driver, "update_delta_by_violation", record)
+        null = run_aladin(ocp_chain(), SolverOptions(variant="nullspace", del_up=True))
+        assert any(np.ptp(d) > 0 for d in deltas)
+        bil = run_aladin(
+            ocp_chain(), SolverOptions(variant="bilevel", inner_iter=200, del_up=True)
+        )
+        assert bil.iterations == null.iterations
+        for ra, rb in zip(bil.log.records, null.log.records):
+            for za, zb in zip(ra.z, rb.z):
+                assert np.linalg.norm(za - zb) <= 1e-8 * np.linalg.norm(zb)
+            assert np.linalg.norm(ra.lam - rb.lam) <= 1e-8 * np.linalg.norm(rb.lam)
 
     @pytest.mark.parametrize(
         "reduced",

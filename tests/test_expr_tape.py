@@ -1,12 +1,14 @@
 """Compiled tapes against a reference walker: equal values, errors, no aliasing.
 
 The reference below evaluates the symbolic derivative graphs directly, with a
-post-order walk and an id()-keyed memo, and uses the same per-operator
-functions as the tapes.  Every entry point must return arrays equal to it,
-raise DomainEvalError at the same inputs naming the same node, and hand out
-a fresh array on every call.
+post-order walk and an id()-keyed memo, and its own per-operator functions,
+written as name-dispatched if-chains independently of the operator table the
+tapes run.  Every entry point must return arrays equal to it, raise
+DomainEvalError at the same inputs naming the same node, and hand out a fresh
+array on every call.
 """
 
+import math
 import sys
 import threading
 
@@ -22,6 +24,55 @@ from aladin.problem import Subproblem
 
 
 # -- reference ---------------------------------------------------------------
+
+def _apply_unary(op, u, node):
+    try:
+        if op == "neg":
+            return -u
+        if op == "exp":
+            return math.exp(u)
+        if op == "log":
+            if u <= 0.0:
+                raise ex.DomainEvalError(f"log of non-positive value {u!r}", node)
+            return math.log(u)
+        if op == "sin":
+            return math.sin(u)
+        if op == "cos":
+            return math.cos(u)
+        if op == "sqrt":
+            if u < 0.0:
+                raise ex.DomainEvalError(f"sqrt of negative value {u!r}", node)
+            return math.sqrt(u)
+        if op == "square":
+            return u * u
+    except OverflowError:
+        return math.inf if op != "neg" else -math.inf
+    raise ValueError(f"unknown unary op {op!r}")
+
+
+def _apply_binary(op, u, v, node):
+    try:
+        if op == "add":
+            return u + v
+        if op == "sub":
+            return u - v
+        if op == "mul":
+            return u * v
+        if op == "div":
+            if v == 0.0:
+                raise ex.DomainEvalError("division by zero", node)
+            return u / v
+        if op == "pow":
+            try:
+                return math.pow(u, v)
+            except ValueError:
+                raise ex.DomainEvalError(
+                    f"pow({u!r}, {v!r}) is undefined over the reals", node
+                ) from None
+    except OverflowError:
+        return math.inf
+    raise ValueError(f"unknown binary op {op!r}")
+
 
 def _walk(roots, x, p, memo):
     """Post-order evaluation of several roots sharing one memo (id -> value)."""
@@ -46,9 +97,9 @@ def _walk(roots, x, p, memo):
             elif kind == "param":
                 memo[key] = p[node.index]
             elif kind in ex.UNARY_OPS:
-                memo[key] = ex._apply_unary(kind, memo[id(node.args[0])], node)
+                memo[key] = _apply_unary(kind, memo[id(node.args[0])], node)
             else:
-                memo[key] = ex._apply_binary(
+                memo[key] = _apply_binary(
                     kind, memo[id(node.args[0])], memo[id(node.args[1])], node
                 )
     return memo
@@ -175,6 +226,69 @@ def _kinds(roots):
             kinds.add(node.kind)
             stack.extend(node.args)
     return kinds
+
+
+# -- the operator table --------------------------------------------------------
+
+UFUNC_OPS = [op for op, entry in ex._OPS.items() if entry.ufunc is not None]
+
+
+def test_table_has_every_operator():
+    assert set(ex._OPS) == set(ex.UNARY_OPS + ex.BINARY_OPS)
+
+
+def _operands(op):
+    """Columns of operands: +-0, subnormals, +-inf, 1e+-300, nan and random
+    values, every pair of them for a binary operator."""
+    rng = np.random.default_rng(len(op))
+    vals = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, np.inf, -np.inf,
+            1e300, -1e300, 1e-300, -1e-300, np.nan, 1.0, -1.0, 0.5, 2.0, 3.0]
+    vals = np.array(vals + list(rng.standard_normal(14) * 10.0 ** rng.integers(-8, 9, 14)))
+    if op in ex.UNARY_OPS:
+        return (vals,)
+    u, v = np.meshgrid(vals, vals)
+    return (u.ravel(), v.ravel())
+
+
+def _scalar_results(fn, cols):
+    """fn on every row of operands, as Python floats and as np.float64:
+    (values, where fn raised DomainEvalError)."""
+    values, raised = [], []
+    for row in zip(*[c.tolist() for c in cols]):
+        try:
+            values.append(fn(*row))
+            raised.append(False)
+        except ex.DomainEvalError:
+            values.append(np.nan)
+            raised.append(True)
+    with np.errstate(all="ignore"):  # np.float64 operands warn where floats do not
+        for k, row in enumerate(zip(*cols)):
+            if not raised[k]:
+                assert np.array(fn(*row)).tobytes() == np.array(values[k]).tobytes()
+    return np.array(values), np.array(raised)
+
+
+@pytest.mark.parametrize("op", UFUNC_OPS)
+def test_ufunc_equals_scalar_function_bit_for_bit(op):
+    entry = ex._OPS[op]
+    cols = _operands(op)
+    want, raised = _scalar_results(entry.fn, cols)
+    with np.errstate(all="ignore"):
+        got = entry.ufunc(*cols)
+    ok = ~raised
+    assert got[ok].tobytes() == want[ok].tobytes()
+
+
+@pytest.mark.parametrize("op", UFUNC_OPS)
+def test_domain_mask_is_where_the_scalar_function_raises(op):
+    entry = ex._OPS[op]
+    cols = _operands(op)
+    _, raised = _scalar_results(entry.fn, cols)
+    if entry.outside is None:
+        assert not raised.any()
+    else:
+        assert raised.any()
+        assert np.array_equal(entry.outside(*cols), raised)
 
 
 # -- values --------------------------------------------------------------------

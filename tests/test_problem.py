@@ -163,8 +163,6 @@ class TestSolverOptions:
             {"hessian": "newton"},
             {"variant": "other"},
             {"inner_alg": "cg"},
-            {"del_up": True, "variant": "bilevel"},
-            {"del_up": True, "variant": "nullspace"},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -173,6 +171,10 @@ class TestSolverOptions:
 
     def test_del_up_fullspace_allowed(self):
         SolverOptions(del_up=True, variant="fullspace").check()
+
+    @pytest.mark.parametrize("variant", ["nullspace", "bilevel"])
+    def test_del_up_reduced_variants_allowed(self, variant):
+        SolverOptions(del_up=True, variant=variant).check()
 
 
 class TestJson:
