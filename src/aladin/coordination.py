@@ -13,6 +13,11 @@ variants differ only in the reduced Hessian Z_i' H_i Z_i they hand in: the
 full-space one projects the regularized H_i, the nullspace and bilevel ones
 regularize the projection of the raw H_i; bilevel solves the dual system
 with a decentralized inner algorithm.
+
+The reduced blocks may come as lanes-first stacks (see ``sensitivity``),
+each lane labelled with its block: a stack's Schur terms and steps take one
+call each, the terms are added onto the consensus rows in block order, and
+the steps are listed per block.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensitivity
-from .linalg import sym_solve
+from .linalg import mv, sym_solve
 
 __all__ = [
     "CoordinationResult",
     "ScalingState",
+    "per_block",
     "solve_coordination_reduced",
     "reduced_result",
     "update_sigma",
@@ -63,56 +69,105 @@ class ScalingState:
         )
 
 
-def solve_coordination_reduced(reduced, couplings, lam, delta, b, Zs=None):
+def per_block(stacks, blocks):
+    """The lanes of lanes-first ``stacks`` as one list in block order.
+
+    ``blocks[k]`` labels the lanes of ``stacks[k]`` with their blocks and
+    has the shape of its lane axes; the list holds views.
+    """
+    out = {}
+    for a, bl in zip(stacks, blocks):
+        out.update(zip(bl.ravel().tolist(), a.reshape((bl.size,) + a.shape[bl.ndim:])))
+    return [out[i] for i in range(len(out))]
+
+
+def _scatter_add(size, cells, values, blocks):
+    """sum_i of the values onto flat positions ``cells`` of zeros(size).
+
+    Terms meet in block order, as one block after the other would add
+    them: a sum of three or more terms depends on its order.
+    """
+    # the block of every entry: each lane's entries are contiguous
+    key = np.concatenate(
+        [np.repeat(bl.ravel(), c.size // bl.size) for c, bl in zip(cells, blocks)]
+    )
+    order = np.argsort(key, kind="stable")
+    out = np.zeros(size)
+    np.add.at(
+        out.reshape(-1),
+        np.concatenate([c.ravel() for c in cells])[order],
+        np.concatenate([v.ravel() for v in values])[order],
+    )
+    return out
+
+
+def solve_coordination_reduced(reduced, couplings, lam, delta, b, Zs=None,
+                               blocks=None):
     """Solve the reduced QP through the Schur dual system.
 
     Parameters
     ----------
     reduced : list of ReducedBlock
-    couplings : list of vectors
-        Each block's current consensus contribution A_i x_i on its coupling
-        rows ``reduced[i].rows``.
+        One block's or a lanes-first stack of blocks' each.
+    couplings : list of arrays
+        Per entry, the current consensus contributions A_i x_i on the
+        coupling rows ``rows``.
     lam, delta, b : dual iterate, slack weight diagonal Delta, coupling
         right-hand side.
-    Zs : optional list of nullspace bases; when given, the lifted steps
-        Z_i dv_i are returned in ``dx``.
+    Zs : optional list of nullspace bases, per entry; when given, the
+        lifted steps Z_i dv_i are returned in ``dx``.
+    blocks : optional list, per entry, of each lane's block, shaped like
+        its lane axes; by default entry k is block k.
 
     The dual solve is (sum_i S_i + diag(1/(2 Delta))) lamQP
     = sum_i s_i + lam/(2 Delta) - b.  Each block's compact term (S_i, s_i)
     is scatter-added onto its rows C(i), so no block forms an n_c-sized
     array; ``reduced_result`` then recovers every block's step.
     """
+    if blocks is None:
+        blocks = [np.asarray(k) for k in range(len(reduced))]
     n_c = b.size
     if n_c:
-        S_sum = np.zeros((n_c, n_c))
-        s_sum = np.zeros(n_c)
-        for red, cpl in zip(reduced, couplings):
-            # looked up at call time, so a wrapper installed on the
-            # sensitivity module sees these calls too
-            S, s = sensitivity.schur_contribution(red, coupling=cpl)
-            S_sum[np.ix_(red.rows, red.rows)] += S
-            s_sum[red.rows] += s
+        # looked up at call time, so a wrapper installed on the sensitivity
+        # module sees these calls too
+        terms = [
+            sensitivity.schur_contribution(red, coupling=cpl)
+            for red, cpl in zip(reduced, couplings)
+        ]
+        rows = [red.rows for red in reduced]
+        S_sum = _scatter_add(
+            (n_c, n_c), [r[..., :, None] * n_c + r[..., None, :] for r in rows],
+            [S for S, _ in terms], blocks,
+        )
+        s_sum = _scatter_add(n_c, rows, [s for _, s in terms], blocks)
         M = S_sum + np.diag(1.0 / (2.0 * delta))
         rhs = s_sum + lam / (2.0 * delta) - b
         lam_qp = sym_solve(M, rhs)
     else:
         lam_qp = np.zeros(0)
-    return reduced_result(reduced, lam_qp, lam, delta, Zs)
+    return reduced_result(reduced, lam_qp, lam, delta, Zs, blocks)
 
 
-def reduced_result(reduced, lam_qp, lam, delta, Zs=None):
+def reduced_result(reduced, lam_qp, lam, delta, Zs=None, blocks=None):
     """Coordination result of a dual solution lamQP of the Schur system.
 
     Every block recovers its reduced step dv_i = -(B_i^-1 g_i + B_i^-1 A_i'
     lamQP[C(i)]), with A_i = red.A its compact coupling matrix and both
     solves taken from ``red.solved``, lifted to Z_i dv_i when the bases are
     given; the slack is s = (lamQP - lam) / (2 Delta).  Every variant
-    shares this recovery.
+    shares this recovery.  The arguments are as in
+    ``solve_coordination_reduced``; ``dx`` and ``dv`` list the steps per
+    block.
     """
-    dvs = [-(red.solved[1] + red.solved[0] @ lam_qp[red.rows]) for red in reduced]
-    dxs = [Z @ dv for Z, dv in zip(Zs, dvs)] if Zs is not None else dvs
+    if blocks is None:
+        blocks = [np.asarray(k) for k in range(len(reduced))]
+    dvs = [
+        -(red.solved[1] + mv(red.solved[0], lam_qp[red.rows])) for red in reduced
+    ]
+    dxs = [mv(Z, dv) for Z, dv in zip(Zs, dvs)] if Zs is not None else dvs
     return CoordinationResult(
-        dx=dxs, s=(lam_qp - lam) / (2.0 * delta), lam_qp=lam_qp, dv=dvs,
+        dx=per_block(dxs, blocks), s=(lam_qp - lam) / (2.0 * delta),
+        lam_qp=lam_qp, dv=per_block(dvs, blocks),
     )
 
 

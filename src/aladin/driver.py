@@ -12,6 +12,11 @@ termination="error"; (3) the stopping norms ||sum A_i x_i - b||_inf and
 ||x - z||_inf are checked; (4) the step moves z and lam; (5) the iteration
 is logged and, every ``log_every`` iterations, printed.  Failures of a layer
 are re-raised with the outer iteration index.
+
+ALADIN's step is group-major too: each group's sensitivities come from its
+lane tapes, its lanes are split into packs of equal shapes, and each pack
+takes one call of every sensitivity and Schur kernel, with the results and
+errors of the blocks taken one by one.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from . import expr as ex
 from .coordination import (
     ScalingState,
+    per_block,
     reduced_result,
     solve_coordination_reduced,
     update_delta_by_violation,
@@ -33,18 +39,21 @@ from .coordination import (
 )
 from .decentral import run_dadmm, run_dcg, topology_from_rows, warm_start
 from .errors import SolverError
+from .linalg import mv
 # solve_local stays bound here, where the benchmark's tracer looks for it,
 # though the loop solves whole groups through solve_group; it can go once
 # the tracer's local span wraps solve_group
 from .local import LocalSolution, group_blocks, solve_group, solve_local  # noqa: F401
+# positions of the root sets a group's runner evaluates
+from .local import _GRAD_F, _H, _JG, _JH
 from .problem import SolverOptions, validate
 from .sensitivity import (
     SensitivityPack,
-    detect_active,
-    active_jacobian,
+    active_mask,
+    active_rows,
     bfgs_update,
     coupling_rows,
-    lagrangian_like_gradient,
+    detect_active,
     nullspace_basis,
     reduce_block,
     regularize,
@@ -243,80 +252,158 @@ def _local_tolerance(opts, err_prev):
     return max(opts.local_tol_floor, min(cap, 1e-2 * err_prev))
 
 
-def _sensitivity_pack(problem, opts, state, i, x_prev):
-    """Gradient, active set, Jacobian, and processed Hessian for block i."""
-    sub = problem.subproblems[i]
-    p = problem.parameters[i]
-    sol = state.locals[i]
-    x = sol.x
-    grad = ex.gradient(sub.f, x, p)
-    act = detect_active(sub, x, p, opts.act_margin)
-    C = active_jacobian(sub, x, p, act)
-    if opts.hessian == "exact":
-        # inactive rows get a zero multiplier, which lagrangian_hessian skips
-        act_h = list(act.nonbox)
-        mult = np.zeros(sub.n_h)
-        mult[act_h] = sol.gamma[act_h]
-        H_raw = ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, sol.kappa, mult)
-        if opts.variant != "fullspace":
-            H = None  # reduce_block regularizes the projected Hessian instead
+def _lagrangian_gradient(grad_f, Jg, Jh, kappa, gamma):
+    """Gradient of f + kappa.g + gamma.h per lane (the BFGS curvature probe).
+
+    Box terms drop out of curvature differences (their gradient is constant)
+    and are omitted.
+    """
+    r = grad_f
+    if Jg.shape[-2]:
+        r = r + mv(Jg.swapaxes(-1, -2), kappa)
+    if Jh.shape[-2]:
+        r = r + mv(Jh.swapaxes(-1, -2), gamma)
+    return r
+
+
+def _sensitivity_pack(problem, opts, state, groups, coupling, x_prev):
+    """Every block's gradient, active set, Jacobian and processed Hessian.
+
+    Each group runs its lane tapes once and is split into packs whose lanes
+    agree in the numbers of active and of coupling rows; ``coupling`` holds
+    each block's C(i) and A_i[C(i)].  The lowest failing block's
+    DomainEvalError is raised.
+    """
+    rows, compact = coupling
+    exact = opts.hessian == "exact"
+    packs, errors = [], {}
+    for grp in groups:
+        k, n, n_g, n_h, idx = len(grp), grp.n, grp.n_g, grp.n_h, grp.blocks
+        sols = [state.locals[i] for i in idx]
+        x = np.array([sol.x for sol in sols])
+        p = np.array([problem.parameters[i] for i in idx])
+        kappa = np.array([sol.kappa for sol in sols]).reshape(k, n_g)
+        gamma = np.array([sol.gamma for sol in sols]).reshape(k, n_h)
+        lanes = np.arange(k)
+        errs = {}
+        run = grp.runner(x, p, lanes, errs)
+        grad = run(_GRAD_F)
+        if grp.may_act:
+            on = active_mask(run(_H), x, grp.lb, grp.ub, opts.act_margin)
         else:
-            H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
-    else:
-        B = state.bfgs[i]
-        if B is None:
-            B = np.eye(sub.n_x)
-        if x_prev is not None:
-            y_new = lagrangian_like_gradient(sub, x, p, sol.kappa, sol.gamma)
-            y_old = lagrangian_like_gradient(sub, x_prev[i], p, sol.kappa, sol.gamma)
-            B = bfgs_update(
-                B, x - x_prev[i], y_new - y_old, damped=(opts.hessian == "dbfgs")
+            on = np.zeros((k, n_h + 2 * n), dtype=bool)
+        Jg = run(_JG).reshape(k, n_g, n)
+        Jh = run(_JH).reshape(k, n_h, n)
+        if exact:
+            # inactive rows get a zero multiplier, which the Hessian skips
+            H_raw = grp.hessian(run, kappa, np.where(on[:, :n_h], gamma, 0.0))
+        elif x_prev is not None:
+            xp = np.array([x_prev[i] for i in idx])
+            run_prev = grp.runner(xp, p, lanes, errs)
+            y_new = _lagrangian_gradient(grad, Jg, Jh, kappa, gamma)
+            y = y_new - _lagrangian_gradient(
+                run_prev(_GRAD_F), run_prev(_JG).reshape(Jg.shape),
+                run_prev(_JH).reshape(Jh.shape), kappa, gamma,
             )
-        state.bfgs[i] = B
-        H_raw = B
-        H = B
-    return SensitivityPack(
-        grad=grad, hess_raw=H_raw, hess=H, active=act, jac_active=C
-    )
+        if errs:
+            for r, err in errs.items():
+                errors[idx[r]] = err
+            continue
+        if exact:
+            if opts.variant != "fullspace":
+                H = None  # reduce_block regularizes the projected Hessian instead
+            else:
+                H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
+        else:
+            B = np.array([np.eye(n) if state.bfgs[i] is None else state.bfgs[i]
+                          for i in idx])
+            if x_prev is not None:
+                B = bfgs_update(B, x - xp, y, damped=(opts.hessian == "dbfgs"))
+            for i, B_i in zip(idx, B):
+                state.bfgs[i] = B_i
+            H_raw = H = B
+        # lanes agreeing in the numbers of active and coupling rows share a
+        # pack; its key v holds both, v = n_act * width + |C(i)|
+        width = problem.n_c + 1
+        key = on.sum(axis=-1) * width + [rows[i].size for i in idx]
+        for v in sorted(set(key.tolist())):
+            sel = np.flatnonzero(key == v)
+            if sel.size == k:
+                sel = slice(None)  # the whole group: views, not copies
+            blocks = np.asarray(idx)[sel]
+            act = np.nonzero(on[sel])[1].reshape(blocks.size, v // width)
+            A = np.array([compact[i] for i in blocks])
+            packs.append(SensitivityPack(
+                grad=grad[sel], hess_raw=H_raw[sel],
+                hess=None if H is None else H[sel], active=act,
+                jac_active=active_rows(Jg[sel], Jh[sel], act), blocks=blocks,
+                rows=np.array([rows[i] for i in blocks]), A=A,
+                coupling=mv(A, x[sel]),
+            ))
+    if errors:
+        raise errors[min(errors)]
+    return packs
 
 
-def _coordinate(problem, opts, state, packs, xs, rows, topology):
+def _reduce(opts, full, H, grad, C, A, rows):
+    """Nullspace basis and reduced block of some lanes, B factored."""
+    Z = nullspace_basis(C)
+    red = reduce_block(H, grad, A, Z, opts.reg_param, reg=opts.reg and not full,
+                       rows=rows)
+    red.solved  # factor B here, so a singular one names its block
+    return Z, red
+
+
+def _coordinate(problem, opts, state, packs, topology):
     """Run the configured coordination path.
 
     Every variant reduces each block onto the nullspace of its active rows
-    and solves the Schur dual system on the coupling rows ``rows[i]`` =
-    C(i): fullspace projects the regularized Hessian and leaves the
+    and solves the Schur dual system on its coupling rows C(i), one call per
+    pack: fullspace projects the regularized Hessian and leaves the
     projection as it is, nullspace and bilevel regularize the projected raw
     Hessian; bilevel solves the dual system on the agents' ``topology``.
-    A block's LICQ or singular-Hessian failure names the block.  Returns
-    (result, inner message log or None, inner wall time).
+    The lowest block with a LICQ or singular-Hessian failure is named.
+    Returns (result, inner message log or None, inner wall time).
     """
-    A_list = [s.A for s in problem.subproblems]
     b = problem.b
     full = opts.variant == "fullspace"
-    Zs, reduced = [], []
-    for i, pk in enumerate(packs):
+    Zs, reduced, failed = [], [], []
+    for pk in packs:
+        args = (pk.hess if full else pk.hess_raw, pk.grad, pk.jac_active, pk.A, pk.rows)
         try:
-            Z = nullspace_basis(pk.jac_active)
-            red = reduce_block(
-                pk.hess if full else pk.hess_raw, pk.grad, A_list[i], Z,
-                opts.reg_param, reg=opts.reg and not full, rows=rows[i],
-            )
-            red.solved  # factor B_i here, so a singular one names its block
-        except SolverError as err:
-            raise type(err)(f"block {i}: {err}") from err
+            Z, red = _reduce(opts, full, *args)
+        except (SolverError, np.linalg.LinAlgError):
+            # find the pack's lowest failing block, lane by lane
+            for j, i in enumerate(pk.blocks.tolist()):
+                try:
+                    _reduce(opts, full, *(a[j] for a in args))
+                except (SolverError, np.linalg.LinAlgError) as err:
+                    failed.append((i, err))
+                    break
+            else:
+                raise
+            continue
         Zs.append(Z)
         reduced.append(red)
-    couplings = [A_list[i][rows[i]] @ xs[i] for i in range(problem.n_s)]
+    if failed:
+        i, err = min(failed, key=lambda f: f[0])
+        if isinstance(err, SolverError):
+            raise type(err)(f"block {i}: {err}") from err
+        raise err
+    blocks = [pk.blocks for pk in packs]
+    couplings = [pk.coupling for pk in packs]
     delta = state.scaling.delta
     if opts.variant != "bilevel":
-        res = solve_coordination_reduced(reduced, couplings, state.lam, delta, b, Zs=Zs)
+        res = solve_coordination_reduced(
+            reduced, couplings, state.lam, delta, b, Zs=Zs, blocks=blocks
+        )
         return res, None, 0.0
     # bilevel: decentralized solve of the Schur dual system
-    S_blocks, s_blocks = zip(*(
-        schur_contribution(red, coupling=cpl)
-        for red, cpl in zip(reduced, couplings)
-    ))
+    terms = [
+        schur_contribution(red, coupling=cpl) for red, cpl in zip(reduced, couplings)
+    ]
+    S_blocks = per_block([S for S, _ in terms], blocks)
+    s_blocks = per_block([s for _, s in terms], blocks)
     lam0 = warm_start(
         state.prev_lam_qp if opts.warm_start else None, problem.n_c
     )
@@ -333,7 +420,7 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
             rho=opts.rho_admm, n_iter=opts.inner_iter,
         )
     t_inner = time.perf_counter() - t0
-    res = reduced_result(reduced, lam_qp, state.lam, delta, Zs)
+    res = reduced_result(reduced, lam_qp, state.lam, delta, Zs, blocks)
     return res, mlog, t_inner
 
 
@@ -380,7 +467,7 @@ def _solve_locals(problem, groups, state, tol):
     return sols
 
 
-def _outer_loop(problem, opts, state, step, label, t_start):
+def _outer_loop(problem, opts, state, groups, step, label, t_start):
     """Run the shared loop and return its Solution.
 
     ``step(xs, viol, prev_viol, timings)`` is the coordination: it updates
@@ -389,9 +476,9 @@ def _outer_loop(problem, opts, state, step, label, t_start):
     IterationRecord fields (``qp_step`` and ``comms_floats`` at least).
     ``prev_viol`` is None on the first iteration.  A step may return None
     for the active sets; the loop then detects them for the log.  Progress
-    lines print ``qp_step`` under ``label``.
+    lines print ``qp_step`` under ``label``.  ``groups`` are the blocks'
+    lockstep groups.
     """
-    groups = group_blocks(problem.subproblems)
     timers = {
         "setup": time.perf_counter() - t_start,
         **dict.fromkeys(LAYERS, 0.0),
@@ -494,34 +581,34 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     """Solve a separable problem by alternating local NLPs with a consensus QP.
 
     The step of the shared outer loop: gradients, active sets, and positive
-    definite Hessian models are assembled per block; the coordination QP
+    definite Hessian models are assembled per lockstep group; the coordination QP
     runs in the configured variant; z and lam take the (damped) full step;
     the scaling heuristics update.
     """
     opts, state, t_start = _start(problem, opts, z0, lam0)
-    # each block's coupling rows C(i), fixed for the run
+    groups = group_blocks(problem.subproblems)
+    # each block's coupling rows C(i) and compact A_i[C(i)], fixed for the run
     rows = [coupling_rows(s.A) for s in problem.subproblems]
+    coupling = (rows, [s.A[r] for s, r in zip(problem.subproblems, rows)])
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )
 
     def step(xs, viol_vec, prev_viol_vec, timings):
         t0 = time.perf_counter()
-        packs = [
-            _sensitivity_pack(problem, opts, state, i, state.prev_x)
-            for i in range(problem.n_s)
-        ]
+        packs = _sensitivity_pack(problem, opts, state, groups, coupling, state.prev_x)
         timings["sensitivity"] = time.perf_counter() - t0
+        blocks = [pk.blocks for pk in packs]
         bfgs_min_eig = (
-            [float(np.linalg.eigvalsh(pk.hess).min()) for pk in packs]
+            [float(v) for v in per_block(
+                [np.linalg.eigvalsh(pk.hess).min(axis=-1) for pk in packs], blocks
+            )]
             if opts.hessian != "exact"
             else None
         )
 
         t0 = time.perf_counter()
-        result, mlog, t_inner = _coordinate(
-            problem, opts, state, packs, xs, rows, topology
-        )
+        result, mlog, t_inner = _coordinate(problem, opts, state, packs, topology)
         timings["qp"] = time.perf_counter() - t0
         timings["inner"] = t_inner
 
@@ -542,14 +629,15 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
             state.scaling = update_delta_by_violation(
                 state.scaling, viol_vec, prev_viol_vec, opts
             )
-        return [pk.active.indices for pk in packs], {
+        acts = per_block([pk.active for pk in packs], blocks)
+        return [tuple(a.tolist()) for a in acts], {
             "qp_step": qp_step,
             "comms_floats": mlog.total_floats() if mlog is not None else 0,
             "inner_residual": mlog.residual if mlog is not None else None,
             "bfgs_min_eig": bfgs_min_eig,
         }
 
-    return _outer_loop(problem, opts, state, step, "qp", t_start)
+    return _outer_loop(problem, opts, state, groups, step, "qp", t_start)
 
 
 def run_admm(problem, opts=None, z0=None, lam0=None):
@@ -596,4 +684,6 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
         timings["qp"] = time.perf_counter() - t0
         return None, {"qp_step": qp_step, "comms_floats": 0}
 
-    return _outer_loop(problem, opts, state, step, "z-step", t_start)
+    return _outer_loop(
+        problem, opts, state, group_blocks(subs), step, "z-step", t_start
+    )

@@ -370,7 +370,10 @@ class _Tape:
         out = self.base.copy()
         if not self.out_reg:
             return out
+        # Python floats, as the constants are: arithmetic on them overflows
+        # to inf without a numpy warning, and errors print them plainly
         reg = self.init.copy()
+        x, p = x.tolist(), p.tolist()
         for r, i in self.x_loads:
             reg[r] = x[i]
         for r, i in self.p_loads:

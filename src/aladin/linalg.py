@@ -2,7 +2,8 @@
 
 One internal routine backs every KKT solve in the library.  The factorization
 is LAPACK's sytrf; solves get a single step of iterative refinement and a
-residual check.
+residual check.  ``mv`` is the matrix-vector product over leading lane axes
+that the lockstep layers share.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from scipy.linalg import lapack
 
 from .errors import SingularKktError
 
-__all__ = ["LdlFactor", "sym_solve"]
+__all__ = ["LdlFactor", "mv", "sym_solve"]
 
 
 class LdlFactor:
@@ -95,6 +96,14 @@ class LdlFactor:
                         nzero += 1
                 k += 2
         return npos, nneg, nzero
+
+
+def mv(M, v):
+    """M @ v over any leading lane axes, one BLAS call per lane.
+
+    Each lane's product is bit for bit the 2-D ``M[i] @ v[i]``.
+    """
+    return (M @ v[..., None])[..., 0]
 
 
 def sym_solve(K, rhs):

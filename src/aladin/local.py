@@ -49,7 +49,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import SingularKktError, SolverError
-from .linalg import LdlFactor
+from .linalg import LdlFactor, mv
 
 __all__ = ["BlockGroup", "LocalSolution", "group_blocks", "solve_group", "solve_local"]
 
@@ -133,6 +133,49 @@ class BlockGroup:
     def __len__(self):
         return len(self.subs)
 
+    def runner(self, x, p, lanes, errors):
+        """run(position, rows=None): one root set's results, lanes first.
+
+        The lanes are the group's blocks ``lanes`` at the rows of ``x`` and
+        ``p``; given ``rows``, only those rows run.  Each lane's
+        DomainEvalError goes into ``errors`` under its row, an earlier error
+        of the row being kept.
+        """
+        tapes = self.lane
+
+        def run(i, rows=None):
+            if rows is None:
+                return tapes[i].run(x, p, lanes, errors)
+            errs = {}
+            out = tapes[i].run(x[rows], p[rows], lanes[rows], errs)
+            for r, err in errs.items():
+                errors.setdefault(rows[r], err)
+            return out
+
+        return run
+
+    def hessian(self, run, kappa, gamma):
+        """Hessian of the Lagrangian f + kappa.g + gamma.h per lane of ``run``.
+
+        As ``lagrangian_hessian``: the rows' terms follow f's in row order,
+        and a term is added only on the lanes whose multiplier is nonzero (a
+        masked add, never a multiply by 0).
+        """
+        k, n = len(kappa), self.n
+        H = (
+            run(_HESS_F).reshape(k, n, n)
+            if self.lane[_HESS_F] is not None else np.zeros((k, n, n))
+        )
+        for which, j, i in self.rows:
+            mult = (kappa, gamma)[which][:, j]
+            on = mult != 0.0
+            if on.all():
+                H += mult[:, None, None] * run(i).reshape(k, n, n)
+            elif on.any():
+                rows = np.flatnonzero(on)
+                H[rows] += mult[rows, None, None] * run(i, rows).reshape(-1, n, n)
+        return H
+
     @property
     def may_act(self):
         """Whether any inequality or bound row of these blocks exists."""
@@ -187,21 +230,7 @@ class _Work:
         return new
 
     def _runner(self, x, errors):
-        """run(position, rows=None): one root set's results at x, lanes first,
-        or at the given rows only; each lane's DomainEvalError goes into
-        ``errors`` under its row, an earlier error of the row being kept."""
-        tapes, lanes, p = self.group.lane, self.lanes, self.p
-
-        def run(i, rows=None):
-            if rows is None:
-                return tapes[i].run(x, p, lanes, errors)
-            errs = {}
-            out = tapes[i].run(x[rows], p[rows], lanes[rows], errs)
-            for r, err in errs.items():
-                errors.setdefault(rows[r], err)
-            return out
-
-        return run
+        return self.group.runner(x, self.p, self.lanes, errors)
 
     def eval_point(self, x, errors):
         """(g, h, grad f, Jg, Jh) at x, lanes first.
@@ -220,32 +249,8 @@ class _Work:
         return g, h, grad_f, Jg, Jh
 
     def hess(self, x, kappa, gamma, errors):
-        """Hessian of the proximal Lagrangian per lane; errors as eval_point.
-
-        As ``lagrangian_hessian``: the rows' terms follow f's in row order,
-        and a term is added only on the lanes whose multiplier is nonzero (a
-        masked add, never a multiply by 0).
-        """
-        k, n = self.lanes.size, self.n
-        run = self._runner(x, errors)
-        H = (
-            run(_HESS_F).reshape(k, n, n)
-            if self.group.lane[_HESS_F] is not None else np.zeros((k, n, n))
-        )
-        for which, j, i in self.group.rows:
-            mult = (kappa, gamma)[which][:, j]
-            on = mult != 0.0
-            if on.all():
-                H += mult[:, None, None] * run(i).reshape(k, n, n)
-            elif on.any():
-                rows = np.flatnonzero(on)
-                H[rows] += mult[rows, None, None] * run(i, rows).reshape(-1, n, n)
-        return H + self.Sigma2
-
-
-def _mv(M, v):
-    """M @ v over any leading lane axes, one BLAS call per lane."""
-    return (M @ v[..., None])[..., 0]
+        """Hessian of the proximal Lagrangian per lane; errors as eval_point."""
+        return self.group.hessian(self._runner(x, errors), kappa, gamma) + self.Sigma2
 
 
 def _first_max(parts):
@@ -281,11 +286,11 @@ class _Point:
         self.x, self.s, self.kappa, self.gamma = x, s, kappa, gamma
         self.etaL, self.etaU = etaL, etaU
         self.r_g, self.h, self.Jg, self.Jh = g, h, Jg, Jh
-        r_x = grad_f + w.Alam + 2.0 * _mv(w.Sigma, x - w.z)
+        r_x = grad_f + w.Alam + 2.0 * mv(w.Sigma, x - w.z)
         if w.n_g:
-            r_x = r_x + _mv(Jg.swapaxes(-1, -2), kappa)
+            r_x = r_x + mv(Jg.swapaxes(-1, -2), kappa)
         if w.n_h:
-            r_x = r_x + _mv(Jh.swapaxes(-1, -2), gamma)
+            r_x = r_x + mv(Jh.swapaxes(-1, -2), gamma)
         self.r_x = r_x - etaL + etaU
         # without h or bounds the empty parts are the empty inputs
         self.r_h = h + s if w.n_h else h
@@ -620,7 +625,7 @@ def _lockstep(w, warm, tol):
             r_cs = pt.cs - mu_c
             JhT = pt.Jh.swapaxes(-1, -2)
             W = W + JhT @ ((pt.gamma / pt.s)[..., None] * pt.Jh)
-            rhs_x = rhs_x - _mv(JhT, (pt.gamma * pt.r_h - r_cs) / pt.s)
+            rhs_x = rhs_x - mv(JhT, (pt.gamma * pt.r_h - r_cs) / pt.s)
         rhs_g = -pt.r_g
         dx = np.empty((M, n))
         dkappa = np.empty((M, n_g))
@@ -648,7 +653,7 @@ def _lockstep(w, warm, tol):
         x, s, kappa, gamma, etaL, etaU = pt.x, pt.s, pt.kappa, pt.gamma, pt.etaL, pt.etaU
         primal, dual = [], []
         if n_h:
-            ds = -pt.r_h - _mv(pt.Jh, dx)
+            ds = -pt.r_h - mv(pt.Jh, dx)
             dgamma = (-r_cs - gamma * ds) / s
             primal.append((s, ds))
             dual.append((gamma, dgamma))

@@ -1,10 +1,15 @@
-"""Per-block sensitivities for the coordination step.
+"""Sensitivities for the coordination step, on lanes-first stacks of blocks.
 
 Covers active-set detection over the combined inequality vector
 ``h~ = (h, lb - x, x - ub)``, active-constraint Jacobians, eigenvalue-flip
 regularization, (damped) BFGS updates, nullspace bases, and the reduced /
 Schur-complement quantities the coordination's dual system is built from.
-All operations are pure per-block computations.
+
+The matrix functions take any leading lane axes, so blocks whose arrays
+agree in shape run through one call; a 2-D argument is the same code on zero
+lane axes.  They use only stacked ``matmul``, ``linalg.solve``, ``eigh`` and
+``svd``, which give each lane bit for bit its 2-D result.  A failing stacked
+call raises one failing lane's error.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ import numpy as np
 
 from . import expr as ex
 from .errors import LicqError, SingularKktError
+from .linalg import mv
 
 __all__ = [
     "ActiveSet",
     "SensitivityPack",
     "ReducedBlock",
+    "active_mask",
+    "active_rows",
     "detect_active",
     "active_jacobian",
     "regularize",
@@ -29,7 +37,6 @@ __all__ = [
     "coupling_rows",
     "reduce_block",
     "schur_contribution",
-    "lagrangian_like_gradient",
 ]
 
 
@@ -49,7 +56,7 @@ class ActiveSet:
 
 @dataclass(frozen=True)
 class ReducedBlock:
-    """Projected quantities for one block, on its own coupling rows.
+    """Projected quantities for one block or a stack of them, lanes first.
 
     ``B = Z'HZ`` (regularized) and ``g = Z'g`` live in the block's reduced
     coordinates; ``A = A_i[rows] Z`` is the coupling matrix restricted to
@@ -69,45 +76,52 @@ class ReducedBlock:
         """(B^-1 A', B^-1 g), from one solve of B against [A', g].
 
         The Schur term and the step recovery both use them, so B is
-        factored once per block and outer iteration.  Raises
-        SingularKktError when B is singular.
+        factored once per block and outer iteration, a stack in one call.
+        Raises SingularKktError when a B is singular.
         """
-        m = self.A.shape[0]
-        if not self.B.size:
-            return np.zeros((0, m)), np.zeros(0)
+        *lead, m, nz = self.A.shape
+        if not nz:
+            return np.zeros((*lead, 0, m)), np.zeros((*lead, 0))
+        rhs = np.concatenate([self.A.swapaxes(-1, -2), self.g[..., None]], axis=-1)
         try:
-            X = np.linalg.solve(self.B, np.column_stack([self.A.T, self.g]))
+            X = np.linalg.solve(self.B, rhs)
         except np.linalg.LinAlgError as err:
-            raise SingularKktError(
-                f"reduced Hessian ({self.B.shape[0]}x{self.B.shape[0]}) is singular"
-            ) from err
-        return X[:, :m], X[:, m]
+            raise SingularKktError(f"reduced Hessian ({nz}x{nz}) is singular") from err
+        return X[..., :m], X[..., m]
 
 
 @dataclass
 class SensitivityPack:
-    """Everything one block contributes to the coordination QP.
+    """Everything some blocks contribute to the coordination QP, lanes first.
 
-    ``hess_raw`` is the (possibly indefinite) Lagrangian Hessian or BFGS
-    matrix before processing; ``hess`` is the matrix the full-space variant
-    projects, regularized unless ``reg`` is off.  With the exact Hessian
-    only the full-space variant fills ``hess``; the nullspace and bilevel
-    variants leave it None, since ``reduce_block`` regularizes their
-    projected Hessian instead.  BFGS modes always set it to the BFGS matrix.
+    ``blocks`` holds each lane's block.  ``hess_raw`` is the (possibly
+    indefinite) Lagrangian Hessian or BFGS matrix before processing;
+    ``hess`` is the matrix the full-space variant projects, regularized
+    unless ``reg`` is off.  With the exact Hessian only the full-space
+    variant fills ``hess``; the nullspace and bilevel variants leave it
+    None, since ``reduce_block`` regularizes their projected Hessian
+    instead.  BFGS modes always set it to the BFGS matrix.  ``active``
+    indexes the active rows of h~; ``rows`` are the coupling rows C(i),
+    ``A`` is A_i[C(i)] and ``coupling`` is A_i x_i on them.
     """
 
     grad: np.ndarray
     hess_raw: np.ndarray
     hess: np.ndarray | None
-    active: ActiveSet
+    active: np.ndarray | ActiveSet
     jac_active: np.ndarray
+    blocks: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    A: np.ndarray | None = None
+    coupling: np.ndarray | None = None
 
 
-def combined_inequalities(sub, x, p=None):
-    """Values of h~ = (h, lb - x, x - ub); infinite bounds give -inf rows."""
-    p = sub.p0 if p is None else p
-    hv = ex.evaluate(sub.h, x, p)
-    return np.concatenate([hv, sub.lb - x, x - sub.ub])
+def active_mask(h, x, lb, ub, tau):
+    """Which rows of h~ = (h, lb - x, x - ub) exceed -tau, over any lane axes.
+
+    Infinite bounds give -inf rows, which are never active.
+    """
+    return np.concatenate([h, lb - x, x - ub], axis=-1) > -tau
 
 
 def detect_active(sub, x, p, tau):
@@ -120,9 +134,27 @@ def detect_active(sub, x, p, tau):
         raise ValueError("active-set margin must be positive")
     if sub.n_h == 0 and not (np.isfinite(sub.lb).any() or np.isfinite(sub.ub).any()):
         return ActiveSet((), 0, sub.n_x)
-    vals = combined_inequalities(sub, x, p)
-    idx = tuple(int(j) for j in np.flatnonzero(vals > -tau))
-    return ActiveSet(idx, sub.n_h, sub.n_x)
+    p = sub.p0 if p is None else p
+    on = active_mask(ex.evaluate(sub.h, x, p), x, sub.lb, sub.ub, tau)
+    return ActiveSet(tuple(np.flatnonzero(on).tolist()), sub.n_h, sub.n_x)
+
+
+def active_rows(Jg, Jh, active):
+    """[Jg; the rows ``active`` of (Jh; -I; I)], over any leading lane axes.
+
+    ``active`` indexes h~ in ascending order (Jh is not read without it);
+    -e_k is an active lower bound on x_k, +e_k an active upper bound.
+    """
+    if not active.shape[-1]:
+        return Jg
+    eye = np.eye(Jg.shape[-1])
+    # 0.0 - I rather than -I: the zeros of a box row stay +0.0
+    unit = np.concatenate([0.0 - eye, eye])
+    ineq = np.concatenate(
+        [Jh, np.broadcast_to(unit, Jh.shape[:-2] + unit.shape)], axis=-2
+    )
+    lanes = np.indices(active.shape, sparse=True)[:-1]
+    return np.concatenate([Jg, ineq[(*lanes, active)]], axis=-2)
 
 
 def active_jacobian(sub, x, p, act):
@@ -132,39 +164,27 @@ def active_jacobian(sub, x, p, act):
     +e_k for an active upper bound.
     """
     p = sub.p0 if p is None else p
-    n = sub.n_x
-    rows = [ex.jacobian(sub.g, x, p)]
-    if act.indices:
-        Jh = ex.jacobian(sub.h, x, p)
-        for j in act.indices:
-            if j < act.n_h:
-                rows.append(Jh[j: j + 1])
-            elif j < act.n_h + n:
-                e = np.zeros((1, n))
-                e[0, j - act.n_h] = -1.0
-                rows.append(e)
-            else:
-                e = np.zeros((1, n))
-                e[0, j - act.n_h - n] = 1.0
-                rows.append(e)
-    return np.vstack(rows) if rows else np.zeros((0, n))
+    Jg = ex.jacobian(sub.g, x, p)
+    active = np.array(act.indices, dtype=np.intp)
+    return active_rows(Jg, ex.jacobian(sub.h, x, p) if active.size else None, active)
 
 
 def regularize(H, delta):
     """Flip negative eigenvalues, floor small ones at delta.
 
     Eigenvalue rule: |w| if w < -delta, delta if |w| < delta, else w.
-    The result is symmetric with minimum eigenvalue >= delta.
+    The result is symmetric with minimum eigenvalue >= delta.  Any leading
+    axes are lanes.
     """
     if delta <= 0:
         raise ValueError("regularization floor must be positive")
     H = np.asarray(H, dtype=float)
     if H.size == 0:
         return H.copy()
-    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    w, V = np.linalg.eigh(0.5 * (H + H.swapaxes(-1, -2)))
     w_mod = np.where(w < -delta, np.abs(w), np.where(np.abs(w) < delta, delta, w))
-    out = (V * w_mod) @ V.T
-    return 0.5 * (out + out.T)
+    out = (V * w_mod[..., None, :]) @ V.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def bfgs_update(B, s, y, damped=False):
@@ -173,48 +193,63 @@ def bfgs_update(B, s, y, damped=False):
     Plain mode skips the update when s'y <= 1e-12 ||s|| ||y|| (result may
     otherwise lose definiteness); damped mode applies Powell's correction
     with threshold 0.2 and mixing weight theta = 0.8 s'Bs / (s'Bs - s'y),
-    which keeps the result SPD unconditionally.
+    which keeps the result SPD unconditionally.  Any leading axes are lanes.
     """
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if s.size != y.size:
+    if s.shape != y.shape:
         raise ValueError("step and gradient difference must have equal length")
-    sn = np.linalg.norm(s)
-    if sn == 0.0:
-        return B.copy()
-    Bs = B @ s
-    sBs = float(s @ Bs)
-    sy = float(s @ y)
+    sn = np.sqrt(_dot(s, s))
+    Bs = mv(B, s)
+    sBs = _dot(s, Bs)
+    sy = _dot(s, y)
     if damped:
-        if sy < 0.2 * sBs:
-            theta = 0.8 * sBs / (sBs - sy)
-            y = theta * y + (1.0 - theta) * Bs
-            sy = float(s @ y)
-    elif sy <= 1e-12 * sn * np.linalg.norm(y):
-        return B.copy()
-    out = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-    return 0.5 * (out + out.T)
+        mix = (sn != 0.0) & (sy < 0.2 * sBs)
+        theta = (0.8 * sBs[mix] / (sBs[mix] - sy[mix]))[:, None]
+        y = y.copy()
+        y[mix] = theta * y[mix] + (1.0 - theta) * Bs[mix]
+        sy = _dot(s, y)
+        keep = sn == 0.0
+    else:
+        keep = (sn == 0.0) | (sy <= 1e-12 * sn * np.sqrt(_dot(y, y)))
+    out = B.copy()
+    up = ~keep
+    Bs, y = Bs[up], y[up]
+    new = (
+        B[up] - Bs[:, :, None] * Bs[:, None, :] / sBs[up][:, None, None]
+        + y[:, :, None] * y[:, None, :] / sy[up][:, None, None]
+    )
+    out[up] = 0.5 * (new + new.swapaxes(-1, -2))
+    return out
+
+
+def _dot(u, v):
+    """u . v per lane, as the BLAS dot of each lane's 1-D vectors."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def nullspace_basis(C):
     """Orthonormal basis of null(C) via SVD; identity for a 0-row C.
 
-    Raises LicqError when C is rank deficient (the active constraint
-    gradients are linearly dependent).
+    Any leading axes of C are lanes, one basis each.  Raises LicqError when
+    a C is rank deficient (the active constraint gradients are linearly
+    dependent).
     """
     C = np.asarray(C, dtype=float)
-    m, n = C.shape
+    *lead, m, n = C.shape
     if m == 0:
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), (*lead, n, n))
     U, sv, Vt = np.linalg.svd(C)
-    tol = max(m, n) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    if rank < m:
+    top = sv[..., 0] if n else np.zeros(lead)
+    rank = np.sum(sv > max(m, n) * np.finfo(float).eps * top[..., None], axis=-1)
+    short = rank < m
+    if short.any():
         raise LicqError(
-            f"active constraint Jacobian is rank deficient (rank {rank} of {m} rows)"
+            "active constraint Jacobian is rank deficient "
+            f"(rank {rank[short].flat[0]} of {m} rows)"
         )
-    return Vt[m:].T
+    return Vt[..., m:, :].swapaxes(-1, -2)
 
 
 def coupling_rows(A):
@@ -225,35 +260,24 @@ def coupling_rows(A):
 def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
     """Project onto the active-constraint nullspace and re-regularize.
 
-    ``A`` is the block's full coupling matrix (one row per consensus row)
-    and ``rows`` its coupling rows C(i) = ``coupling_rows(A)``, computed
-    here when not given (the outer loop computes them once per run).
-    Returns ReducedBlock(Z' H Z, Z' g, A[rows] Z, rows), with Z' H Z
-    regularized when ``reg`` is set.  The nullspace and bilevel variants
-    pass the raw Hessian with ``reg`` from the options; the full-space
-    variant passes its already regularized Hessian with ``reg=False``.
+    ``A`` is the block's full coupling matrix A_i or, on any leading lane
+    axes, the compact A_i[rows]; ``rows`` are its coupling rows C(i) =
+    ``coupling_rows(A)``, computed here when not given.  Returns
+    ReducedBlock(Z' H Z, Z' g, A[rows] Z, rows), with Z' H Z regularized
+    when ``reg`` is set.  The nullspace and bilevel variants pass the raw
+    Hessian with ``reg`` from the options; the full-space variant passes its
+    already regularized Hessian with ``reg=False``.
     """
     A = np.asarray(A, dtype=float)
     if rows is None:
         rows = coupling_rows(A)
-    B = Z.T @ hess_raw @ Z
+    if A.shape[-2] != rows.shape[-1]:
+        A = A[rows]
+    Zt = Z.swapaxes(-1, -2)
+    B = Zt @ hess_raw @ Z
     if reg:
         B = regularize(B, delta)
-    return ReducedBlock(B=B, g=Z.T @ grad, A=A[rows] @ Z, rows=rows)
-
-
-def lagrangian_like_gradient(sub, x, p, kappa, gamma):
-    """Gradient of f + kappa.g + gamma.h at x (curvature probe for BFGS).
-
-    Box terms drop out of curvature differences (their gradient is constant)
-    and are omitted.
-    """
-    r = ex.gradient(sub.f, x, p)
-    if sub.n_g:
-        r = r + ex.jacobian(sub.g, x, p).T @ kappa
-    if sub.n_h:
-        r = r + ex.jacobian(sub.h, x, p).T @ gamma
-    return r
+    return ReducedBlock(B=B, g=mv(Zt, grad), A=A @ Z, rows=rows)
 
 
 def schur_contribution(red, coupling):
@@ -265,20 +289,20 @@ def schur_contribution(red, coupling):
     taken from the local iterate, which need not lie in the span of Z.
     Rows of red.A that vanish (a coupled variable fixed by an active
     constraint) yield exactly zero rows and columns of S; their entries of s
-    still carry the coupling value.
+    still carry the coupling value.  Any leading axes are lanes.
     """
     A = red.A
-    m = A.shape[0]
+    m = A.shape[-2]
     base = np.asarray(coupling, dtype=float)
-    if base.shape != (m,):
+    if base.shape != A.shape[:-1]:
         raise ValueError(f"coupling value must have length {m}")
     BinvA, Binvg = red.solved
     S = A @ BinvA
-    S = 0.5 * (S + S.T)
-    s_vec = base - A @ Binvg
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    s_vec = base - mv(A, Binvg)
     # enforce the structural sparsity exactly: rows of A that are zero give
     # zero rows/columns regardless of roundoff
-    zero_rows = ~np.any(A != 0.0, axis=1)
-    S[zero_rows, :] = 0.0
-    S[:, zero_rows] = 0.0
+    zero = ~np.any(A != 0.0, axis=-1)
+    if zero.any():
+        S[zero[..., :, None] | zero[..., None, :]] = 0.0
     return S, s_vec

@@ -4,7 +4,8 @@ The reference below is the full-space coordination as it stood before the
 variant moved onto the reduced path: the dense solver
 ``solve_coordination_full`` and the full-space branch of
 ``driver._coordinate``, both verbatim except that the result no longer
-carries the KKT residual (the field is gone).  It is swapped in for
+carries the KKT residual (the field is gone) and that the branch unstacks
+the per-group sensitivity packs it is now handed.  It is swapped in for
 ``driver._coordinate`` with ``monkeypatch``; everything else in the run is
 shared.  Per outer iteration, z, x and lam must agree to 1e-12 relative,
 and both runs must take the same iterations, termination, message and
@@ -21,6 +22,7 @@ from aladin.errors import LicqError, SingularKktError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.linalg import sym_solve
 from aladin.problem import SolverOptions
+from aladin.sensitivity import SensitivityPack
 
 RTOL = 1e-12
 
@@ -70,8 +72,22 @@ def solve_coordination_full(packs, xs, lam, delta, A_list, b):
     return CoordinationResult(dx=dx, s=s, lam_qp=lam_qp)
 
 
-def reference_coordinate(problem, opts, state, packs, xs, rows, topology):
+def unstack(packs):
+    """One single-block pack per block, in block order, from stacked packs."""
+    out = {}
+    for pk in packs:
+        for j, i in enumerate(pk.blocks.tolist()):
+            out[i] = SensitivityPack(
+                grad=pk.grad[j], hess_raw=pk.hess_raw[j], hess=pk.hess[j],
+                active=pk.active[j], jac_active=pk.jac_active[j],
+            )
+    return [out[i] for i in sorted(out)]
+
+
+def reference_coordinate(problem, opts, state, packs, topology):
     """The full-space branch of the old ``driver._coordinate``."""
+    packs = unstack(packs)
+    xs = [sol.x for sol in state.locals]
     A_list = [s.A for s in problem.subproblems]
     b = problem.b
     assert opts.variant == "fullspace"

@@ -59,6 +59,21 @@ class TestEvaluate:
         with pytest.raises(ex.DomainEvalError):
             ex.evaluate(scalar(1 / var(0), 1), [0.0])
 
+    def test_domain_error_prints_a_plain_float(self):
+        for e in (ex.log(var(0)), ex.log(param(0) + var(0))):
+            with pytest.raises(ex.DomainEvalError, match=r"value -1\.0$"):
+                ex.evaluate(scalar(e, 1, 1), [-1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "e", [ex.square(var(0)), var(0) * var(0), var(0) * param(0),
+              var(0) + var(0), var(0) - param(0), ex.exp(var(0))],
+        ids=["square", "mul", "mul-param", "add", "sub", "exp"],
+    )
+    def test_overflow_is_inf_without_a_warning(self, e):
+        # the tests turn every RuntimeWarning into an error
+        x, p = [1.7e308], [-1.7e308]
+        assert np.isinf(ex.evaluate(scalar(e, 1, 1), x, p)[0])
+
 
 class TestGradient:
     def test_chain_rule(self):

@@ -106,8 +106,9 @@ def _walk(roots, x, p, memo):
 
 
 def _args(fun, x, p):
-    x = np.asarray(x, dtype=float)
-    p = np.zeros(fun.n_p) if p is None else np.asarray(p, dtype=float)
+    # Python floats, as the tapes load them
+    x = np.asarray(x, dtype=float).tolist()
+    p = [0.0] * fun.n_p if p is None else np.asarray(p, dtype=float).tolist()
     return x, p
 
 

@@ -1,0 +1,87 @@
+"""Stacked numpy linear algebra equals the 2-D call on every lane, bit for bit.
+
+The lockstep layers run one call over a lanes-first stack of blocks and
+promise each block the result it would get alone.  That holds because the
+stacked ``matmul`` (matrix @ matrix, matrix @ column, row @ column),
+``linalg.solve``, ``eigh``, ``eigvalsh`` and ``svd`` run the same LAPACK or
+BLAS kernel on each lane.  ``einsum`` does not, and is not used.  The shapes
+below are those the sensitivity layer produces: active Jacobians from empty
+(k, 0, n) through 1x2 to 13x27 and 27x14, reduced Hessians up to 27x27, and
+compact coupling matrices.  A numpy or BLAS build where this fails breaks
+the bit-identity of every lockstep trajectory.
+"""
+
+import numpy as np
+import pytest
+
+LANES = 7
+MATRIX_SHAPES = [(0, 4), (1, 2), (2, 2), (3, 3), (5, 5), (13, 27), (27, 14), (27, 27)]
+SQUARE = [1, 2, 3, 5, 14, 27]
+
+
+def same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def lanes_equal(stacked, one_lane, *stacks):
+    """stacked(*stacks) against one_lane on each lane's 2-D slices."""
+    out = stacked(*stacks)
+    outs = out if isinstance(out, tuple) else (out,)
+    for j in range(LANES):
+        want = one_lane(*(a[j] for a in stacks))
+        wants = want if isinstance(want, tuple) else (want,)
+        for o, w in zip(outs, wants):
+            assert same(o[j], np.asarray(w)), j
+
+
+def spd(rng, n):
+    M = rng.standard_normal((LANES, n, n))
+    return M @ M.swapaxes(-1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("m, n", MATRIX_SHAPES, ids=lambda v: str(v))
+def test_matmul(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    A = rng.standard_normal((LANES, m, n))
+    B = rng.standard_normal((LANES, n, 3))
+    v = rng.standard_normal((LANES, n))
+    w = rng.standard_normal((LANES, m))
+    lanes_equal(lambda X, Y: X @ Y, lambda X, Y: X @ Y, A, B)
+    # transposed views on either side, as Z'HZ and A'lam take them
+    lanes_equal(lambda X, Y: X.swapaxes(-1, -2) @ Y, lambda X, Y: X.T @ Y, A, A)
+    lanes_equal(lambda X, Y: X @ Y.swapaxes(-1, -2), lambda X, Y: X @ Y.T, A, A)
+    lanes_equal(lambda X, y: (X @ y[..., None])[..., 0], lambda X, y: X @ y, A, v)
+    lanes_equal(
+        lambda X, y: (X.swapaxes(-1, -2) @ y[..., None])[..., 0], lambda X, y: X.T @ y,
+        A, w,
+    )
+    # u . v and the 2-norm, as bfgs_update takes them
+    lanes_equal(
+        lambda u, y: (u[..., None, :] @ y[..., :, None])[..., 0, 0],
+        lambda u, y: np.float64(u @ y), v, v[::-1],
+    )
+    lanes_equal(
+        lambda u: np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0]),
+        np.linalg.norm, v,
+    )
+
+
+@pytest.mark.parametrize("n", SQUARE)
+def test_solve_eigh_eigvalsh(n):
+    rng = np.random.default_rng(n)
+    H = spd(rng, n)
+    S = rng.standard_normal((LANES, n, n))
+    S = S + S.swapaxes(-1, -2)
+    rhs = rng.standard_normal((LANES, n, 4))
+    lanes_equal(np.linalg.solve, np.linalg.solve, H, rhs)
+    lanes_equal(np.linalg.eigh, np.linalg.eigh, S)
+    lanes_equal(np.linalg.eigvalsh, np.linalg.eigvalsh, S)
+
+
+@pytest.mark.parametrize(
+    "m, n", [s for s in MATRIX_SHAPES if s[0]], ids=lambda v: str(v)
+)
+def test_svd(m, n):
+    rng = np.random.default_rng(7 * m + n)
+    C = rng.standard_normal((LANES, m, n))
+    lanes_equal(np.linalg.svd, np.linalg.svd, C)
