@@ -1,9 +1,11 @@
 """Dense symmetric-indefinite linear algebra (Bunch-Kaufman LDL^T).
 
 One internal routine backs every KKT solve in the library.  The factorization
-is LAPACK's sytrf; solves get a single step of iterative refinement and a
-residual check.  ``mv`` is the matrix-vector product over leading lane axes
-that the lockstep layers share.
+is LAPACK's sytrf.  ``LdlFactor.back_solve`` is one sytrs call, in place;
+``LdlFactor.solve`` adds a single step of iterative refinement, and
+``sym_solve`` also checks the refined residual; the local solver refines
+its lanes' back-solves itself, with one stacked residual.  ``mv`` is the
+matrix-vector product over leading lane axes that the lockstep layers share.
 """
 
 from __future__ import annotations
@@ -37,20 +39,25 @@ class LdlFactor:
             raise SingularKktError(f"illegal argument to sytrf ({info})")
         self._ld, self._piv = ld, piv
 
+    def back_solve(self, b):
+        """Overwrite the float array b with the solution of K x = b, by one
+        sytrs call and without refinement."""
+        if self.n == 0:
+            return
+        x, info = lapack.dsytrs(self._ld, self._piv, b, lower=1, overwrite_b=1)
+        if info != 0:  # only an illegal argument sets it
+            raise SingularKktError(f"sytrs failed ({info})")
+        if x is not b:  # sytrs worked on a copy (b not Fortran-contiguous)
+            b[...] = x
+
     def solve(self, rhs):
         """Solve K x = rhs with one refinement step."""
         rhs = np.asarray(rhs, dtype=float)
-        if self.n == 0:
-            return np.zeros_like(rhs)
-        x, info = lapack.dsytrs(self._ld, self._piv, rhs, lower=1)
-        if info != 0:
-            raise SingularKktError(f"sytrs failed ({info})")
-        x = np.asarray(x).reshape(rhs.shape)
+        x = rhs.copy()
+        self.back_solve(x)
         r = rhs - self.K @ x
-        dx, info = lapack.dsytrs(self._ld, self._piv, r, lower=1)
-        if info == 0:
-            x = x + np.asarray(dx).reshape(rhs.shape)
-        return x
+        self.back_solve(r)
+        return x + r
 
     def inertia(self):
         """(n_pos, n_neg, n_zero) eigenvalue counts from the block-diagonal D."""
@@ -59,8 +66,8 @@ class LdlFactor:
         if self.n == 0:
             return npos, nneg, nzero
         # Python floats: the loop reads every pivot
-        diag = np.diagonal(self._ld).tolist()
-        sub = np.diagonal(self._ld, -1).tolist()
+        diag = self._ld.diagonal().tolist()
+        sub = self._ld.diagonal(-1).tolist()
         piv = self._piv.tolist()
         while k < self.n:
             if piv[k] > 0:

@@ -23,9 +23,12 @@ keeps its own decisions (warm check, interior projection, barrier
 parameter, stall watch, step lengths, backtracking, domain errors) and
 leaves the loop when it converges, stalls, fails or runs out of Newton
 steps; the lanes still iterating are then compacted, so a lane costs nothing
-once it has left.  The KKT step is solved lane by lane.  A lane's result is
-bit for bit that of solving its block alone, and ``solve_local`` is that: a
-group of one.
+once it has left.  Each Newton step's condensed KKT system, its right-hand
+side, the refinement residual and the finite test are stacked over the
+lanes; only the LDL^T factorization, its inertia test and the two
+back-solves run lane by lane, and the inertia-correction attempts rerun only
+the lanes that failed.  A lane's result is bit for bit that of solving its
+block alone, and ``solve_local`` is that: a group of one.
 
 Each point is evaluated and reduced to its residual parts once: the
 stationarity, equality and slacked-inequality residuals r_x, r_g, r_h and the
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import SingularKktError, SolverError
+from .errors import SingularKktError
 from .linalg import LdlFactor, mv
 
 __all__ = ["BlockGroup", "LocalSolution", "group_blocks", "solve_group", "solve_local"]
@@ -57,6 +60,7 @@ _FLOAT_MAX = np.finfo(float).max
 FTB = 0.995           # fraction-to-boundary
 BARRIER_FACTOR = 0.2  # monotone mu reduction
 MAX_NEWTON = 100
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass
@@ -382,36 +386,109 @@ def _max_steps(parts):
     return np.fmin(np.minimum.reduceat(ratio, starts, axis=-1), 1.0)
 
 
-def _solve_newton(W, Jg, rhs_x, rhs_g):
-    """Condensed KKT solve with primal (and, late, dual) inertia correction."""
-    n, m = W.shape[0], Jg.shape[0]
-    rhs = np.concatenate([rhs_x, rhs_g])
-    zeta = 0.0
+def _attempt(K, x, n):
+    """One try at a lane's KKT matrix K: its LDL^T factor, with x, which
+    holds the right-hand side, overwritten by the first back-solve; or None
+    when K fails to factor with inertia (n, m, 0)."""
+    try:
+        fac = LdlFactor(K)
+        if fac.inertia() == (n, len(K) - n, 0):
+            fac.back_solve(x)
+            return fac
+    except SingularKktError:
+        pass
+    return None
+
+
+def _solve_newton(K, x, n):
+    """A lane's Newton step, per lane: the ``_attempt`` on its uncorrected K.
+
+    Runs once per lane and step; the correction rounds call ``_attempt``.
+    """
+    return _attempt(K, x, n)
+
+
+def _refine(facs, K, rhs, X):
+    """Finish per-lane attempts on the lanes of the stacks K, rhs.
+
+    ``facs`` holds each lane's factor, or None where its attempt failed, and
+    X its first back-solve.  Every lane with a factor takes one step of
+    iterative refinement in X, its residual formed for all of them at once,
+    and is accepted when its refined solution is finite.  Returns the
+    positions of the lanes not accepted, whose rows of X are not meaningful.
+    """
+    if None in facs or not facs:
+        bad = np.ones(len(facs), dtype=bool)
+        rows = np.array([j for j, f in enumerate(facs) if f is not None], dtype=np.intp)
+        if rows.size:
+            Xr = X[rows]
+            worse = _refine([facs[j] for j in rows], K[rows], rhs[rows], Xr)
+            X[rows] = Xr
+            bad[rows] = False
+            bad[rows[worse]] = True
+        return np.flatnonzero(bad)
+    R = rhs - mv(K, X)
+    for fac, r in zip(facs, R):
+        fac.back_solve(r)
+    X += R
+    fin = np.isfinite(X)
+    return _NO_ROWS if fin.all() else np.flatnonzero(~fin.all(axis=-1))
+
+
+def _newton_step(W, Jg, rhs_x, rhs_g, failed):
+    """(dx, dkappa) of the condensed KKT system of every lane not in ``failed``.
+
+    K = [W, Jg'; Jg, 0] and its right-hand side are built for all lanes at
+    once, as are the refinement residual and the finite test (``_refine``);
+    only the factorization, its inertia test and the two back-solves run
+    lane by lane.  A lane that fails is corrected as in IPOPT: W + zeta I,
+    zeta growing 100-fold per attempt, and from the eighth attempt on a
+    -zeta_d I block as well.  Only the failing lanes rerun, each with its
+    own zeta; a lane left without an acceptable one of 12 attempts gets a
+    SingularKktError in ``failed``.
+    """
+    M, n = rhs_x.shape
+    N = n + rhs_g.shape[-1]
+    K = np.zeros((M, N, N))
+    # W + 0.0 turns -0.0 into 0.0, as W + zeta I does
+    np.add(W, 0.0, out=K[:, :n, :n])
+    if N > n:
+        K[:, :n, n:] = Jg.swapaxes(-1, -2)
+        K[:, n:, :n] = Jg
+    rhs = np.concatenate([rhs_x, rhs_g], axis=-1)
+    if failed:
+        rows = np.array([r for r in range(M) if r not in failed], dtype=np.intp)
+        Kr, br = K[rows], rhs[rows]
+    else:
+        rows, Kr, br = np.arange(M), K, rhs
+    X = br.copy()
+    bad = _refine([_solve_newton(k, x, n) for k, x in zip(Kr, X)], Kr, br, X)
+    if not failed and not bad.size:
+        return X[:, :n], X[:, n:]
+    sol = np.empty((M, N))
+    sol[rows] = X
+    bad = rows[bad]
+    zeta = 1e-8 * (1.0 + np.abs(W[bad]).max(axis=(-2, -1), initial=0.0))
     zeta_d = 0.0
-    for attempt in range(12):
-        K = np.zeros((n + m, n + m))
-        # W + zeta I, bit for bit (W + 0.0 turns -0.0 into 0.0 as well)
-        np.add(W, 0.0, out=K[:n, :n])
-        if zeta:
-            K[:n, :n].flat[:: n + 1] += zeta
-        if m:
-            K[:n, n:] = Jg.T
-            K[n:, :n] = Jg
-            if zeta_d:
-                K[n:, n:] = -zeta_d * np.eye(m)
-        try:
-            fac = LdlFactor(K)
-            npos, nneg, nzero = fac.inertia()
-            if npos == n and nneg == m and nzero == 0:
-                sol = fac.solve(rhs)
-                if np.isfinite(sol).all():
-                    return sol[:n], sol[n:]
-        except SingularKktError:
-            pass
-        zeta = zeta * 100.0 if zeta else 1e-8 * (1.0 + np.abs(W).max(initial=0.0))
+    for attempt in range(1, 12):
+        if not bad.size:
+            break
+        Kc, bc = K[bad], rhs[bad]
+        # W + zeta I: zeta on the first n entries of K's diagonal
+        Kc.reshape(bad.size, N * N)[:, : n * (N + 1) : N + 1] += zeta[:, None]
+        if zeta_d:
+            Kc[:, n:, n:] = -zeta_d * np.eye(N - n)
+        X = bc.copy()
+        worse = _refine([_attempt(k, x, n) for k, x in zip(Kc, X)], Kc, bc, X)
+        sol[bad] = X
+        bad, zeta = bad[worse], zeta[worse] * 100.0
         if attempt >= 6:
             zeta_d = zeta_d * 100.0 if zeta_d else 1e-10
-    raise SingularKktError("local KKT system could not be corrected to solvable form")
+    for r in bad:
+        failed[r] = SingularKktError(
+            "local KKT system could not be corrected to solvable form"
+        )
+    return sol[:, :n], sol[:, n:]
 
 
 def _settle(out, w, pt, rows, status, newton, err0):
@@ -607,7 +684,7 @@ def _lockstep(w, warm, tol):
             mu_c = mu[:, None]
             err_mu = pt.err(mu_c)
 
-        # the condensed Newton system, solved lane by lane
+        # the condensed Newton system
         failed = {}
         W = w.hess(pt.x, pt.kappa, pt.gamma, failed)
         rhs_x = -pt.r_x
@@ -626,15 +703,7 @@ def _lockstep(w, warm, tol):
             JhT = pt.Jh.swapaxes(-1, -2)
             W = W + JhT @ ((pt.gamma / pt.s)[..., None] * pt.Jh)
             rhs_x = rhs_x - mv(JhT, (pt.gamma * pt.r_h - r_cs) / pt.s)
-        rhs_g = -pt.r_g
-        dx = np.empty((M, n))
-        dkappa = np.empty((M, n_g))
-        for r in range(M):
-            if r not in failed:
-                try:
-                    dx[r], dkappa[r] = _solve_newton(W[r], pt.Jg[r], rhs_x[r], rhs_g[r])
-                except SolverError as e:
-                    failed[r] = e
+        dx, dkappa = _newton_step(W, pt.Jg, rhs_x, -pt.r_g, failed)
         if failed:
             keep = np.ones(M, dtype=bool)
             for r, e in failed.items():

@@ -10,7 +10,7 @@ from aladin.expr import VectorFunction, var, param
 from aladin.driver import CSV_HEADER, run_admm, run_aladin
 from aladin.errors import LicqError, SingularKktError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
-from aladin.local import solve_local
+from aladin.local import group_blocks, solve_local
 from aladin.problem import (
     SeparableProblem,
     SolverOptions,
@@ -447,8 +447,15 @@ class TestSensitivityPacks:
         )
         sol = run_aladin(ocp_chain(), SolverOptions(variant=variant))
         assert sol.termination == "tolerance-met" and calls == []
-        run_aladin(ocp_chain(), SolverOptions(variant="fullspace", max_iter=2))
-        assert len(calls) == 2 * len(ocp_chain().subproblems)
+        # the full-space variant regularizes once per lockstep group and
+        # iteration: ocp_chain's three groups of one, coupled_qp's one group
+        # of eight
+        for problem in (ocp_chain(), coupled_qp(n_blocks=8, block_size=3)):
+            del calls[:]
+            sol = run_aladin(problem, SolverOptions(variant="fullspace", max_iter=2))
+            assert sol.iterations == 2
+            assert len(calls) == 2 * len(group_blocks(problem.subproblems))
+        assert calls == [(8, 3, 3)] * 2
 
 
 class TestBlockErrors:

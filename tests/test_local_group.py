@@ -594,6 +594,52 @@ def test_a_lane_whose_every_trial_leaves_the_domain_stalls(monkeypatch):
     assert sols[1].status == "converged" and sols[1].iterations > 1
 
 
+def double_well_block(a):
+    """x0^4 + a x0^2 + (x1 - p0)^2 with x1^2 = 1/4: W is indefinite near
+    x0 = 0 for a < 0, and Jg's row vanishes at x1 = 0."""
+    x0, x1 = var(0), var(1)
+    f = ex.square(ex.square(x0)) + a * ex.square(x0) + ex.square(x1 - ex.param(0))
+    g = VectorFunction([ex.square(x1) - 0.25], 2, 1)
+    return Subproblem(VectorFunction([f], 2, 1), g=g, p=[0.0])
+
+
+def test_inertia_correction_inside_a_group(monkeypatch):
+    # lanes 0 and 4 start where W is indefinite and need zeta, next to the
+    # convex lanes 1 and 3; lane 2 starts on x1 = 0, where K stays singular
+    # until the -zeta_d block comes in; lane 3's NaN parameter makes every
+    # solution NaN, so it fails all 12 attempts
+    subs = [double_well_block(a) for a in (-3.0, 1.5, -2.0, 0.5, -4.0)]
+    (group,) = group_blocks(subs)
+    z = [np.array(v) for v in ([0.05, 0.3], [0.4, -0.2], [-0.1, 0.0], [1.0, 1.0],
+                               [0.0, 0.5])]
+    p = [np.array([v]) for v in (0.7, 0.2, -0.5, np.nan, 1.0)]
+    factored = []
+    ldl = local.LdlFactor
+
+    def counted(K):
+        factored.append(K.copy())
+        return ldl(K)
+
+    monkeypatch.setattr(local, "LdlFactor", counted)
+    newton = [0]
+    solve_newton = local._solve_newton
+
+    def steps(*args):
+        newton[0] += 1
+        return solve_newton(*args)
+
+    monkeypatch.setattr(local, "_solve_newton", steps)
+    outs = run_group(monkeypatch, group, z, np.zeros(0), [0.1 * np.eye(2)] * 5, p,
+                     tol=1e-10)
+    assert [getattr(s, "status", None) for s in outs] == [
+        "converged", "converged", "stalled", None, "converged"]
+    assert isinstance(outs[3], SingularKktError)
+    # corrections ran: more factorizations than Newton steps, some of them
+    # with the dual correction's -zeta_d block
+    assert len(factored) > newton[0] > 0
+    assert any(K[2, 2] < 0.0 for K in factored)
+
+
 def test_solve_local_checks_the_lengths_of_z_and_p():
     f = VectorFunction([ex.square(var(0) - ex.param(0)) + ex.square(var(1))], 2, 1)
     sub = Subproblem(f, p=[0.5])

@@ -2,10 +2,11 @@
 
 The reference below is the interior-point loop as it stood before each
 point's residual parts were kept: it re-runs the residual blocks for every
-test and evaluates the start point again after the warm check.  The solver
-must return arrays equal to it bit for bit (signs of zeros included), the
-same status and KKT residual, and count Newton steps where the reference
-counted loop passes.
+test and evaluates the start point again after the warm check, and it
+solves each KKT step on its own with the one-lane inertia-correction loop,
+kept verbatim.  The solver must return arrays equal to it bit for bit
+(signs of zeros included), the same status and KKT residual, and count
+Newton steps where the reference counted loop passes.
 """
 
 import importlib.util
@@ -17,8 +18,10 @@ import pytest
 
 from aladin import expr as ex
 from aladin import local
+from aladin.errors import SingularKktError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.expr import VectorFunction, var
+from aladin.linalg import LdlFactor
 from aladin.local import BARRIER_FACTOR, FTB, MAX_NEWTON, LocalSolution
 from aladin.problem import Subproblem
 
@@ -28,8 +31,36 @@ REFERENCE_NEWTON = [0]
 
 
 def _solve_newton(W, Jg, rhs_x, rhs_g):
+    """Condensed KKT solve with primal (and, late, dual) inertia correction."""
     REFERENCE_NEWTON[0] += 1
-    return local._solve_newton(W, Jg, rhs_x, rhs_g)
+    n, m = W.shape[0], Jg.shape[0]
+    rhs = np.concatenate([rhs_x, rhs_g])
+    zeta = 0.0
+    zeta_d = 0.0
+    for attempt in range(12):
+        K = np.zeros((n + m, n + m))
+        # W + zeta I, bit for bit (W + 0.0 turns -0.0 into 0.0 as well)
+        np.add(W, 0.0, out=K[:n, :n])
+        if zeta:
+            K[:n, :n].flat[:: n + 1] += zeta
+        if m:
+            K[:n, n:] = Jg.T
+            K[n:, :n] = Jg
+            if zeta_d:
+                K[n:, n:] = -zeta_d * np.eye(m)
+        try:
+            fac = LdlFactor(K)
+            npos, nneg, nzero = fac.inertia()
+            if npos == n and nneg == m and nzero == 0:
+                sol = fac.solve(rhs)
+                if np.isfinite(sol).all():
+                    return sol[:n], sol[n:]
+        except SingularKktError:
+            pass
+        zeta = zeta * 100.0 if zeta else 1e-8 * (1.0 + np.abs(W).max(initial=0.0))
+        if attempt >= 6:
+            zeta_d = zeta_d * 100.0 if zeta_d else 1e-10
+    raise SingularKktError("local KKT system could not be corrected to solvable form")
 
 
 # -- reference ---------------------------------------------------------------
