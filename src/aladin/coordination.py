@@ -54,17 +54,25 @@ class CoordinationResult:
 class ScalingState:
     """Proximal weights Sigma_i and the slack weight diagonal Delta.
 
-    Delta starts at (mu_init/2) * ones; every variant's coordination QP,
-    and the bilevel inner solvers with it, weighs its slack with it.
+    ``sigmas`` holds one stack of Sigma_i per lockstep group, lanes first,
+    (L, n, n); a 2-D entry is a stack without lane axes.  Delta starts at
+    (mu_init/2) * ones; every variant's coordination QP, and the bilevel
+    inner solvers with it, weighs its slack with it.  The updates build new
+    states and never write into an array, so states share the arrays that
+    an update leaves unchanged.
     """
 
     sigmas: list[np.ndarray]
     delta: np.ndarray
 
     @classmethod
-    def initial(cls, problem, opts):
+    def initial(cls, problem, opts, groups):
+        """sigma_init * I for every block of the lockstep ``groups``."""
         return cls(
-            sigmas=[opts.sigma_init * np.eye(s.n_x) for s in problem.subproblems],
+            sigmas=[
+                opts.sigma_init * np.broadcast_to(np.eye(g.n), (len(g), g.n, g.n))
+                for g in groups
+            ],
             delta=np.full(problem.n_c, opts.mu_init / 2.0),
         )
 
@@ -172,18 +180,23 @@ def reduced_result(reduced, lam_qp, lam, delta, Zs=None, blocks=None):
 
 
 def update_sigma(state, opts):
-    """Geometric growth of Sigma_i and Delta, gated by pre-update norms."""
+    """Geometric growth of Sigma_i and Delta, gated by pre-update norms.
+
+    Each Sigma_i grows while its infinity norm (the largest absolute row
+    sum, as ``np.linalg.norm(S, np.inf)`` takes it) is below sigma_max,
+    lane by lane over any leading axes.
+    """
     sigmas = []
     for S in state.sigmas:
-        if np.linalg.norm(S, np.inf) < opts.sigma_max:
-            sigmas.append(opts.r_sigma * S)
-        else:
-            sigmas.append(S.copy())
+        grow = np.abs(S).sum(axis=-1).max(axis=-1) < opts.sigma_max
+        if grow.all():
+            S = opts.r_sigma * S
+        elif grow.any():
+            S = np.where(grow[..., None, None], opts.r_sigma * S, S)
+        sigmas.append(S)
     delta = state.delta
     if delta.size and np.abs(delta).max() < opts.delta_max:
         delta = opts.r_delta * delta
-    else:
-        delta = delta.copy()
     return ScalingState(sigmas=sigmas, delta=delta)
 
 
@@ -200,4 +213,4 @@ def update_delta_by_violation(state, violation, prev_violation, opts):
     grow = np.abs(violation) > opts.gamma * np.abs(prev_violation)
     delta = np.where(grow, np.minimum(opts.beta * state.delta, opts.delta_max),
                      state.delta)
-    return ScalingState(sigmas=[S.copy() for S in state.sigmas], delta=delta)
+    return ScalingState(sigmas=state.sigmas, delta=delta)

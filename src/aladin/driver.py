@@ -2,21 +2,27 @@
 
 Both solvers run one loop (``_outer_loop``) and differ only in its
 coordination step.  The blocks are grouped once per run into lockstep groups
-of structurally identical blocks (``local.group_blocks``).  Per outer
-iteration: (1) every block solves its proximal NLP around the current
-(z, lam) with its weight Sigma_i, one lockstep solve per group, the groups in
-block order, each block's result that of solving it alone; a block that
-fails raises its error, the lowest such block's; (2) a block beyond the
-divergence guard ends the run with
-termination="error"; (3) the stopping norms ||sum A_i x_i - b||_inf and
-||x - z||_inf are checked; (4) the step moves z and lam; (5) the iteration
-is logged and, every ``log_every`` iterations, printed.  Failures of a layer
-are re-raised with the outer iteration index.
+of structurally identical blocks (``local.group_blocks``), and the loop's
+state is kept lanes first, one stack per group (``IterateState``).  Per outer
+iteration, once per group: (1) the group's blocks solve their proximal NLPs
+around the current (z, lam) with their weights Sigma_i in one lockstep solve,
+each block's result that of solving it alone; a block that fails raises its
+error, the lowest such block's; (2) a block beyond the divergence guard ends
+the run with termination="error"; (3) the stopping norms ||sum A_i x_i -
+b||_inf and ||x - z||_inf are checked, the sum taken in block order, and the
+active masks of h~ read off the local solutions; (4) the step moves z and
+lam; (5) the iteration is logged and, every ``log_every`` iterations,
+printed.  Per-block lists appear only at the interface: ``z0``,
+``Solution.xs`` and the record snapshots, which are row views of one copy
+per group.  Failures of a layer are re-raised with the outer iteration
+index.
 
 ALADIN's step is group-major too: each group's sensitivities come from its
-lane tapes, its lanes are split into packs of equal shapes, and each pack
-takes one call of every sensitivity and Schur kernel, with the results and
-errors of the blocks taken one by one.
+local solution's evaluation and its lane tapes, its lanes are split into
+packs of equal shapes, and each pack takes one call of every sensitivity
+and Schur kernel, with the results and errors of the blocks taken one by
+one.  ADMM's z-step is one stacked product per group with the blocks'
+pseudoinverses.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +49,11 @@ from .linalg import mv
 # solve_local stays bound here, where the benchmark's tracer looks for it,
 # though the loop solves whole groups through solve_group; it can go once
 # the tracer's local span wraps solve_group
-from .local import LocalSolution, group_blocks, solve_group, solve_local  # noqa: F401
+from .local import (  # noqa: F401
+    BlockGroup, GroupSolution, group_blocks, solve_group, solve_local,
+)
 # positions of the root sets a group's runner evaluates
-from .local import _GRAD_F, _H, _JG, _JH
+from .local import _GRAD_F, _JG, _JH
 from .problem import SolverOptions, validate
 from .sensitivity import (
     SensitivityPack,
@@ -53,7 +61,6 @@ from .sensitivity import (
     active_rows,
     bfgs_update,
     coupling_rows,
-    detect_active,
     nullspace_basis,
     reduce_block,
     regularize,
@@ -91,7 +98,8 @@ class IterationRecord:
     than a dict and not tracked by the garbage collector.  Reading
     ``timings`` builds a new dict from ``layer_s``.  ``z``, ``x`` and
     ``lam`` are the post-update iterate snapshots (primal blocks, local
-    solutions, dual); ``bfgs_min_eig`` is the smallest eigenvalue of each
+    solutions, dual); the blocks' z and x are row views of one copy per
+    lockstep group.  ``bfgs_min_eig`` is the smallest eigenvalue of each
     block's quasi-Newton matrix (bfgs modes).
     """
 
@@ -161,16 +169,44 @@ class IterationLog:
 
 @dataclass
 class IterateState:
-    """Mutable outer-loop state: coordination primals, duals, scaling, memory."""
+    """Mutable outer-loop state, lanes first: one stack per lockstep group.
 
+    Entry g of every list belongs to ``groups[g]``, and row j of a stack to
+    that group's block ``groups[g].blocks[j]``.  ``z`` holds the
+    coordination primals (L, n), ``p`` the parameter vectors (L, n_p),
+    ``locals`` the last ``GroupSolution`` (None before the first solve),
+    ``bfgs`` the quasi-Newton matrices (L, n, n) or None, ``prev_x`` the
+    local solutions of the previous step, and ``active`` the masks of the
+    active rows of h~ at the local solutions (None for a group without
+    inequality or bound rows); ``scaling.sigmas`` stacks Sigma_i the same
+    way.  ``lam`` is the consensus dual and ``prev_lam_qp`` the last QP
+    dual.
+    """
+
+    groups: list[BlockGroup]
     z: list[np.ndarray]
     lam: np.ndarray
-    locals: list[LocalSolution | None]
+    p: list[np.ndarray]
     scaling: ScalingState
+    locals: list[GroupSolution | None]
     bfgs: list[np.ndarray | None]
     prev_x: list[np.ndarray] | None = None
-    prev_active: list[tuple[int, ...]] | None = None
+    active: list[np.ndarray | None] | None = None
     prev_lam_qp: np.ndarray | None = None
+    # the (group, start, stop) lane ranges of consecutive blocks, in block
+    # order, along which the consensus is summed
+    runs: list[tuple] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        runs = []
+        for g, grp in enumerate(self.groups):
+            cut = (np.flatnonzero(np.diff(grp.index) != 1) + 1).tolist()
+            runs += [(g, a, b) for a, b in zip([0, *cut], [*cut, len(grp)])]
+        self.runs = sorted(runs, key=lambda run: self.groups[run[0]].blocks[run[1]])
+
+    def per_block(self, stacks):
+        """The rows of per-group ``stacks`` as one list in block order (views)."""
+        return per_block(stacks, [g.index for g in self.groups])
 
 
 @dataclass
@@ -202,9 +238,9 @@ def _start(problem, opts, z0, lam0):
         raise ValueError("invalid problem: " + "; ".join(issues))
     t_start = time.perf_counter()
     z = (
-        [np.asarray(v, dtype=float).copy() for v in z0]
+        [np.asarray(v, dtype=float) for v in z0]
         if z0 is not None
-        else [s.z0.copy() for s in problem.subproblems]
+        else [s.z0 for s in problem.subproblems]
     )
     lam = (
         np.asarray(lam0, dtype=float).copy()
@@ -216,21 +252,37 @@ def _start(problem, opts, z0, lam0):
     for v, s in zip(z, problem.subproblems):
         if v.shape != (s.n_x,):
             raise ValueError("z0 block dimensions do not match the problem")
+    groups = group_blocks(problem.subproblems)
+
+    def stacked(rows):
+        return [np.array([rows[i] for i in g.blocks], dtype=float) for g in groups]
+
     state = IterateState(
-        z=z,
+        groups=groups,
+        z=stacked(z),
         lam=lam,
-        locals=[None] * problem.n_s,
-        scaling=ScalingState.initial(problem, opts),
-        bfgs=[None] * problem.n_s,
+        p=stacked(problem.parameters),
+        scaling=ScalingState.initial(problem, opts, groups),
+        locals=[None] * len(groups),
+        bfgs=[None] * len(groups),
     )
     return opts, state, t_start
 
 
-def _consensus(problem, xs):
-    viol = -problem.b.copy()
-    for s, x in zip(problem.subproblems, xs):
-        if problem.n_c:
-            viol += s.A @ x
+def _consensus(problem, state, X):
+    """sum_i A_i x_i - b, added in block order: ((-b + t_0) + t_1) + ...
+
+    Each run of consecutive blocks of a group takes one stacked product per
+    chunk of its coupling matrices.  An axis-0 reduce of [sum so far; the
+    chunk's terms] adds the rows one after the other; started from -0.0,
+    which leaves the sum so far as it is, every entry is bit for bit the
+    sum of a loop over the blocks.
+    """
+    viol = -problem.b
+    for g, start, stop in state.runs:
+        for c, A in state.groups[g].coupling(start, stop):
+            terms = np.concatenate([viol[None], mv(A, X[g][c:c + len(A)])])
+            viol = np.add.reduce(terms, axis=0, initial=-0.0)
     return viol
 
 
@@ -266,39 +318,34 @@ def _lagrangian_gradient(grad_f, Jg, Jh, kappa, gamma):
     return r
 
 
-def _sensitivity_pack(problem, opts, state, groups, coupling, x_prev):
+def _sensitivity_pack(problem, opts, state, coupling):
     """Every block's gradient, active set, Jacobian and processed Hessian.
 
-    Each group runs its lane tapes once and is split into packs whose lanes
-    agree in the numbers of active and of coupling rows; ``coupling`` holds
-    each block's C(i) and A_i[C(i)].  The lowest failing block's
-    DomainEvalError is raised.
+    Each group's gradient, Jacobians and active mask are those of its local
+    solution; only the Lagrangian Hessian, or the BFGS curvature probe at
+    the previous x, runs the lane tapes.  The group is split into packs
+    whose lanes agree in the numbers of active and of coupling rows;
+    ``coupling`` holds each block's C(i) and A_i[C(i)].  The lowest failing
+    block's DomainEvalError is raised.
     """
     rows, compact = coupling
     exact = opts.hessian == "exact"
     packs, errors = [], {}
-    for grp in groups:
-        k, n, n_g, n_h, idx = len(grp), grp.n, grp.n_g, grp.n_h, grp.blocks
-        sols = [state.locals[i] for i in idx]
-        x = np.array([sol.x for sol in sols])
-        p = np.array([problem.parameters[i] for i in idx])
-        kappa = np.array([sol.kappa for sol in sols]).reshape(k, n_g)
-        gamma = np.array([sol.gamma for sol in sols]).reshape(k, n_h)
+    for g, grp in enumerate(state.groups):
+        k, n, n_h, idx = len(grp), grp.n, grp.n_h, grp.index
+        res, p, on = state.locals[g], state.p[g], state.active[g]
+        x, kappa, gamma = res.x, res.kappa, res.gamma
+        grad, Jg, Jh = res.grad_f, res.Jg, res.Jh
+        if on is None:
+            on = np.zeros((k, n_h + 2 * n), dtype=bool)
         lanes = np.arange(k)
         errs = {}
-        run = grp.runner(x, p, lanes, errs)
-        grad = run(_GRAD_F)
-        if grp.may_act:
-            on = active_mask(run(_H), x, grp.lb, grp.ub, opts.act_margin)
-        else:
-            on = np.zeros((k, n_h + 2 * n), dtype=bool)
-        Jg = run(_JG).reshape(k, n_g, n)
-        Jh = run(_JH).reshape(k, n_h, n)
         if exact:
             # inactive rows get a zero multiplier, which the Hessian skips
-            H_raw = grp.hessian(run, kappa, np.where(on[:, :n_h], gamma, 0.0))
-        elif x_prev is not None:
-            xp = np.array([x_prev[i] for i in idx])
+            H_raw = grp.hessian(grp.runner(x, p, lanes, errs), kappa,
+                                np.where(on[:, :n_h], gamma, 0.0))
+        elif state.prev_x is not None:
+            xp = state.prev_x[g]
             run_prev = grp.runner(xp, p, lanes, errs)
             y_new = _lagrangian_gradient(grad, Jg, Jh, kappa, gamma)
             y = y_new - _lagrangian_gradient(
@@ -307,7 +354,7 @@ def _sensitivity_pack(problem, opts, state, groups, coupling, x_prev):
             )
         if errs:
             for r, err in errs.items():
-                errors[idx[r]] = err
+                errors[grp.blocks[r]] = err
             continue
         if exact:
             if opts.variant != "fullspace":
@@ -315,22 +362,21 @@ def _sensitivity_pack(problem, opts, state, groups, coupling, x_prev):
             else:
                 H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
         else:
-            B = np.array([np.eye(n) if state.bfgs[i] is None else state.bfgs[i]
-                          for i in idx])
-            if x_prev is not None:
+            B = state.bfgs[g]
+            if B is None:
+                B = np.repeat(np.eye(n)[None], k, axis=0)
+            if state.prev_x is not None:
                 B = bfgs_update(B, x - xp, y, damped=(opts.hessian == "dbfgs"))
-            for i, B_i in zip(idx, B):
-                state.bfgs[i] = B_i
-            H_raw = H = B
+            state.bfgs[g] = H_raw = H = B
         # lanes agreeing in the numbers of active and coupling rows share a
         # pack; its key v holds both, v = n_act * width + |C(i)|
         width = problem.n_c + 1
-        key = on.sum(axis=-1) * width + [rows[i].size for i in idx]
+        key = on.sum(axis=-1) * width + [rows[i].size for i in grp.blocks]
         for v in sorted(set(key.tolist())):
             sel = np.flatnonzero(key == v)
             if sel.size == k:
                 sel = slice(None)  # the whole group: views, not copies
-            blocks = np.asarray(idx)[sel]
+            blocks = idx[sel]
             act = np.nonzero(on[sel])[1].reshape(blocks.size, v // width)
             A = np.array([compact[i] for i in blocks])
             packs.append(SensitivityPack(
@@ -424,60 +470,52 @@ def _coordinate(problem, opts, state, packs, topology):
     return res, mlog, t_inner
 
 
+def _active_masks(opts, state):
+    """Per group, which rows of h~ = (h, lb - x, x - ub) are active at the
+    local solutions; None for a group without inequalities or bounds."""
+    return [
+        active_mask(res.h, res.x, grp.lb, grp.ub, opts.act_margin)
+        if grp.may_act else None
+        for grp, res in zip(state.groups, state.locals)
+    ]
+
+
 def _active_changes(prev, current):
+    """Rows that entered or left the active sets since ``prev`` (None: 0)."""
     if prev is None:
         return 0
-    return sum(len(set(a) ^ set(bb)) for a, bb in zip(prev, current))
+    return sum(
+        int(np.count_nonzero(a != b)) for a, b in zip(prev, current) if a is not None
+    )
 
 
-def _active_sets(problem, opts, xs, groups):
-    """Each block's active set; a group without inequalities or bounds has
-    none, and its blocks are not asked."""
-    acts = [()] * problem.n_s
-    for grp in groups:
-        if grp.may_act:
-            for i in grp.blocks:
-                acts[i] = detect_active(
-                    problem.subproblems[i], xs[i], problem.parameters[i],
-                    opts.act_margin,
-                ).indices
-    return acts
-
-
-def _solve_locals(problem, groups, state, tol):
-    """Every block's local solution, one lockstep solve per group.
+def _solve_locals(state, tol):
+    """Every group's local solutions, one lockstep solve per group.
 
     The error of the lowest failing block is raised, as if the blocks had
     been solved one after the other.
     """
-    sols = [None] * problem.n_s
-    for grp in groups:
-        idx = grp.blocks
-        warm = None if state.locals[idx[0]] is None else [state.locals[i] for i in idx]
-        out = solve_group(
-            grp, [state.z[i] for i in idx], state.lam,
-            [state.scaling.sigmas[i] for i in idx],
-            [problem.parameters[i] for i in idx], warm=warm, tol=tol,
-        )
-        for i, sol in zip(idx, out):
-            sols[i] = sol
-    for sol in sols:
-        if isinstance(sol, Exception):
-            raise sol
-    return sols
+    results, errors = [], {}
+    for grp, z, Sigma, p, warm in zip(
+        state.groups, state.z, state.scaling.sigmas, state.p, state.locals
+    ):
+        res = solve_group(grp, z, state.lam, Sigma, p, warm=warm, tol=tol)
+        errors.update((grp.blocks[r], err) for r, err in res.errors.items())
+        results.append(res)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def _outer_loop(problem, opts, state, groups, step, label, t_start):
+def _outer_loop(problem, opts, state, step, label, t_start):
     """Run the shared loop and return its Solution.
 
-    ``step(xs, viol, prev_viol, timings)`` is the coordination: it updates
-    ``state`` (z, lam, and whatever else the solver keeps there), fills its
-    layer timings, and returns the blocks' active sets plus its
+    ``step(X, viol, prev_viol, timings)`` is the coordination: it updates
+    ``state`` (z, lam, and whatever else the solver keeps there) from the
+    groups' local solutions X, fills its layer timings, and returns its
     IterationRecord fields (``qp_step`` and ``comms_floats`` at least).
-    ``prev_viol`` is None on the first iteration.  A step may return None
-    for the active sets; the loop then detects them for the log.  Progress
-    lines print ``qp_step`` under ``label``.  ``groups`` are the blocks'
-    lockstep groups.
+    ``prev_viol`` is None on the first iteration.  Progress lines print
+    ``qp_step`` under ``label``.
     """
     timers = {
         "setup": time.perf_counter() - t_start,
@@ -496,22 +534,23 @@ def _outer_loop(problem, opts, state, groups, step, label, t_start):
         try:
             tol_k = _local_tolerance(opts, err_prev)
             t0 = time.perf_counter()
-            state.locals = _solve_locals(problem, groups, state, tol_k)
+            state.locals = _solve_locals(state, tol_k)
             timings["local"] = time.perf_counter() - t0
-            xs = [sol.x for sol in state.locals]
+            X = [res.x for res in state.locals]
 
-            if max(np.abs(x).max() for x in xs) > DIVERGENCE_GUARD:
+            if max(np.abs(x).max() for x in X) > DIVERGENCE_GUARD:
                 termination = "error"
                 message = f"divergence guard tripped at iteration {k}"
                 break
 
-            prev_viol_vec, viol_vec = viol_vec, _consensus(problem, xs)
+            prev_viol_vec, viol_vec = viol_vec, _consensus(problem, state, X)
             viol_inf = float(np.abs(viol_vec).max()) if problem.n_c else 0.0
             local_step = max(
                 float(np.abs(x - zz).max()) if x.size else 0.0
-                for x, zz in zip(xs, state.z)
+                for x, zz in zip(X, state.z)
             )
             err_prev = max(viol_inf, local_step)
+            prev_active, state.active = state.active, _active_masks(opts, state)
 
             done = (
                 opts.term_eps > 0
@@ -519,22 +558,20 @@ def _outer_loop(problem, opts, state, groups, step, label, t_start):
                 and local_step <= opts.term_eps
             )
             if done:
-                acts, fields = None, {"qp_step": 0.0, "comms_floats": 0}
+                fields = {"qp_step": 0.0, "comms_floats": 0}
             else:
-                acts, fields = step(xs, viol_vec, prev_viol_vec, timings)
-            if acts is None:
-                acts = _active_sets(problem, opts, xs, groups)
+                fields = step(X, viol_vec, prev_viol_vec, timings)
             log.append(IterationRecord(
                 iter=k, consensus_viol=viol_inf, local_step=local_step,
-                active_changes=_active_changes(state.prev_active, acts),
-                timings=timings, z=[zz.copy() for zz in state.z],
-                x=[x.copy() for x in xs], lam=state.lam.copy(), **fields,
+                active_changes=_active_changes(prev_active, state.active),
+                timings=timings, z=state.per_block([zz.copy() for zz in state.z]),
+                x=state.per_block([x.copy() for x in X]), lam=state.lam.copy(),
+                **fields,
             ))
             if done:
                 termination = "tolerance-met"
                 message = "both stopping norms within tolerance"
                 break
-            state.prev_active = acts
 
             if opts.log_every and k % opts.log_every == 0:
                 print(
@@ -552,10 +589,10 @@ def _outer_loop(problem, opts, state, groups, step, label, t_start):
                 timers[key] += timings[key]
 
     # the run's Solution; a "tolerance-met" message names unconverged locals
+    # (max_iter >= 1, so every group has been solved)
     timers["total"] = time.perf_counter() - t_start
-    sols = state.locals
-    xs = [sol.x for sol in sols] if sols[0] is not None else state.z
-    status = [s.status if s else "not-run" for s in sols]
+    xs = state.per_block([res.x for res in state.locals])
+    status = state.per_block([res.status for res in state.locals])
     failed = [(i, st) for i, st in enumerate(status) if st != "converged"]
     if termination == "tolerance-met" and failed:
         message += (
@@ -573,7 +610,7 @@ def _outer_loop(problem, opts, state, groups, step, label, t_start):
         log=log,
         timers=timers,
         local_status=status,
-        local_kkt=[s.kkt_residual if s else float("nan") for s in sols],
+        local_kkt=state.per_block([res.kkt_residual for res in state.locals]),
     )
 
 
@@ -586,7 +623,6 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     the scaling heuristics update.
     """
     opts, state, t_start = _start(problem, opts, z0, lam0)
-    groups = group_blocks(problem.subproblems)
     # each block's coupling rows C(i) and compact A_i[C(i)], fixed for the run
     rows = [coupling_rows(s.A) for s in problem.subproblems]
     coupling = (rows, [s.A[r] for s, r in zip(problem.subproblems, rows)])
@@ -594,14 +630,14 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )
 
-    def step(xs, viol_vec, prev_viol_vec, timings):
+    def step(X, viol_vec, prev_viol_vec, timings):
         t0 = time.perf_counter()
-        packs = _sensitivity_pack(problem, opts, state, groups, coupling, state.prev_x)
+        packs = _sensitivity_pack(problem, opts, state, coupling)
         timings["sensitivity"] = time.perf_counter() - t0
-        blocks = [pk.blocks for pk in packs]
         bfgs_min_eig = (
             [float(v) for v in per_block(
-                [np.linalg.eigvalsh(pk.hess).min(axis=-1) for pk in packs], blocks
+                [np.linalg.eigvalsh(pk.hess).min(axis=-1) for pk in packs],
+                [pk.blocks for pk in packs],
             )]
             if opts.hessian != "exact"
             else None
@@ -612,32 +648,27 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
         timings["qp"] = time.perf_counter() - t0
         timings["inner"] = t_inner
 
-        qp_step = max(
-            (float(np.abs(d).max()) for d in result.dx if d.size), default=0.0
-        )
+        D = [np.array([result.dx[i] for i in grp.blocks]) for grp in state.groups]
+        qp_step = max((float(np.abs(d).max()) for d in D if d.size), default=0.0)
         alpha = opts.step_size
-        state.z = [
-            zz + alpha * (x - zz + d)
-            for zz, x, d in zip(state.z, xs, result.dx)
-        ]
+        state.z = [zz + alpha * (x - zz + d) for zz, x, d in zip(state.z, X, D)]
         state.lam = state.lam + alpha * (result.lam_qp - state.lam)
         state.prev_lam_qp = result.lam_qp.copy()
-        state.prev_x = xs
+        state.prev_x = X
 
         state.scaling = update_sigma(state.scaling, opts)
         if opts.del_up and prev_viol_vec is not None:
             state.scaling = update_delta_by_violation(
                 state.scaling, viol_vec, prev_viol_vec, opts
             )
-        acts = per_block([pk.active for pk in packs], blocks)
-        return [tuple(a.tolist()) for a in acts], {
+        return {
             "qp_step": qp_step,
             "comms_floats": mlog.total_floats() if mlog is not None else 0,
             "inner_residual": mlog.residual if mlog is not None else None,
             "bfgs_min_eig": bfgs_min_eig,
         }
 
-    return _outer_loop(problem, opts, state, groups, step, "qp", t_start)
+    return _outer_loop(problem, opts, state, step, "qp", t_start)
 
 
 def run_admm(problem, opts=None, z0=None, lam0=None):
@@ -648,42 +679,49 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     + (rho/2) ||A_i (x_i - z_i)||^2 under the local constraints; the
     coordination step is the projection {z_i} = argmin sum ||A_i (x_i -
     z_i)||^2 subject to sum A_i z_i = b, then the dual ascent
-    lam += rho (sum A_i x_i - b).
+    lam += rho (sum A_i x_i - b).  With G = sum_i of the range-space
+    projectors of the A_i and nu the minimum-norm solution of G nu =
+    rho (sum A_i x_i - b), it is z_i = x_i - A_i^+ nu / rho (Boyd et al.,
+    FnT ML 3, 2011, section 7), one stacked product per group.
     """
     opts, state, t_start = _start(problem, opts, z0, lam0)
     rho = opts.rho_admm
     subs = problem.subproblems
-    state.scaling.sigmas = [0.5 * rho * (s.A.T @ s.A) for s in subs]
-    # range-space projectors and pseudoinverses of each A_i for the z step
-    projs, pinvs = [], []
+    n_c = problem.n_c
+    state.scaling.sigmas = [
+        np.array([0.5 * rho * (subs[i].A.T @ subs[i].A) for i in grp.blocks])
+        for grp in state.groups
+    ]
+    # each A_i's pseudoinverse, and its projector added into G in block
+    # order as sum() would add them, so only one n_c x n_c projector lives
+    G = np.zeros((n_c, n_c))
+    pinvs = []
     for s in subs:
-        if problem.n_c and np.any(s.A != 0.0):
+        if n_c and np.any(s.A != 0.0):
             U, sv, Vt = np.linalg.svd(s.A, full_matrices=False)
             r = int(np.sum(sv > max(s.A.shape) * np.finfo(float).eps * sv[0]))
             U = U[:, :r]
-            projs.append(U @ U.T)
+            G += U @ U.T
             pinvs.append(Vt[:r].T @ np.diag(1.0 / sv[:r]) @ U.T)
         else:
-            projs.append(np.zeros((problem.n_c, problem.n_c)))
-            pinvs.append(np.zeros((s.n_x, problem.n_c)))
-    G = sum(projs)
+            pinvs.append(np.zeros((s.n_x, n_c)))
+    P = [np.array([pinvs[i] for i in grp.blocks]) for grp in state.groups]
+    del pinvs
 
-    def step(xs, viol_vec, prev_viol_vec, timings):
+    def step(X, viol_vec, prev_viol_vec, timings):
         t0 = time.perf_counter()
-        if problem.n_c:
+        if n_c:
             nu = np.linalg.lstsq(G, rho * viol_vec, rcond=None)[0]
-            znew = [x - pinv @ nu / rho for x, pinv in zip(xs, pinvs)]
+            znew = [x - mv(P_g, nu) / rho for x, P_g in zip(X, P)]
         else:
-            znew = [x.copy() for x in xs]
+            znew = X
         qp_step = max(
             float(np.abs(zn - x).max()) if x.size else 0.0
-            for zn, x in zip(znew, xs)
+            for zn, x in zip(znew, X)
         )
         state.z = znew
         state.lam = state.lam + rho * viol_vec
         timings["qp"] = time.perf_counter() - t0
-        return None, {"qp_step": qp_step, "comms_floats": 0}
+        return {"qp_step": qp_step, "comms_floats": 0}
 
-    return _outer_loop(
-        problem, opts, state, group_blocks(subs), step, "z-step", t_start
-    )
+    return _outer_loop(problem, opts, state, step, "z-step", t_start)

@@ -28,7 +28,9 @@ side, the refinement residual and the finite test are stacked over the
 lanes; only the LDL^T factorization, its inertia test and the two
 back-solves run lane by lane, and the inertia-correction attempts rerun only
 the lanes that failed.  A lane's result is bit for bit that of solving its
-block alone, and ``solve_local`` is that: a group of one.
+block alone, and ``solve_local`` is that: a group of one.  A group's
+results come back lanes first, as one ``GroupSolution`` that also keeps
+each lane's evaluation at its solution, the last one the loop made.
 
 Each point is evaluated and reduced to its residual parts once: the
 stationarity, equality and slacked-inequality residuals r_x, r_g, r_h and the
@@ -54,13 +56,17 @@ from . import expr as ex
 from .errors import SingularKktError
 from .linalg import LdlFactor, mv
 
-__all__ = ["BlockGroup", "LocalSolution", "group_blocks", "solve_group", "solve_local"]
+__all__ = [
+    "BlockGroup", "GroupSolution", "LocalSolution", "group_blocks", "solve_group",
+    "solve_local",
+]
 
 _FLOAT_MAX = np.finfo(float).max
 FTB = 0.995           # fraction-to-boundary
 BARRIER_FACTOR = 0.2  # monotone mu reduction
 MAX_NEWTON = 100
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+_CHUNK_FLOATS = 1 << 15  # floats per stacked copy of coupling matrices
 
 
 @dataclass
@@ -80,6 +86,65 @@ class LocalSolution:
     status: str
     iterations: int
     kkt_residual: float
+
+
+class GroupSolution:
+    """The local solutions of a group's blocks, lanes first.
+
+    ``x``, ``kappa``, ``gamma``, ``eta`` (as in LocalSolution), ``status``
+    (an object array of str), ``iterations`` and ``kkt_residual`` hold one
+    row per lane; ``grad_f``, ``h``, ``Jg`` and ``Jh`` are each lane's
+    evaluation at its x, which the solver made for its last point.
+    ``errors`` maps a lane to the DomainEvalError or SolverError that
+    solving its block alone would have raised; that lane's rows are not
+    meaningful.  As a sequence, lane k is its LocalSolution (row views) or
+    its error.
+    """
+
+    __slots__ = ("x", "kappa", "gamma", "eta", "status", "iterations",
+                 "kkt_residual", "grad_f", "h", "Jg", "Jh", "errors")
+
+    def __init__(self, N, n, n_g, n_h):
+        self.x = np.zeros((N, n))
+        self.kappa = np.zeros((N, n_g))
+        self.gamma = np.zeros((N, n_h))
+        self.eta = np.zeros((N, 2 * n))
+        self.status = np.full(N, None, dtype=object)
+        self.iterations = np.zeros(N, dtype=np.intp)
+        self.kkt_residual = np.full(N, np.nan)
+        self.grad_f = np.zeros((N, n))
+        self.h = np.zeros((N, n_h))
+        self.Jg = np.zeros((N, n_g, n))
+        self.Jh = np.zeros((N, n_h, n))
+        self.errors = {}
+
+    def put(self, lanes, x, kappa, gamma, etaL, etaU, ev, status, iterations, err):
+        """Write the rows ``lanes``: a point, its evaluation ``ev`` = (g, h,
+        grad f, Jg, Jh), its status, Newton steps and KKT residual."""
+        n = self.x.shape[-1]
+        self.x[lanes] = x
+        self.kappa[lanes] = kappa
+        self.gamma[lanes] = gamma
+        self.eta[lanes, :n] = etaL
+        self.eta[lanes, n:] = etaU
+        _, self.h[lanes], self.grad_f[lanes], self.Jg[lanes], self.Jh[lanes] = ev
+        self.status[lanes] = status
+        self.iterations[lanes] = iterations
+        self.kkt_residual[lanes] = err
+
+    def __len__(self):
+        return len(self.status)
+
+    def __getitem__(self, k):
+        if k in self.errors:
+            return self.errors[k]
+        return LocalSolution(
+            self.x[k], self.kappa[k], self.gamma[k], self.eta[k], self.status[k],
+            int(self.iterations[k]), self.kkt_residual[k],
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 # positions in a block's root sets (_root_sets); row Hessians follow
@@ -102,7 +167,8 @@ def _root_sets(sub):
 class BlockGroup:
     """Blocks solved in lockstep: equal tapes up to constants, equal shapes.
 
-    ``blocks`` are the blocks' indices in their problem, ``subs`` the blocks
+    ``blocks`` are the blocks' indices in their problem (``index``: the
+    same as an array), ``subs`` the blocks, ``A`` their coupling matrices
     and ``tapes`` their root sets.  Shared by all: ``n`` = n_x, ``n_g``,
     ``n_h``, the finite-bound masks ``mL``/``mU`` and their indices
     ``iL``/``iU``, and ``rows``, the (0 for g or 1 for h, row, root-set
@@ -114,6 +180,7 @@ class BlockGroup:
     def __init__(self, subs, blocks=None):
         self.subs = list(subs)
         self.blocks = tuple(range(len(self.subs)) if blocks is None else blocks)
+        self.index = np.array(self.blocks, dtype=np.intp)
         first = self.subs[0]
         self.n, self.n_g, self.n_h = first.n_x, first.n_g, first.n_h
         self.mL = np.isfinite(first.lb)
@@ -123,6 +190,7 @@ class BlockGroup:
         self.bounded = bool(self.iL.size or self.iU.size)
         self.lb = np.array([s.lb for s in self.subs])
         self.ub = np.array([s.ub for s in self.subs])
+        self.A = [s.A for s in self.subs]
         self.tapes = [_root_sets(s) for s in self.subs]
         self.rows = [
             (int(k >= self.n_g), k if k < self.n_g else k - self.n_g, _ROWS + k)
@@ -136,6 +204,20 @@ class BlockGroup:
 
     def __len__(self):
         return len(self.subs)
+
+    def coupling(self, start=0, stop=None):
+        """The coupling matrices A_i of lanes start..stop, stacked a chunk
+        of lanes at a time, as (first lane, stack) pairs.
+
+        A chunk copies at most about 256 kB: the dense A_i are mostly zero
+        and no n_s x n_c x n_x copy of them is kept, while their stacked
+        products stay those of the dense 2-D ones (a product with the
+        compact rows A_i[C(i)] does not round alike).
+        """
+        stop = len(self.subs) if stop is None else stop
+        step = max(1, _CHUNK_FLOATS // max(1, self.A[0].size))
+        for c in range(start, stop, step):
+            yield c, np.array(self.A[c:min(c + step, stop)])
 
     def runner(self, x, p, lanes, errors):
         """run(position, rows=None): one root set's results, lanes first.
@@ -215,9 +297,10 @@ class _Work:
     def __init__(self, group, z, lam, Sigma, p):
         self.group = group
         self.lanes = np.arange(len(group))
-        self.Alam = np.array([
-            s.A.T @ lam if lam.size else np.zeros(group.n) for s in group.subs
-        ])
+        self.Alam = (
+            np.concatenate([mv(A.swapaxes(-1, -2), lam) for _, A in group.coupling()])
+            if lam.size else np.zeros((len(group), group.n))
+        )
         self.lb, self.ub = group.lb, group.ub
         self.z, self.Sigma, self.p = z, Sigma, p
         self.Sigma2 = 2.0 * Sigma  # the proximal term's Hessian
@@ -273,15 +356,16 @@ class _Point:
     Every array has the lanes first.
     ``dL``/``dU`` are the distances to the finite bounds, ``eL``/``eU`` the
     multipliers on them and ``cs``/``pL``/``pU`` the complementarity
-    products; ``r_g`` is g itself.  ``fixed`` is the max norm of the mu-free
+    products; ``r_g`` is g itself, and ``h``, ``grad_f``, ``Jg`` and ``Jh``
+    are the evaluation.  ``fixed`` is the max norm of the mu-free
     parts r_x, r_g, r_h (NaN ignored), ``gmax`` that of r_g, and ``lead``
     that of the part the KKT error opens with when it is one of them
     (``nan``: a lane's lead is NaN).  ``pt[rows]`` is the point of some
     lanes.
     """
 
-    _ARRAYS = ("x", "s", "kappa", "gamma", "etaL", "etaU", "r_g", "h", "Jg",
-               "Jh", "r_x", "r_h", "cs", "dL", "dU", "eL", "eU", "pL", "pU")
+    _ARRAYS = ("x", "s", "kappa", "gamma", "etaL", "etaU", "r_g", "h", "grad_f",
+               "Jg", "Jh", "r_x", "r_h", "cs", "dL", "dU", "eL", "eU", "pL", "pU")
     _OPTIONAL = ("gmax", "fixed", "lead")  # per lane, or None
     __slots__ = _ARRAYS + _OPTIONAL + ("nan",)
 
@@ -289,7 +373,7 @@ class _Point:
         g, h, grad_f, Jg, Jh = ev
         self.x, self.s, self.kappa, self.gamma = x, s, kappa, gamma
         self.etaL, self.etaU = etaL, etaU
-        self.r_g, self.h, self.Jg, self.Jh = g, h, Jg, Jh
+        self.r_g, self.h, self.grad_f, self.Jg, self.Jh = g, h, grad_f, Jg, Jh
         r_x = grad_f + w.Alam + 2.0 * mv(w.Sigma, x - w.z)
         if w.n_g:
             r_x = r_x + mv(Jg.swapaxes(-1, -2), kappa)
@@ -492,13 +576,13 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
 
 
 def _settle(out, w, pt, rows, status, newton, err0):
-    """Put the LocalSolutions of the given rows, after ``newton`` steps, into
-    ``out`` at their blocks ``w.lanes``."""
-    eta = np.concatenate([pt.etaL[rows], pt.etaU[rows]], axis=-1)
-    for k, x, kappa, gamma, e, err in zip(
-        w.lanes[rows], pt.x[rows], pt.kappa[rows], pt.gamma[rows], eta, err0[rows],
-    ):
-        out[k] = LocalSolution(x, kappa, gamma, e, status, newton, err)
+    """Write the given rows of ``pt``, after ``newton`` steps, into the
+    GroupSolution ``out`` at their lanes ``w.lanes``."""
+    out.put(
+        w.lanes[rows], *(v[rows] for v in (pt.x, pt.kappa, pt.gamma, pt.etaL, pt.etaU)),
+        (None, *(v[rows] for v in (pt.h, pt.grad_f, pt.Jg, pt.Jh))),
+        status, newton, err0[rows],
+    )
 
 
 def solve_group(group, z, lam, Sigma, p, warm=None, tol=1e-10):
@@ -507,11 +591,12 @@ def solve_group(group, z, lam, Sigma, p, warm=None, tol=1e-10):
     Parameters
     ----------
     group : BlockGroup
-    z, Sigma, p : sequences, one entry per block of the group
-        Proximal centers, proximal weight matrices and parameter vectors.
+    z, Sigma, p : stacks, lanes first, or sequences with one entry per block
+        Proximal centers (L, n), proximal weight matrices (L, n, n) and
+        parameter vectors (L, n_p); a float array is used as it is.
     lam : array_like
         Consensus dual, shared by all blocks.
-    warm : sequence of LocalSolution, or None
+    warm : GroupSolution, sequence of LocalSolution, or None
         One previous solution per block (all or none); each is checked
         first and reused as its block's start point.
     tol : float
@@ -519,10 +604,10 @@ def solve_group(group, z, lam, Sigma, p, warm=None, tol=1e-10):
 
     Returns
     -------
-    list
-        Per block, its LocalSolution, or the DomainEvalError or SolverError
-        that solving it alone would have raised; the other blocks are
-        unaffected by it.
+    GroupSolution
+        Per block, its LocalSolution, or in ``errors`` the DomainEvalError
+        or SolverError that solving it alone would have raised; the other
+        blocks are unaffected by it.
 
     Raises
     ------
@@ -533,13 +618,13 @@ def solve_group(group, z, lam, Sigma, p, warm=None, tol=1e-10):
     lam = np.asarray(lam, dtype=float)
     z = _stack("z", z, len(group), group.n)
     p = _stack("p", p, len(group), group.subs[0].n_p)
-    w = _Work(group, z, lam, np.array(Sigma, dtype=float), p)
+    w = _Work(group, z, lam, np.asarray(Sigma, dtype=float), p)
     return _lockstep(w, warm, tol)
 
 
 def _stack(name, rows, N, size):
     """The N vectors of length ``size`` in ``rows`` as an (N, size) array."""
-    a = np.array(rows, dtype=float)
+    a = np.asarray(rows, dtype=float)
     if a.shape[:1] != (N,):
         raise ValueError(f"expected {N} {name} vectors, got shape {a.shape}")
     if a.shape[1:] != (size,):
@@ -547,18 +632,24 @@ def _stack(name, rows, N, size):
     return a
 
 
+def _warm_stacks(warm):
+    """(x, kappa, gamma, eta) of a warm start, lanes first."""
+    if isinstance(warm, GroupSolution):
+        return warm.x, warm.kappa, warm.gamma, warm.eta
+    return tuple(np.array([getattr(s, k) for s in warm])
+                 for k in ("x", "kappa", "gamma", "eta"))
+
+
 def _lockstep(w, warm, tol):
     N, n, n_g, n_h = len(w.lanes), w.n, w.n_g, w.n_h
     iL, iU = w.iL, w.iU
-    out = [None] * N  # by block; w.lanes holds the block of each lane still running
-    errors = {}
+    # by lane; w.lanes holds the lane of each row still running
+    out = GroupSolution(N, n, n_g, n_h)
 
     # shortcut: a warm start already at KKT quality is returned unchanged
     if warm is not None:
-        wx = np.array([s.x for s in warm])
-        kap = np.array([s.kappa for s in warm])
-        gam = np.array([s.gamma for s in warm])
-        eta = np.array([s.eta for s in warm])
+        wx, kap, gam, eta = _warm_stacks(warm)
+        errors = out.errors  # every lane is still running: rows are lanes
         ev = w.eval_point(wx, errors)
         chk = _Point(
             w, wx, np.maximum(-ev[1], 0.0), kap, gam, eta[:, :n], eta[:, n:], ev
@@ -567,21 +658,17 @@ def _lockstep(w, warm, tol):
         done = err <= tol
         if w.bounded:
             done &= (wx >= w.lb).all(axis=-1) & (wx <= w.ub).all(axis=-1)
-        for r in np.flatnonzero(done):
-            s = warm[r]
-            out[r] = LocalSolution(
-                s.x.copy(), s.kappa.copy(), s.gamma.copy(), s.eta.copy(),
-                "converged", 0, err[r],
-            )
-        for r, e in errors.items():
-            out[r], done[r] = e, True
+        if done.any():
+            out.put(done, wx[done], kap[done], gam[done], eta[done, :n],
+                    eta[done, n:], tuple(v[done] for v in ev), "converged", 0,
+                    err[done])
+        done[list(errors)] = True
         if done.any():
             keep = ~done
             if not keep.any():
                 return out
             w, wx, kap, gam, eta, chk = (v[keep] for v in (w, wx, kap, gam, eta, chk))
             ev = tuple(v[keep] for v in ev)
-        errors = {}
 
     # strictly interior start
     x = (wx if warm is not None else w.z).copy()
@@ -595,12 +682,13 @@ def _lockstep(w, warm, tol):
 
     # the warm check's evaluation stands unless the projection moved a lane
     moved = warm is not None and w.bounded and not (x == wx).all()
+    errors = {}
     if warm is None or moved:
         ev = w.eval_point(x, errors)
     if errors:
         keep = np.ones(len(w.lanes), dtype=bool)
         for r, e in errors.items():
-            out[w.lanes[r]], keep[r] = e, False
+            out.errors[int(w.lanes[r])], keep[r] = e, False
         if not keep.any():
             return out
         w, x = w[keep], x[keep]
@@ -707,7 +795,7 @@ def _lockstep(w, warm, tol):
         if failed:
             keep = np.ones(M, dtype=bool)
             for r, e in failed.items():
-                out[w.lanes[r]], keep[r] = e, False
+                out.errors[int(w.lanes[r])], keep[r] = e, False
             if not keep.any():
                 return out
             (pt, w, mu, mu_c, best_pri, stall, err0, err_mu, dx, dkappa,

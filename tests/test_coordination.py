@@ -274,6 +274,22 @@ class TestScalingUpdates:
             st = update_sigma(st, opts)
         np.testing.assert_allclose(st.sigmas[0], 128 * np.eye(3))
 
+    def test_stack_grows_lane_by_lane(self):
+        # a lockstep group's Sigma stack: each lane is gated by its own norm,
+        # bit for bit as alone, and a stack that does not grow is not copied
+        opts = options(r_sigma=3.0, sigma_max=50.0)
+        rng = np.random.default_rng(0)
+        S = rng.uniform(-1.0, 1.0, (4, 3, 3))
+        S[2] *= 40.0
+        out = update_sigma(ScalingState(sigmas=[S], delta=np.array([1.0])), opts)
+        for j in range(4):
+            alone = ScalingState(sigmas=[S[j]], delta=np.array([1.0]))
+            alone = update_sigma(alone, opts)
+            assert out.sigmas[0][j].tobytes() == alone.sigmas[0].tobytes()
+        assert np.array_equal(out.sigmas[0][2], S[2])
+        capped = ScalingState(sigmas=[100.0 * S], delta=np.array([1e9]))
+        assert update_sigma(capped, opts).sigmas[0] is capped.sigmas[0]
+
     def test_delta_grows_by_r_delta(self):
         opts = options(r_delta=3.0)
         st = ScalingState(sigmas=[np.eye(1)], delta=np.array([2.0, 2.0]))

@@ -5,7 +5,7 @@ variant moved onto the reduced path: the dense solver
 ``solve_coordination_full`` and the full-space branch of
 ``driver._coordinate``, both verbatim except that the result no longer
 carries the KKT residual (the field is gone) and that the branch unstacks
-the per-group sensitivity packs it is now handed.  It is swapped in for
+the per-group sensitivity packs and local solutions it is now handed.  It is swapped in for
 ``driver._coordinate`` with ``monkeypatch``; everything else in the run is
 shared.  Per outer iteration, z, x and lam must agree to 1e-12 relative,
 and both runs must take the same iterations, termination, message and
@@ -87,7 +87,7 @@ def unstack(packs):
 def reference_coordinate(problem, opts, state, packs, topology):
     """The full-space branch of the old ``driver._coordinate``."""
     packs = unstack(packs)
-    xs = [sol.x for sol in state.locals]
+    xs = state.per_block([res.x for res in state.locals])
     A_list = [s.A for s in problem.subproblems]
     b = problem.b
     assert opts.variant == "fullspace"

@@ -18,6 +18,7 @@ from aladin.problem import (
     set_parameters,
     validate,
 )
+from aladin.sensitivity import detect_active
 
 import oracles
 
@@ -210,27 +211,33 @@ class TestAdmm:
         rows = sol.log.rows()
         assert len(rows) == 5 and len(rows[0]) == len(CSV_HEADER)
 
-    def test_active_sets_asked_only_of_blocks_with_rows(self, monkeypatch):
-        # blocks without inequalities or bounds have nothing that could be
-        # active, and are not asked on any iteration
-        from aladin import driver
+    def test_active_sets_come_from_the_local_solutions(self, monkeypatch):
+        # the active sets are read off the local solver's evaluation at its
+        # solutions: nothing but the final objective is evaluated for the
+        # log, and it counts the changes of detecting them block by block
+        evaluated = []
+        evaluate = ex.evaluate
 
-        asked = []
-        detect = driver.detect_active
+        def counted(fun, *args):
+            evaluated.append(fun)
+            return evaluate(fun, *args)
 
-        def counted(sub, *args):
-            asked.append(sub)
-            return detect(sub, *args)
-
-        monkeypatch.setattr(driver, "detect_active", counted)
-        run_admm(coupled_qp(n_blocks=4), SolverOptions(term_eps=0, max_iter=5))
-        assert asked == []
+        monkeypatch.setattr(ex, "evaluate", counted)
         prob = tutorial()
-        sol = run_admm(prob, SolverOptions(term_eps=0, max_iter=5))
-        with_rows = [s for s in prob.subproblems if s.n_h or np.isfinite(s.lb).any()
-                     or np.isfinite(s.ub).any()]
-        assert with_rows and len(asked) == len(with_rows) * sol.iterations
-        assert set(map(id, asked)) == set(map(id, with_rows))
+        opts = SolverOptions(term_eps=0, max_iter=5).check()
+        sol = run_admm(prob, opts)
+        assert evaluated == [s.f for s in prob.subproblems]
+        monkeypatch.undo()
+        acts = [
+            [detect_active(s, x, p, opts.act_margin).indices
+             for s, x, p in zip(prob.subproblems, rec.x, prob.parameters)]
+            for rec in sol.log.records
+        ]
+        changes = [0] + [
+            sum(len(set(a) ^ set(b)) for a, b in zip(prev, cur))
+            for prev, cur in zip(acts, acts[1:])
+        ]
+        assert any(acts[0]) and [r.active_changes for r in sol.log.records] == changes
 
     def test_local_failure_names_outer_iteration(self):
         # the local solver evaluates x log x through its gradient log x + 1,

@@ -5,7 +5,11 @@ The reference below is each solver's loop as it stood before both shared one
 without the write-only iteration counter it kept on the state.  Its loop
 helpers are spelled out in place; the ALADIN step's library parts
 (``driver._sensitivity_pack``, ``driver._coordinate``) are shared, so the
-two sides differ only in the loop.  Every Solution field, every
+two sides differ only in the loop.  The reference keeps its state block by
+block; ``group_state`` hands it to the shared parts in the driver's
+group-major layout, the local solutions with their evaluation at x and
+active masks, and ``keep_bfgs`` takes the BFGS matrices back.  Every
+Solution field, every
 IterationRecord (timings by key only) and the captured progress lines must
 agree bit for bit.  The solve-once tests pin one factored reduced Hessian
 per block and outer iteration, however the ``np.linalg.solve`` calls stack
@@ -13,6 +17,7 @@ them.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +37,8 @@ from aladin.driver import (
 )
 from aladin.errors import SolverError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
-from aladin.local import group_blocks, solve_local
-from aladin.problem import SolverOptions, validate
+from aladin.local import GroupSolution, group_blocks, solve_local
+from aladin.problem import SolverOptions, Subproblem, validate
 from aladin.sensitivity import coupling_rows, detect_active
 
 DIVERGENCE_GUARD = 1e10
@@ -57,13 +62,54 @@ def _init_state(problem, opts, z0, lam0):
     for v, s in zip(z, problem.subproblems):
         if v.shape != (s.n_x,):
             raise ValueError("z0 block dimensions do not match the problem")
-    return IterateState(
+    return SimpleNamespace(
         z=z,
         lam=lam,
         locals=[None] * problem.n_s,
-        scaling=ScalingState.initial(problem, opts),
+        scaling=ScalingState(
+            sigmas=[opts.sigma_init * np.eye(s.n_x) for s in problem.subproblems],
+            delta=np.full(problem.n_c, opts.mu_init / 2.0),
+        ),
         bfgs=[None] * problem.n_s,
+        prev_x=None,
+        prev_active=None,
+        prev_lam_qp=None,
     )
+
+
+def group_state(problem, opts, groups, state):
+    """The per-block ``state`` in the driver's group-major layout."""
+
+    def stacked(rows):
+        return [np.array([rows[i] for i in g.blocks], dtype=float) for g in groups]
+
+    sols = []
+    for g in groups:
+        res = GroupSolution(len(g), g.n, g.n_g, g.n_h)
+        for j, i in enumerate(g.blocks):
+            sol, sub, p = state.locals[i], problem.subproblems[i], problem.parameters[i]
+            ev = (None, ex.evaluate(sub.h, sol.x, p), ex.gradient(sub.f, sol.x, p),
+                  ex.jacobian(sub.g, sol.x, p), ex.jacobian(sub.h, sol.x, p))
+            res.put([j], sol.x, sol.kappa, sol.gamma, sol.eta[:g.n], sol.eta[g.n:],
+                    ev, sol.status, sol.iterations, sol.kkt_residual)
+        sols.append(res)
+    out = IterateState(
+        groups=groups, z=stacked(state.z), lam=state.lam,
+        p=stacked(problem.parameters), scaling=state.scaling, locals=sols,
+        bfgs=[None if state.bfgs[g.blocks[0]] is None
+              else np.array([state.bfgs[i] for i in g.blocks]) for g in groups],
+        prev_x=None if state.prev_x is None else stacked(state.prev_x),
+        prev_lam_qp=state.prev_lam_qp,
+    )
+    out.active = driver._active_masks(opts, out)
+    return out
+
+
+def keep_bfgs(groups, shared, state):
+    """Take the BFGS matrices the shared step left, block by block."""
+    for g, B in zip(groups, shared.bfgs):
+        for i, B_i in zip(g.blocks, [None] * len(g) if B is None else B):
+            state.bfgs[i] = B_i
 
 
 def _map_blocks(fn, n):
@@ -223,9 +269,9 @@ def reference_aladin(problem, opts=None, z0=None, lam0=None):
                 break
 
             t0 = time.perf_counter()
-            packs = driver._sensitivity_pack(
-                problem, opts, state, groups, coupling, state.prev_x
-            )
+            shared = group_state(problem, opts, groups, state)
+            packs = driver._sensitivity_pack(problem, opts, shared, coupling)
+            keep_bfgs(groups, shared, state)
             timings["sensitivity"] = time.perf_counter() - t0
             bfgs_min_eig = (
                 [float(np.linalg.eigvalsh(H).min()) for H in _unstack(packs, "hess")]
@@ -235,7 +281,7 @@ def reference_aladin(problem, opts=None, z0=None, lam0=None):
 
             t0 = time.perf_counter()
             result, mlog, t_inner = driver._coordinate(
-                problem, opts, state, packs, topology
+                problem, opts, shared, packs, topology
             )
             timings["qp"] = time.perf_counter() - t0
             timings["inner"] = t_inner
@@ -464,6 +510,35 @@ def _coupled_qp_20x3():
     return coupled_qp(n_blocks=20, block_size=3)
 
 
+def interleaved_chain(n_blocks=8):
+    """Two lockstep groups that interleave in block order.
+
+    Even blocks: min ||x - c_i||^2 over the disc x0^2 + x1^2 <= 1; odd
+    blocks: min (x0 - c_0)^2 + 2 (x1 - c_1)^2 + x0 x2 / 2 + (x2 - c_2)^2 on
+    the plane x0 - x1 + x2 / 4 = c_0.  They are chained as in ``_chain``,
+    and one more row sums x2 over all blocks, so its consensus entry adds
+    terms of both groups in block order.
+    """
+    from test_sensitivity_reference import _chain
+
+    centers = np.random.default_rng(11).uniform(-1.5, 1.5, (n_blocks, 3))
+
+    def make(i, A):
+        x0, x1, x2 = ex.var(0), ex.var(1), ex.var(2)
+        c = centers[i]
+        if i % 2 == 0:
+            f = ex.VectorFunction([ex.square(x0 - c[0]) + ex.square(x1 - c[1])
+                                   + ex.square(x2 - c[2])], 3)
+            h = ex.VectorFunction([ex.square(x0) + ex.square(x1) - 1.0], 3)
+            return Subproblem(f, h=h, A=A)
+        f = ex.VectorFunction([ex.square(x0 - c[0]) + 2.0 * ex.square(x1 - c[1])
+                               + 0.5 * x0 * x2 + ex.square(x2 - c[2])], 3)
+        g = ex.VectorFunction([x0 - x1 + 0.25 * x2 - c[0]], 3)
+        return Subproblem(f, g=g, A=A)
+
+    return _chain(n_blocks, 3, make, shared=True)
+
+
 TUTORIAL_CASES = [
     (f"tutorial-{variant}-{hessian}", tutorial,
      dict(variant=variant, hessian=hessian, max_iter=40))
@@ -477,12 +552,19 @@ ALADIN_CASES = TUTORIAL_CASES + [
     ("ocp-nullspace-damped", ocp_chain, dict(variant="nullspace", step_size=0.7)),
     ("ocp-bilevel-cold-inner", ocp_chain, dict(variant="bilevel", warm_start=False)),
     ("qp50-nullspace", _coupled_qp_50, dict(variant="nullspace")),
+    ("interleaved-fullspace", interleaved_chain, dict()),
+    ("interleaved-nullspace-bfgs", interleaved_chain,
+     dict(variant="nullspace", hessian="bfgs")),
+    ("interleaved-dbfgs-del-up", interleaved_chain, dict(hessian="dbfgs", del_up=True)),
 ]
 # the 20x3 QP is the benchmark's admm-chain instance, unshifted
 ADMM_CASES = [
     ("admm-tutorial", tutorial, dict(term_eps=0.0, max_iter=30), 30),
     ("admm-qp20x3", _coupled_qp_20x3, dict(term_eps=1e-6, max_iter=1000, log_every=7), 244),
     ("admm-ocp", ocp_chain, dict(), 100),
+    # the default rho = 100 diverges here, as it does block by block
+    ("admm-interleaved", interleaved_chain,
+     dict(rho_admm=0.3, term_eps=1e-6, max_iter=400), 333),
 ]
 
 

@@ -7,8 +7,12 @@ stacked ``matmul`` (matrix @ matrix, matrix @ column, row @ column),
 BLAS kernel on each lane.  ``einsum`` does not, and is not used.  The shapes
 below are those the sensitivity layer produces: active Jacobians from empty
 (k, 0, n) through 1x2 to 13x27 and 27x14, reduced Hessians up to 27x27, and
-compact coupling matrices.  A numpy or BLAS build where this fails breaks
-the bit-identity of every lockstep trajectory.
+compact coupling matrices.  The outer loop adds three forms: a stack of
+matrices against one shared vector, the axis-0 add-reduce that sums the
+consensus in block order (from ``initial=-0.0``: by default the reduce
+starts at +0.0, which turns a column of -0.0 into +0.0), and the per-lane
+infinity norm.  A numpy or BLAS build where this fails breaks the
+bit-identity of every lockstep trajectory.
 """
 
 import numpy as np
@@ -85,3 +89,55 @@ def test_svd(m, n):
     rng = np.random.default_rng(7 * m + n)
     C = rng.standard_normal((LANES, m, n))
     lanes_equal(np.linalg.svd, np.linalg.svd, C)
+
+
+# -- the outer loop's forms ----------------------------------------------------
+
+# (lanes, n_x, n_c) of the ADMM z-step and the coupling products: admm-chain,
+# qp-wide, and a wider block
+OUTER_SHAPES = [(20, 3, 19), (400, 2, 399), (7, 27, 13)]
+
+
+@pytest.mark.parametrize("L, n, n_c", OUTER_SHAPES, ids=lambda v: str(v))
+def test_mv_against_a_shared_vector(L, n, n_c):
+    # the z-step's A_i^+ nu and the local solver's A_i' lam: one vector for
+    # every lane, against each slice's 2-D product
+    rng = np.random.default_rng(L + n + n_c)
+    P = rng.standard_normal((L, n, n_c))
+    A = rng.standard_normal((L, n_c, n))
+    A[:, ::3] = 0.0
+    nu = rng.standard_normal(n_c)
+    for M in (P, A.swapaxes(-1, -2)):
+        out = (M @ nu[..., None])[..., 0]
+        for j in range(L):
+            assert same(out[j], M[j] @ nu), j
+
+
+@pytest.mark.parametrize("L, n, n_c", OUTER_SHAPES, ids=lambda v: str(v))
+def test_axis0_reduce_is_the_sequential_sum(L, n, n_c):
+    # the consensus sum ((-b + t_0) + t_1) + ...: rows of mixed sign and
+    # magnitude, exact zeros of both signs, some columns all zero
+    rng = np.random.default_rng(3 * L + n_c)
+    T = rng.standard_normal((L + 1, n_c)) * 10.0 ** rng.integers(-8, 8, (L + 1, n_c))
+    T[rng.random(T.shape) < 0.3] = 0.0
+    T[rng.random(T.shape) < 0.5] *= -1.0
+    T[:, ::5] = np.where(rng.random((L + 1, 1)) < 0.5, 0.0, -0.0)
+    T[:, 1] = -0.0
+    want = T[0].copy()
+    for t in T[1:]:
+        want += t
+    assert same(np.add.reduce(T, axis=0, initial=-0.0), want)
+    # and in pieces: the sum so far heads the next piece
+    part = np.add.reduce(T[: L // 2 + 1], axis=0, initial=-0.0)
+    rest = np.concatenate([part[None], T[L // 2 + 1:]])
+    assert same(np.add.reduce(rest, axis=0, initial=-0.0), want)
+
+
+@pytest.mark.parametrize("n", SQUARE)
+def test_inf_norm_per_lane(n):
+    # update_sigma's gate: the largest absolute row sum of each lane
+    S = spd(np.random.default_rng(n), n) - 0.5 * n
+    lanes_equal(
+        lambda M: np.abs(M).sum(axis=-1).max(axis=-1),
+        lambda M: np.float64(np.linalg.norm(M, np.inf)), S,
+    )

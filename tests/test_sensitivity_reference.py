@@ -10,7 +10,9 @@ and ``_coordinate`` of the driver, the per-block kernels of ``sensitivity``
 ``solve_coordination_reduced`` calls the copied ``schur_contribution``.  It
 shares no code with the stacked layers: the adapters swap it in for
 ``driver._sensitivity_pack`` and ``driver._coordinate`` with
-``monkeypatch``, block after block.  Every Solution field, every
+``monkeypatch``, block after block, reading the driver's group-major state
+block by block and handing the BFGS matrices back to it per group.  Every
+Solution field, every
 IterationRecord and the printed lines must agree bit for bit, and a failing
 block must raise the same error with the same message.
 """
@@ -432,24 +434,41 @@ def reference_pack(record):
     block's active set is appended to ``record``, one list per call.
     """
 
-    def pack(problem, opts, state, groups, coupling, x_prev):
+    def pack(problem, opts, state, coupling):
+        blocks = block_state(state)
+        x_prev = None if state.prev_x is None else state.per_block(state.prev_x)
         lanes = []
         for i in range(problem.n_s):
-            pk = _sensitivity_pack(problem, opts, state, i, x_prev)
+            pk = _sensitivity_pack(problem, opts, blocks, i, x_prev)
             lanes.append(SimpleNamespace(
                 blocks=np.array([i]),
                 hess=None if pk.hess is None else pk.hess[None],
                 active=np.array([pk.active.indices], dtype=np.intp),
                 pack=pk,
             ))
+        if opts.hessian != "exact":
+            state.bfgs = [np.array([blocks.bfgs[i] for i in g.blocks])
+                          for g in state.groups]
         record.append([lane.pack.active.indices for lane in lanes])
         return lanes
 
     return pack
 
 
+def block_state(state):
+    """The local solutions and BFGS matrices of the driver's group-major
+    ``state``, block by block."""
+    sols = {}
+    for g, res in zip(state.groups, state.locals):
+        sols.update(zip(g.blocks, res))
+    bfgs = [None] * len(sols)
+    if state.bfgs[0] is not None:
+        bfgs = state.per_block(state.bfgs)
+    return SimpleNamespace(locals=[sols[i] for i in range(len(sols))], bfgs=bfgs)
+
+
 def reference_coordinate(problem, opts, state, packs, topology):
-    xs = [sol.x for sol in state.locals]
+    xs = state.per_block([res.x for res in state.locals])
     rows = [coupling_rows(s.A) for s in problem.subproblems]
     return _coordinate(
         problem, opts, state, [lane.pack for lane in packs], xs, rows, topology
