@@ -25,9 +25,13 @@ evaluated from several threads.
 Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
 stacks such tapes of several blocks and runs them on all the blocks'
 points at once; each lane's values and errors are those of its own tape.
-A run on a single lane is its own ``_Tape.run``, a run on several lanes
-takes one ufunc per instruction that has one: each is the faster on its own
-traffic.
+A run on a single lane is its own ``_Tape.run``.  A run on several lanes
+goes in wavefronts: the instructions of one dependency level and one
+operator form a batch that writes one contiguous block of register rows,
+and a batch whose operator has a ufunc takes one call for all its
+instructions and lanes, so a tape costs one call per (level, operator)
+pair rather than one per instruction.  Each interpreter is the faster on
+its own traffic.
 """
 
 from __future__ import annotations
@@ -391,31 +395,28 @@ class _Tape:
 class _LaneTape:
     """Structurally equal tapes of one or more blocks, run on their lanes.
 
-    Built from tapes with equal ``key``; lane k is the block of ``tapes[k]``.
-    A run on one lane is that lane's ``_Tape.run``.  A run on several has
-    registers as rows over the lanes: ``init`` is (n_reg, n_lanes) and
-    ``base`` (n_lanes, size), each lane's constants taken from its own tape.
-    Each instruction's ``_OPS`` entry is resolved when the lane tape is
-    built: an operator with a ufunc runs as one ufunc call over the lanes,
-    skipping those outside its domain; the others run their scalar function
-    lane by lane.
+    Built from tapes with equal ``key``; lane k is the block of ``tapes[k]``,
+    and ``base`` (n_lanes, size) holds each lane's constant result.  A run
+    on one lane is that lane's ``_Tape.run``.  A run on several goes in
+    wavefronts over registers that are rows over the lanes: ``waves``, the
+    program ``_wavefronts`` builds from the tapes on first use (a group that
+    only ever runs one lane at a time never builds it).
     """
 
     def __init__(self, tapes):
-        first = tapes[0]
         self.tapes = tapes
-        self.init = np.array([t.init for t in tapes]).T.copy()
         self.base = np.array([t.base for t in tapes])
-        self.x_regs = [r for r, _ in first.x_loads]
-        self.x_idx = [i for _, i in first.x_loads]
-        self.p_regs = [r for r, _ in first.p_loads]
-        self.p_idx = [i for _, i in first.p_loads]
-        self.code = []
-        for _, dst, a, b, node in first.code:
-            op = _OPS[node.kind]
-            self.code.append((op.fn, op.ufunc, op.outside, dst, a, b))
-        self.out_pos = first.out_pos
-        self.out_reg = np.array(first.out_reg, dtype=np.intp)
+        self.constant = not tapes[0].out_reg
+        self._iota = np.arange(len(tapes), dtype=np.intp).tobytes()
+
+    @property
+    def waves(self):
+        """The wavefront program, built once; whoever builds it builds the same."""
+        try:
+            return self._waves
+        except AttributeError:
+            self._waves = _wavefronts(self.tapes, self.base)
+            return self._waves
 
     def _fail(self, errors, lanes, row, X, P):
         """Put the error of this row's lane into ``errors``, unless it has one.
@@ -447,38 +448,133 @@ class _LaneTape:
             return np.full((1, self.base.shape[1]), np.nan)
 
     def _run_lanes(self, X, P, lanes, errors):
-        """``run`` on several lanes, registers being rows over them."""
-        out = self.base[lanes]
-        if not self.out_reg.size:
-            return out
-        R = self.init[:, lanes]
-        if self.x_regs:
-            R[self.x_regs] = X[:, self.x_idx].T
-        if self.p_regs:
-            R[self.p_regs] = P[:, self.p_idx].T
-        reg = list(R)
-        for fn, ufunc, outside, dst, a, b in self.code:
-            u, d = reg[a], reg[dst]
-            if outside is None and ufunc is not None:
-                ufunc(u, out=d) if b < 0 else ufunc(u, reg[b], out=d)
-                continue
-            args = (u,) if b < 0 else (u, reg[b])
+        """``run`` on several lanes, one batch at a time.
+
+        Every row holds, in each lane, the value of its registers in the
+        lane's own tape, so a lane's results are those of its ``_Tape.run``;
+        a lane that leaves a domain takes its error from rerunning that
+        tape (``_fail``).
+        """
+        every = len(lanes) == len(self.base) and lanes.tobytes() == self._iota
+        if self.constant:
+            return self.base.copy() if every else self.base[lanes]
+        waves = self.waves
+        R = waves.init.copy() if every else waves.init.take(lanes, axis=1)
+        n_x, n_p = waves.n_x, waves.n_p
+        if n_x:
+            R[:n_x] = _gather(X.T, waves.x_idx)
+        if n_p:
+            R[n_x:n_x + n_p] = _gather(P.T, waves.p_idx)
+        for fn, ufunc, outside, dst, a, b in waves.batches:
+            args = (_gather(R, a),) if b is None else (_gather(R, a), _gather(R, b))
             if ufunc is None:
-                for j, vals in enumerate(zip(*[w.tolist() for w in args])):
+                # the scalar function on every entry, so libm rounds each
+                n = R.shape[1]
+                vals = []
+                for k, v in enumerate(zip(*[u.ravel().tolist() for u in args])):
                     try:
-                        d[j] = fn(*vals)
+                        vals.append(fn(*v))
                     except DomainEvalError:
-                        self._fail(errors, lanes, j, X, P)
-                        d[j] = math.nan
+                        self._fail(errors, lanes, k % n, X, P)
+                        vals.append(math.nan)
+                R[dst] = np.reshape(vals, args[0].shape)
+            elif outside is None:
+                ufunc(*args, out=R[dst])
             else:
-                # the lanes outside the domain are skipped, and fail
+                # the entries outside the domain are skipped, their lanes fail
                 bad = outside(*args)
-                ufunc(*args, out=d, where=~bad)
+                ufunc(*args, out=R[dst], where=~bad)
                 if bad.any():
-                    for j in np.flatnonzero(bad):
+                    for j in np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0)):
                         self._fail(errors, lanes, j, X, P)
-        out[:, self.out_pos] = R[self.out_reg].T
-        return out
+        return R.take(waves.src, axis=0).T.copy()
+
+
+_Wavefronts = namedtuple("_Wavefronts", "init n_x n_p x_idx p_idx batches src")
+
+
+def _wavefronts(tapes, base):
+    """The program that runs structurally equal ``tapes`` on their lanes.
+
+    An instruction's level is one above its operands' highest (loads and
+    constants are level 0); the instructions of one level and one operator
+    form a batch, and none of them reads another's result.  The rows of
+    ``init`` (n_rows, n_lanes) are, in order: ``n_x`` rows, one per x entry
+    loaded, and ``n_p``, one per p entry loaded, by index (``x_idx``,
+    ``p_idx``; registers loading the same entry share its row); the
+    constants, operands and constant roots alike, each lane's value taken
+    from its own tape (two with equal values in every lane share a row);
+    then the destinations of each batch in (level, operator) order, so that
+    a batch writes one contiguous block of rows.  A batch is ``(fn, ufunc,
+    outside, dst, a, b)``: its operator's ``_OPS`` entry, its destination
+    rows (a slice, or one row for a batch of one) and its operand rows (a
+    slice where they are contiguous; ``b`` is None for a unary operator).
+    An operator with a ufunc runs as one call over the batch's rows and
+    lanes, skipping the entries outside its domain; the others run their
+    scalar function entry by entry.  Result position k of a lane is row
+    ``src[k]``; ``base`` holds the lanes' results, constant roots filled in.
+    """
+    first = tapes[0]
+    level = [0] * len(first.init)
+    batches = {}  # (level, operator) -> [(dst, a, b)]
+    for _, dst, a, b, node in first.code:
+        lv = level[dst] = 1 + max(level[a], level[b] if b >= 0 else 0)
+        batches.setdefault((lv, node.kind), []).append((dst, a, b))
+    x_idx = sorted({i for _, i in first.x_loads})
+    p_idx = sorted({i for _, i in first.p_loads})
+    new = {}  # register -> row
+    row = {i: k for k, i in enumerate(x_idx)}
+    new.update((r, row[i]) for r, i in first.x_loads)
+    row = {i: len(x_idx) + k for k, i in enumerate(p_idx)}
+    new.update((r, row[i]) for r, i in first.p_loads)
+    written = set(new).union(dst for _, dst, _, _, _ in first.code)
+    consts = [r for r in range(len(first.init)) if r not in written]
+    roots = np.ones(first.base.size, dtype=bool)
+    roots[first.out_pos] = False
+    roots = np.flatnonzero(roots)
+    values = np.hstack([
+        np.array([[t.init[r] for r in consts] for t in tapes]).reshape(len(tapes), -1),
+        base[:, roots],
+    ]).T
+    start = len(x_idx) + len(p_idx)
+    seen = {}  # a row of values, as bytes -> its row
+    at = [seen.setdefault(v.tobytes(), start + len(seen)) for v in values]
+    new.update(zip(consts, at))
+    start += len(seen)
+    program = []
+    for key in sorted(batches):
+        ins = batches[key]
+        a = [new[a] for _, a, _ in ins]
+        b = None if ins[0][2] < 0 else [new[b] for _, _, b in ins]
+        if len(ins) == 1:
+            dst, a, b = start, a[0], None if b is None else b[0]
+        else:
+            dst = slice(start, start + len(ins))
+            a, b = _rows(a), None if b is None else _rows(b)
+        new.update((d, start + k) for k, (d, _, _) in enumerate(ins))
+        start += len(ins)
+        op = _OPS[key[1]]
+        program.append((op.fn, op.ufunc, op.outside, dst, a, b))
+    init = np.zeros((start, len(tapes)))
+    init[at] = values
+    src = np.empty(first.base.size, dtype=np.intp)
+    src[first.out_pos] = [new[r] for r in first.out_reg]
+    src[roots] = at[len(consts):]
+    return _Wavefronts(init, len(x_idx), len(p_idx), _rows(x_idx), _rows(p_idx),
+                       program, src)
+
+
+def _rows(idx):
+    """A list of row indices as a slice where they are a contiguous run,
+    else as an array."""
+    if idx and idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx, dtype=np.intp)
+
+
+def _gather(M, rows):
+    """Rows of M: a view for a slice or a single row, else a copy."""
+    return M.take(rows, axis=0) if type(rows) is np.ndarray else M[rows]
 
 
 _READY = object()  # stack marker in _compile

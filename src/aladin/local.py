@@ -18,7 +18,8 @@ equal.  ``solve_group`` runs one interior-point loop over a group in
 lockstep.  Every block is a lane: each iterate is an array with the lanes
 first, and each tape runs once for all lanes through the group's
 ``expr._LaneTape``, which picks the interpreter: a single lane runs its
-block's own scalar tape, several run one ufunc per instruction.  Every lane
+block's own scalar tape, several run in wavefronts, one ufunc call per
+batch of instructions of one dependency level and one operator.  Every lane
 keeps its own decisions (warm check, interior projection, barrier
 parameter, stall watch, step lengths, backtracking, domain errors) and
 leaves the loop when it converges, stalls, fails or runs out of Newton
@@ -808,6 +809,7 @@ def _lockstep(w, warm, tol):
 
         # multiplier steps and the step lengths to the boundary, per lane
         x, s, kappa, gamma, etaL, etaU = pt.x, pt.s, pt.kappa, pt.gamma, pt.etaL, pt.etaU
+        ds = dgamma = detaL = detaU = None
         primal, dual = [], []
         if n_h:
             ds = -pt.r_h - mv(pt.Jh, dx)
@@ -837,34 +839,29 @@ def _lockstep(w, warm, tol):
 
         # backtrack on the barrier KKT residual; the last trial is forced.
         # ``search`` holds the rows still backtracking (None: every row);
-        # each has failed every earlier trial, so theta is theirs alike
+        # each has failed every earlier trial, so theta is theirs alike.
+        # ``cur`` is their work, step lengths, mu, error and (value, step)
+        # parts, x and s moving by a_pri and the multipliers by a_dual;
+        # it is selected anew only when some row accepts
         search = None
+        moves = [(x, dx), (s, ds), (kappa, dkappa if n_g else None), (gamma, dgamma),
+                 (etaL, detaL), (etaU, detaU)]
+        cur = (w, a_pri, a_dual, mu_c, err_mu, moves)
         pieces = []  # (rows or None, trial point, its accepted rows, its error)
         for bt in range(9):
             theta = 0.5 ** bt
-            if search is None:
-                sel, ws, ap, ad = slice(None), w, a_pri, a_dual
-            else:
-                sel, ws, ap, ad = search, w[search], a_pri[search], a_dual[search]
+            ws, ap, ad, mus, errs, parts = cur
             tp = (theta * ap)[:, None]
             td = (theta * ad)[:, None]
-            xt = x[sel] + tp * dx[sel]
+            vals = [v if dv is None else v + (td if k > 1 else tp) * dv
+                    for k, (v, dv) in enumerate(parts)]
             bad = {}
-            evt = ws.eval_point(xt, bad)
-            trial = _Point(
-                ws, xt,
-                s[sel] + tp * ds[sel] if n_h else s[sel],
-                kappa[sel] + td * dkappa[sel] if n_g else kappa[sel],
-                gamma[sel] + td * dgamma[sel] if n_h else gamma[sel],
-                etaL[sel] + td * detaL[sel] if iL.size else etaL[sel],
-                etaU[sel] + td * detaU[sel] if iU.size else etaU[sel],
-                evt,
-            )
-            errt = trial.err(mu_c[sel])
+            trial = _Point(ws, *vals, ws.eval_point(vals[0], bad))
+            errt = trial.err(mus)
             if bt < 8:
                 # a finite error below the decrease target (the clamp makes
                 # an infinite one fail, as an infinite target would not)
-                target = (1.0 - 1e-4 * theta * ap) * err_mu[sel]
+                target = (1.0 - 1e-4 * theta * ap) * errs
                 ok = errt <= np.minimum(target, _FLOAT_MAX)
             else:
                 ok = np.isfinite(errt)
@@ -873,14 +870,20 @@ def _lockstep(w, warm, tol):
             if ok.all():
                 pieces.append((search, trial, slice(None), errt))
                 break
-            rows = np.arange(M) if search is None else search
             if ok.any():
+                rows = np.arange(M) if search is None else search
                 pieces.append((rows[ok], trial, ok, errt))
-            search = rows[~ok]
+                search = rows[~ok]
+                cur = (w[search], *(v[search] for v in (a_pri, a_dual, mu_c, err_mu)),
+                       [(v[search], None if dv is None else dv[search])
+                        for v, dv in moves])
         else:
             # every trial left the evaluation domain; give up on these centers
-            gave_up = np.zeros(M, dtype=bool)
-            gave_up[search] = True
+            if search is None:
+                gave_up = np.ones(M, dtype=bool)
+            else:
+                gave_up = np.zeros(M, dtype=bool)
+                gave_up[search] = True
             _settle(out, w, pt, gave_up, "stalled", newton + 1, err0)
             keep = ~gave_up
             if not keep.any():
@@ -892,7 +895,7 @@ def _lockstep(w, warm, tol):
             slot = np.cumsum(keep) - 1  # a kept row's new position
             pieces = [(slot[rows], *rest) for rows, *rest in pieces]
             M = len(w.lanes)
-        if pieces[0][0] is None:  # every lane accepted its first trial
+        if pieces[0][0] is None:  # every lane accepted the same trial
             pt, err_mu = pieces[0][1], pieces[0][3]
         else:
             pt = _Point.merge(M, [piece[:3] for piece in pieces])

@@ -582,6 +582,102 @@ def test_lane_errors_keep_each_rows_first_error():
     assert errors[0].node is want.node and str(errors[0]) == str(want)
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lane_tapes_on_permuted_subsets_of_every_size(seed):
+    # every lane count from 2 to N, on the first lanes and on a random draw
+    # of them in random order: row k is the block lanes[k] at its own point
+    funs = lane_functions(seed, (0.75, 1.3, -0.4, 2.2, 0.1, -1.7))
+    N = len(funs)
+    rng = np.random.default_rng(30 + seed)
+    X = rng.uniform(-1.5, 1.5, (N, 3))
+    P = rng.uniform(-1.5, 1.5, (N, 2))
+    n_runs = 0
+    for tapes in zip(*map(root_sets, funs)):
+        if tapes[0] is None:
+            continue
+        lane = ex._LaneTape(list(tapes))
+        for k in range(2, N + 1):
+            for lanes in (np.arange(k), rng.permutation(N)[:k]):
+                errors = {}
+                got = lane.run(X[lanes], P[lanes], lanes, errors)
+                assert not errors and got.flags.c_contiguous
+                for r, i in enumerate(lanes):
+                    assert_same_bits(got[r], tapes[i].run(X[i], P[i]))
+                n_runs += 1
+    assert n_runs > 40
+
+
+def test_wavefront_batches_cover_the_tape_in_order():
+    # the batches write the last rows, one contiguous block each, in order,
+    # and each reads only rows written before it: loads, constants, or
+    # earlier batches
+    funs = lane_functions(3, (0.75, 1.3))
+    for tapes in zip(*map(root_sets, funs)):
+        if tapes[0] is None:
+            continue
+        waves = ex._LaneTape(list(tapes)).waves
+        every = np.arange(len(waves.init))
+        rows = [every[dst].reshape(-1) for *_, dst, _, _ in waves.batches]
+        written = np.concatenate(rows)
+        assert len(waves.batches) < len(written) == len(tapes[0].code)
+        assert np.array_equal(written, every[len(every) - len(written):])
+        for dst, (*_, a, b) in zip(rows, waves.batches):
+            for operand in (a, b):
+                if operand is not None:
+                    assert every[operand].max() < dst[0]
+
+
+def wavefront_failures(c):
+    """sqrt, div and log instructions sharing their wavefronts, each failing
+    at other points; the first root's outer sqrt fails two levels deeper
+    than the others, but comes first in the tape."""
+    x0, x1, x2 = var(0), var(1), var(2)
+    return [
+        ex.sqrt(ex.sqrt(x0 + c) - 1.0),
+        ex.sqrt(x1 - c) + x2 / (x0 - c),
+        ex.log(x2 * c) - x1 / (x2 + c),
+        ex.sqrt(x2 - x1) * ex.sqrt(x0 * x1),
+    ]
+
+
+def test_lane_errors_in_shared_wavefronts_stay_each_rows_own():
+    consts = (0.75, 1.5, -0.5, 0.25)
+    funs = [VectorFunction(wavefront_failures(c), 3) for c in consts]
+    tapes = [f._compiled_outputs() for f in funs]
+    lane = ex._LaneTape(tapes)
+    # several sqrt instructions and several div instructions run as one batch
+    sizes = {}
+    for fn, _, _, dst, _, _ in lane.waves.batches:
+        if isinstance(dst, slice):
+            sizes[fn] = max(sizes.get(fn, 0), dst.stop - dst.start)
+    assert sizes[ex._sqrt] >= 3 and sizes[ex._div] >= 2
+    grid = (-1.0, 0.0, 0.5, 2.0)
+    points = [(a, b, d) for a in grid for b in grid for d in grid]
+    rng = np.random.default_rng(4)
+    n_raised, nodes = 0, set()
+    for shift in range(0, len(points), 3):
+        X = np.array([points[(shift + 17 * k) % len(points)] for k in range(4)])
+        for lanes in (np.arange(4), np.array([3, 1, 0, 2]), rng.permutation(4)[:3]):
+            errors = {}
+            got = lane.run(X[:len(lanes)], np.zeros((len(lanes), 0)), lanes, errors)
+            for k, i in enumerate(lanes):
+                want = _raised(tapes[i].run, X[k], np.zeros(0))
+                if want is None:
+                    assert k not in errors
+                    assert_same_bits(got[k], tapes[i].run(X[k], np.zeros(0)))
+                else:
+                    n_raised += 1
+                    nodes.add(id(want.node))
+                    assert errors[k].node is want.node
+                    assert str(errors[k]) == str(want)
+            assert set(errors) <= set(range(len(lanes)))
+    assert n_raised > 50 and len(nodes) >= 6
+
+
 def one_lane_only(monkeypatch):
     """Make the lane loop fail if a single-lane run enters it."""
     def refuse(*args):

@@ -11,12 +11,17 @@ compact coupling matrices.  The outer loop adds three forms: a stack of
 matrices against one shared vector, the axis-0 add-reduce that sums the
 consensus in block order (from ``initial=-0.0``: by default the reduce
 starts at +0.0, which turns a column of -0.0 into +0.0), and the per-lane
-infinity norm.  A numpy or BLAS build where this fails breaks the
+infinity norm.  The lane tapes add the elementwise form: each operator's
+ufunc applied once to a gathered (k, L) stack of register rows, written
+through ``out=`` into a block of rows, must give every row what a call on
+that row alone gives.  A numpy or BLAS build where this fails breaks the
 bit-identity of every lockstep trajectory.
 """
 
 import numpy as np
 import pytest
+
+from aladin import expr as ex
 
 LANES = 7
 MATRIX_SHAPES = [(0, 4), (1, 2), (2, 2), (3, 3), (5, 5), (13, 27), (27, 14), (27, 27)]
@@ -141,3 +146,56 @@ def test_inf_norm_per_lane(n):
         lambda M: np.abs(M).sum(axis=-1).max(axis=-1),
         lambda M: np.float64(np.linalg.norm(M, np.inf)), S,
     )
+
+
+# -- the lane tapes' batches -----------------------------------------------------
+
+UFUNC_OPS = [op for op, entry in ex._OPS.items() if entry.ufunc is not None]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, np.inf, -np.inf, np.nan,
+           -np.nan, 1e300, -1e300, 1e-300, 1.0, -1.0, 0.5, 2.0, 3.0]
+
+
+def registers(rng, L):
+    """Rows of special and random values over L lanes, every special value
+    in every lane position of some row."""
+    special = np.array(SPECIAL)
+    rows = [np.roll(special, j)[np.arange(L) % special.size] for j in range(special.size)]
+    rows += list(rng.standard_normal((12, L)) * 10.0 ** rng.integers(-300, 300, (12, L)))
+    return np.array(rows)
+
+
+def same_or_nan(got, want):
+    """Bit for bit, except that a NaN matches any NaN: IEEE 754 leaves the
+    sign of a NaN result open, and numpy's loops differ in the sign of
+    nan + -nan.  A NaN fails a lane's evaluation whatever its sign."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("op", UFUNC_OPS)
+def test_batched_ufunc_equals_each_rows_call(op):
+    entry = ex._OPS[op]
+    unary = op in ex.UNARY_OPS
+    for L in range(1, 34):  # through the SIMD widths and their tails
+        rng = np.random.default_rng(1000 * L + len(op))
+        R = registers(rng, L)
+        k = 9
+        a = rng.integers(len(R), size=k)
+        b = rng.integers(len(R), size=k)
+        # gathered operands, and contiguous runs taken as views
+        for A, B in ((R.take(a, axis=0), R.take(b, axis=0)), (R[3:3 + k], R[5:5 + k])):
+            args = (A,) if unary else (A, B)
+            out = np.zeros((len(R) + k, L))
+            with np.errstate(all="ignore"):
+                if entry.outside is None:
+                    entry.ufunc(*args, out=out[len(R):])
+                    skip = np.zeros((k, L), dtype=bool)
+                else:
+                    skip = entry.outside(*args)
+                    entry.ufunc(*args, out=out[len(R):], where=~skip)
+                for i in range(k):
+                    want = entry.ufunc(*(u[i] for u in args))
+                    got = out[len(R) + i]
+                    assert same_or_nan(got[~skip[i]], want[~skip[i]]), (L, i)
+                    # a skipped entry keeps what the row held
+                    assert not got[skip[i]].any()
