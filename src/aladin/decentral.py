@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InnerBreakdownError
-from .sensitivity import coupling_rows
+from .problem import coupling_rows
 
 __all__ = [
     "CopyLayout",
@@ -104,44 +104,53 @@ class Topology:
 def topology_from_rows(n_c, row_sets):
     """Build a Topology from each agent's set of participating rows.
 
-    Neighbors and overlaps come from a row -> owning-agents index, so the
-    cost is the sum over rows of (number of owners)^2 rather than a
-    comparison of every pair of agents.
+    The sets, in any order and with repeats, become sorted (agent, row)
+    pairs by one ``np.unique`` of agent * n_c + row; ``bincount`` gives each
+    agent's rows, each pair's place among them and each row's multiplicity.
+    Ordered by row, a row's owners are consecutive, so every ordered pair of
+    owners (i, j) of a row is found by one ``repeat``; one ``lexsort`` by
+    (i, j) then lays out the neighbors and the overlaps.  The cost is
+    a sort of the pairs plus the sum over rows of (number of owners)^2,
+    with Python work only per agent and per directed edge.
     """
-    rows = [np.unique(np.asarray(rs, dtype=int)) for rs in row_sets]
-    for r in rows:
-        if r.size and (r.min() < 0 or r.max() >= n_c):
-            raise ValueError("row index out of range")
-    # owners[c]: (agent, position of c in that agent's rows), agents ascending
-    owners = [[] for _ in range(n_c)]
-    for i, r in enumerate(rows):
-        for k, c in enumerate(r.tolist()):
-            owners[c].append((i, k))
-    multiplicity = np.array([len(own) for own in owners], dtype=int)
+    n = len(row_sets)
+    agent = np.repeat(np.arange(n), np.fromiter(map(len, row_sets), int, n))
+    row = np.concatenate([np.zeros(0, dtype=int), *row_sets]).astype(int)
+    if row.size and (row.min() < 0 or row.max() >= n_c):
+        raise ValueError("row index out of range")
+    width = max(n_c, 1)
+    agent, row = np.divmod(np.unique(agent * width + row), width)
+    multiplicity = np.bincount(row, minlength=n_c)
     uncovered = np.flatnonzero(multiplicity == 0)
     if uncovered.size:
         raise ValueError(
             f"consensus rows {uncovered.tolist()} are covered by no subproblem"
         )
-    # rows are visited in ascending order, so every shared list is sorted
-    shared = {}
-    for own in owners:
-        if len(own) < 2:
-            continue
-        for i, k in own:
-            for j, _ in own:
-                if j != i:
-                    shared.setdefault((i, j), []).append(k)
-    n = len(rows)
-    neighbors = [[] for _ in range(n)]
-    for i, j in shared:
-        neighbors[i].append(j)
-    for nbrs in neighbors:
-        nbrs.sort()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(agent, minlength=n))])
+    cut = starts.tolist()
+    rows = [row[a:b] for a, b in zip(cut, cut[1:])]
+    place = np.arange(row.size) - starts[agent]
+    # the pairs by row, owners ascending: pair q meets the m[q] owners of
+    # its row, which sit at first[q], first[q] + 1, ... in this order; the
+    # meetings come out by row, and a stable sort by (i, j) keeps that
+    by_row = np.argsort(row, kind="stable")
+    m = multiplicity[row[by_row]]
+    first = (np.cumsum(multiplicity) - multiplicity)[row[by_row]]
+    q = np.repeat(np.arange(row.size), m)
+    r = np.repeat(first - np.cumsum(m) + m, m) + np.arange(q.size)
+    e, f = by_row[q[q != r]], by_row[r[q != r]]
+    i, j = agent[e], agent[f]
+    order = np.lexsort((j, i))
+    i, j, k = i[order], j[order], place[e[order]]
+    head = np.flatnonzero(np.diff(i * n + j, prepend=-1))  # one per edge
+    cut = [*head.tolist(), k.size]
     overlap = {
-        (i, j): np.array(shared[(i, j)], dtype=int)
-        for i in range(n) for j in neighbors[i]
+        edge: k[a:b]
+        for edge, a, b in zip(zip(i[head].tolist(), j[head].tolist()), cut, cut[1:])
     }
+    neighbors = [[] for _ in range(n)]
+    for a, b in overlap:
+        neighbors[a].append(b)
     return Topology(
         n_c=n_c, rows=rows, neighbors=neighbors, overlap=overlap,
         multiplicity=multiplicity,
@@ -151,7 +160,7 @@ def topology_from_rows(n_c, row_sets):
 def build_topology(problem):
     """Topology of a validated problem: C(i) = nonzero rows of A_i."""
     return topology_from_rows(
-        problem.n_c, [coupling_rows(s.A) for s in problem.subproblems]
+        problem.n_c, coupling_rows([s.A for s in problem.subproblems])
     )
 
 

@@ -54,13 +54,12 @@ from .local import (  # noqa: F401
 )
 # positions of the root sets a group's runner evaluates
 from .local import _GRAD_F, _JG, _JH
-from .problem import SolverOptions, validate
+from .problem import SolverOptions, coupling_rows, validate
 from .sensitivity import (
     SensitivityPack,
     active_mask,
     active_rows,
     bfgs_update,
-    coupling_rows,
     nullspace_basis,
     reduce_block,
     regularize,
@@ -623,9 +622,11 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     the scaling heuristics update.
     """
     opts, state, t_start = _start(problem, opts, z0, lam0)
-    # each block's coupling rows C(i) and compact A_i[C(i)], fixed for the run
-    rows = [coupling_rows(s.A) for s in problem.subproblems]
-    coupling = (rows, [s.A[r] for s, r in zip(problem.subproblems, rows)])
+    # each block's coupling rows C(i), from one scan of all the A_i, and its
+    # compact A_i[C(i)]: fixed for the run, built afresh by every run
+    subs = problem.subproblems
+    rows = coupling_rows([s.A for s in subs])
+    coupling = (rows, [s.A[r] for s, r in zip(subs, rows)])
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )

@@ -641,6 +641,11 @@ def _compile(roots, positions, size):
     return tape
 
 
+# the tape of every root set without roots: the outputs and the Jacobian of
+# a function with no outputs; its key is computed once, for all of them
+_EMPTY_TAPE = _compile((), (), 0)
+
+
 # ---------------------------------------------------------------------------
 # symbolic differentiation
 # ---------------------------------------------------------------------------
@@ -682,7 +687,9 @@ class VectorFunction:
     constant (an affine row) is marked as having a zero Hessian and its
     Hessian graphs are never built.  Of a Hessian's graphs only the nodes
     its tape runs are kept; the gradient graphs stay, as the Hessians
-    derive from them.
+    derive from them.  A function with no outputs (an absent g or h) compiles
+    nothing: its outputs and Jacobian are the one shared empty tape, whose
+    runs return a fresh empty array each.
 
     Concurrent evaluation is safe: a tape is immutable once built and every
     call allocates its own registers and result.  Two threads compiling the
@@ -716,8 +723,8 @@ class VectorFunction:
                 f"parameter index {max_param} out of range for n_p={self.n_p}"
             )
         self._grad_graphs = None
-        self._output_tape = None
-        self._jacobian_tape = None
+        # a function without outputs shares the one empty tape
+        self._output_tape = self._jacobian_tape = None if outputs else _EMPTY_TAPE
         self._hessian_tapes = {}  # output index -> _Tape, or None if affine
 
     @property

@@ -56,6 +56,7 @@ import numpy as np
 from . import expr as ex
 from .errors import SingularKktError
 from .linalg import LdlFactor, mv
+from .problem import stack_chunks
 
 __all__ = [
     "BlockGroup", "GroupSolution", "LocalSolution", "group_blocks", "solve_group",
@@ -67,7 +68,6 @@ FTB = 0.995           # fraction-to-boundary
 BARRIER_FACTOR = 0.2  # monotone mu reduction
 MAX_NEWTON = 100
 _NO_ROWS = np.zeros(0, dtype=np.intp)
-_CHUNK_FLOATS = 1 << 15  # floats per stacked copy of coupling matrices
 
 
 @dataclass
@@ -170,7 +170,8 @@ class BlockGroup:
 
     ``blocks`` are the blocks' indices in their problem (``index``: the
     same as an array), ``subs`` the blocks, ``A`` their coupling matrices
-    and ``tapes`` their root sets.  Shared by all: ``n`` = n_x, ``n_g``,
+    and ``tapes`` their root sets (``_root_sets``; given as ``tapes`` when
+    the caller has them already).  Shared by all: ``n`` = n_x, ``n_g``,
     ``n_h``, the finite-bound masks ``mL``/``mU`` and their indices
     ``iL``/``iU``, and ``rows``, the (0 for g or 1 for h, row, root-set
     position) of every constraint row whose Hessian is not zero; ``lb`` and
@@ -178,7 +179,7 @@ class BlockGroup:
     ``_LaneTape`` per root set (None where the blocks have no such tape).
     """
 
-    def __init__(self, subs, blocks=None):
+    def __init__(self, subs, blocks=None, tapes=None):
         self.subs = list(subs)
         self.blocks = tuple(range(len(self.subs)) if blocks is None else blocks)
         self.index = np.array(self.blocks, dtype=np.intp)
@@ -192,7 +193,7 @@ class BlockGroup:
         self.lb = np.array([s.lb for s in self.subs])
         self.ub = np.array([s.ub for s in self.subs])
         self.A = [s.A for s in self.subs]
-        self.tapes = [_root_sets(s) for s in self.subs]
+        self.tapes = [_root_sets(s) for s in self.subs] if tapes is None else tapes
         self.rows = [
             (int(k >= self.n_g), k if k < self.n_g else k - self.n_g, _ROWS + k)
             for k in range(self.n_g + self.n_h)
@@ -208,17 +209,13 @@ class BlockGroup:
 
     def coupling(self, start=0, stop=None):
         """The coupling matrices A_i of lanes start..stop, stacked a chunk
-        of lanes at a time, as (first lane, stack) pairs.
+        of lanes at a time (``problem.stack_chunks``), as (first lane, stack)
+        pairs.
 
-        A chunk copies at most about 256 kB: the dense A_i are mostly zero
-        and no n_s x n_c x n_x copy of them is kept, while their stacked
-        products stay those of the dense 2-D ones (a product with the
-        compact rows A_i[C(i)] does not round alike).
+        Their stacked products stay those of the dense 2-D A_i (a product
+        with the compact rows A_i[C(i)] does not round alike).
         """
-        stop = len(self.subs) if stop is None else stop
-        step = max(1, _CHUNK_FLOATS // max(1, self.A[0].size))
-        for c in range(start, stop, step):
-            yield c, np.array(self.A[c:min(c + step, stop)])
+        return stack_chunks(self.A, start, stop)
 
     def runner(self, x, p, lanes, errors):
         """run(position, rows=None): one root set's results, lanes first.
@@ -270,16 +267,26 @@ class BlockGroup:
 
 
 def group_blocks(subs):
-    """Partition blocks into lockstep groups, ordered by their first block."""
+    """Partition blocks into lockstep groups, ordered by their first block.
+
+    Each block's root sets are walked once: the tape keys that group it are
+    read from them, and its group keeps them.
+    """
     groups = {}
     for i, sub in enumerate(subs):
+        tapes = _root_sets(sub)
         key = (
             sub.n_x, sub.n_p, sub.n_g, sub.n_h,
             np.isfinite(sub.lb).tobytes(), np.isfinite(sub.ub).tobytes(),
-            tuple(None if t is None else t.key for t in _root_sets(sub)),
+            tuple(None if t is None else t.key for t in tapes),
         )
-        groups.setdefault(key, []).append(i)
-    return [BlockGroup([subs[i] for i in idx], idx) for idx in groups.values()]
+        idx, sets = groups.setdefault(key, ([], []))
+        idx.append(i)
+        sets.append(tapes)
+    return [
+        BlockGroup([subs[i] for i in idx], idx, tapes)
+        for idx, tapes in groups.values()
+    ]
 
 
 class _Work:

@@ -3,11 +3,13 @@
 A :class:`SeparableProblem` is a list of blocks, each with its own objective
 ``f_i``, equality/inequality constraints ``g_i``/``h_i``, box bounds, and a
 coupling matrix ``A_i``; the blocks interact only through the affine consensus
-rows ``sum_i A_i x_i = b``.
+rows ``sum_i A_i x_i = b``.  Block i takes part in the consensus rows C(i),
+the nonzero rows of A_i (``coupling_rows``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -29,6 +31,10 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
 ]
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_CHUNK_FLOATS = 1 << 15  # floats per stacked copy of coupling matrices
 
 
 def _as_vec(v, n, name, fill=0.0):
@@ -124,8 +130,53 @@ class SeparableProblem:
         return f"SeparableProblem(n_s={self.n_s}, n_c={self.n_c}, name={self.name!r})"
 
 
+def stack_chunks(mats, start=0, stop=None):
+    """Matrices start..stop of ``mats``, all of one shape, stacked a chunk
+    at a time, as (first index, stack) pairs.
+
+    A chunk copies at most about 256 kB (one matrix, if it alone is
+    larger): the dense coupling matrices A_i are mostly zero, and no
+    n_s x n_c x n_x copy of them is made.
+    """
+    stop = len(mats) if stop is None else stop
+    step = max(1, _CHUNK_FLOATS // max(1, mats[start].size))
+    for c in range(start, stop, step):
+        yield c, np.array(mats[c:min(c + step, stop)])
+
+
+def coupling_rows(As):
+    """C(i) of every coupling matrix A_i in the list ``As``: the sorted
+    indices of its nonzero rows, the rows with an entry != 0.0 (NaN is
+    nonzero, -0.0 is zero).
+
+    Consecutive matrices of one shape are stacked a chunk at a time
+    (``stack_chunks``), and each chunk takes one ``np.flatnonzero`` scan;
+    the index of a nonzero entry gives its lane and row by ``divmod``, and
+    the rows are split by lane.
+    """
+    out = []
+    for _, run in itertools.groupby(As, key=np.shape):
+        run = list(run)
+        for _, A in stack_chunks(run):
+            k, n_c, n_x = A.shape
+            # lane * n_c + row of each nonzero entry, ascending; each once
+            cell = np.flatnonzero(A != 0.0) // max(n_x, 1)
+            cell = cell[np.diff(cell, prepend=-1) != 0]
+            lane, row = np.divmod(cell, max(n_c, 1))
+            cut = np.searchsorted(lane, np.arange(k + 1)).tolist()
+            out += [row[a:b] for a, b in zip(cut, cut[1:])]
+    return out
+
+
 def validate(problem):
-    """Consistency check; returns the full list of violations (empty == ok)."""
+    """Consistency check; returns the full list of violations (empty == ok).
+
+    Every block's shapes, bounds, functions and parameters are checked, and
+    every consensus row must be a coupling row C(i) of some block whose A_i
+    has n_c rows; C(i) is ``coupling_rows``, one scan over all the coupling
+    matrices.  The solvers call it on every problem they are given, before
+    anything else reads it.
+    """
     out = []
     subs = problem.subproblems
     n_c = problem.n_c
@@ -137,7 +188,7 @@ def validate(problem):
             )
         if s.A.shape[1] != s.n_x:
             out.append(f"{tag}: A has {s.A.shape[1]} columns, expected {s.n_x}")
-        if np.any(s.lb > s.ub):
+        if (s.lb > s.ub).any():
             out.append(f"{tag}: bound ordering violated (lb > ub componentwise)")
         if s.z0.size != s.n_x:
             out.append(f"{tag}: initial guess has length {s.z0.size}, expected {s.n_x}")
@@ -151,9 +202,8 @@ def validate(problem):
             out.append(f"{tag}: active parameter vector has wrong length")
     if n_c:
         covered = np.zeros(n_c, dtype=bool)
-        for s in subs:
-            if s.A.shape[0] == n_c:
-                covered |= np.any(s.A != 0.0, axis=1)
+        rows = coupling_rows([s.A for s in subs if s.A.shape[0] == n_c])
+        covered[np.concatenate([_NO_ROWS, *rows])] = True
         for c in np.flatnonzero(~covered):
             out.append(f"consensus row {c} is referenced by no subproblem")
     return out

@@ -22,6 +22,7 @@ import numpy as np
 from . import expr as ex
 from .errors import LicqError, SingularKktError
 from .linalg import mv
+from .problem import coupling_rows
 
 __all__ = [
     "ActiveSet",
@@ -252,17 +253,12 @@ def nullspace_basis(C):
     return Vt[..., m:, :].swapaxes(-1, -2)
 
 
-def coupling_rows(A):
-    """C(i): the sorted indices of the nonzero rows of a coupling matrix A_i."""
-    return np.flatnonzero(np.any(np.asarray(A) != 0.0, axis=1))
-
-
 def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
     """Project onto the active-constraint nullspace and re-regularize.
 
     ``A`` is the block's full coupling matrix A_i or, on any leading lane
     axes, the compact A_i[rows]; ``rows`` are its coupling rows C(i) =
-    ``coupling_rows(A)``, computed here when not given.  Returns
+    ``coupling_rows([A])[0]``, computed here when not given.  Returns
     ReducedBlock(Z' H Z, Z' g, A[rows] Z, rows), with Z' H Z regularized
     when ``reg`` is set.  The nullspace and bilevel variants pass the raw
     Hessian with ``reg`` from the options; the full-space variant passes its
@@ -270,7 +266,7 @@ def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
     """
     A = np.asarray(A, dtype=float)
     if rows is None:
-        rows = coupling_rows(A)
+        (rows,) = coupling_rows([A])
     if A.shape[-2] != rows.shape[-1]:
         A = A[rows]
     Zt = Z.swapaxes(-1, -2)

@@ -39,12 +39,17 @@ from aladin.errors import SolverError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.local import GroupSolution, group_blocks, solve_local
 from aladin.problem import SolverOptions, Subproblem, validate
-from aladin.sensitivity import coupling_rows, detect_active
+from aladin.sensitivity import detect_active
 
 DIVERGENCE_GUARD = 1e10
 
 
 # -- reference ---------------------------------------------------------------
+
+def coupling_rows(A):
+    """C(i): the sorted indices of the nonzero rows of a coupling matrix A_i."""
+    return np.flatnonzero(np.any(np.asarray(A) != 0.0, axis=1))
+
 
 def _init_state(problem, opts, z0, lam0):
     z = (

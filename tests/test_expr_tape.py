@@ -423,6 +423,64 @@ def test_constant_results_are_fresh_arrays():
     assert_same(ex.lagrangian_hessian(sub.f, sub.g, sub.h, x, p, kappa, []), H0)
 
 
+def owner(a):
+    return a if a.base is None else a.base
+
+
+def test_functions_without_outputs_share_one_empty_tape():
+    funs = [VectorFunction([], 1), VectorFunction([], 3, 2), VectorFunction([], 3, 2)]
+    for f in funs:
+        assert f._compiled_outputs() is ex._EMPTY_TAPE
+        assert f._compiled_jacobian() is ex._EMPTY_TAPE
+    f, x, p = funs[1], np.ones(3), np.ones(2)
+    for call, shape in ((ex.evaluate, (0,)), (ex.jacobian, (0, 3))):
+        a, b = call(f, x, p), call(f, x, p)
+        assert a.shape == b.shape == shape
+        assert a.flags.writeable and b.flags.writeable
+        assert owner(a) is not owner(b)
+        assert ex._EMPTY_TAPE.base is not owner(a)
+    # a result grown and written in place leaves the next one empty
+    a = ex.evaluate(f, x, p)
+    a.resize(4, refcheck=False)
+    a[:] = 7.0
+    assert ex.evaluate(f, x, p).shape == (0,)
+    assert ex.jacobian(f, x, p).shape == (0, 3)
+
+
+@pytest.mark.parametrize("lanes", [[0], [1], [0, 1, 2], [2, 0]])
+def test_lane_runs_of_empty_functions_return_fresh_arrays(lanes):
+    f = VectorFunction([ex.square(var(0)) + var(1)], 2)
+    (group,) = group_blocks([Subproblem(f) for _ in range(3)])
+    lanes = np.array(lanes)
+    X, P = np.ones((lanes.size, 2)), np.zeros((lanes.size, 0))
+    for pos in (local._G, local._JG, local._H, local._JH):
+        tape = group.lane[pos]
+        runs = [tape.run(X, P, lanes, {}) for _ in range(2)]
+        for out in runs:
+            assert out.shape == (lanes.size, 0) and out.flags.writeable
+            assert owner(out) is not tape.base
+            assert owner(out) is not ex._EMPTY_TAPE.base
+        assert owner(runs[0]) is not owner(runs[1])
+        # a result grown and written in place leaves the next one empty
+        grown = owner(tape.run(X, P, lanes, {}))
+        grown.resize(4, refcheck=False)
+        grown[:] = 7.0
+        assert tape.run(X, P, lanes, {}).shape == (lanes.size, 0)
+
+
+def test_absent_and_empty_constraints_group_alike():
+    def block(n_x, c, g=None, h=None):
+        f = VectorFunction([c * ex.square(var(0)) + var(n_x - 1)], n_x)
+        return Subproblem(f, g=g, h=h)
+
+    empty2, empty3 = VectorFunction([], 2), VectorFunction([], 3)
+    subs = [block(2, 1.5), block(3, 2.0), block(2, -0.5, g=empty2),
+            block(2, 4.0, h=VectorFunction([], 2)), block(3, 1.25, g=empty3),
+            block(2, 3.0, g=VectorFunction([var(0)], 2)),
+            block(2, 2.5, g=empty2, h=empty2)]
+    assert [g.blocks for g in group_blocks(subs)] == [(0, 2, 3, 6), (1, 4), (5,)]
+
+
 def test_hessian_term_does_not_write_into_objective_tape():
     # lagrangian_hessian adds into the objective's Hessian with +=
     f = VectorFunction([ex.square(var(0)) + var(0) * var(1)], 2)

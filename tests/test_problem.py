@@ -56,6 +56,30 @@ class TestValidate:
         msgs = validate(SeparableProblem([s], b=[0.0]))
         assert any("referenced by no subproblem" in m for m in msgs)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_uncovered_rows_as_a_scan_per_block_finds_them(self, seed):
+        # sparse couplings with -0.0 (zero) and NaN (nonzero) entries, and
+        # a block with a wrong number of rows, whose rows cover nothing
+        rng = np.random.default_rng(seed)
+        n_c = int(rng.integers(1, 10))
+        subs = []
+        for k in range(int(rng.integers(1, 6))):
+            n_x = int(rng.integers(1, 4))
+            m = n_c + 1 if k and rng.random() < 0.3 else n_c
+            A = np.where(rng.random((m, n_x)) < 0.15, 1.0, 0.0)
+            kind = rng.random((m, n_x))
+            A[kind < 0.2] = -0.0
+            A[kind > 0.95] = np.nan
+            subs.append(Subproblem(VectorFunction([ex.square(var(0))], n_x), A=A))
+        covered = np.zeros(n_c, dtype=bool)
+        for sub in subs:
+            if sub.A.shape[0] == n_c:
+                covered |= np.any(sub.A != 0.0, axis=1)
+        want = [f"consensus row {c} is referenced by no subproblem"
+                for c in np.flatnonzero(~covered)]
+        msgs = validate(SeparableProblem(subs, b=np.zeros(n_c)))
+        assert [m for m in msgs if m.startswith("consensus row")] == want
+
     def test_all_violations_reported(self):
         f = VectorFunction([ex.square(var(0))], 1)
         s1 = Subproblem(f, A=[[1.0]], lb=[2.0], ub=[-2.0])

@@ -6,12 +6,14 @@ import pytest
 from aladin import expr as ex
 from aladin.expr import VectorFunction, var
 from aladin.errors import LicqError
+from aladin.problem import stack_chunks
 from aladin.problem import Subproblem
 from aladin.sensitivity import (
     ActiveSet,
     ReducedBlock,
     active_jacobian,
     bfgs_update,
+    coupling_rows,
     detect_active,
     nullspace_basis,
     reduce_block,
@@ -217,6 +219,58 @@ class TestNullspace:
         C = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(LicqError):
             nullspace_basis(C)
+
+
+def random_coupling(rng, n_c, n_x):
+    """A sparse coupling matrix with -0.0 (zero) and NaN (nonzero) entries;
+    one in five is all zero, of either sign."""
+    A = np.where(rng.random((n_c, n_x)) < 0.2, rng.standard_normal((n_c, n_x)), 0.0)
+    kind = rng.random((n_c, n_x))
+    A[kind < 0.2] = -0.0
+    A[kind > 0.97] = np.nan
+    return np.copysign(0.0, A) if rng.random() < 0.2 else A
+
+
+def assert_rows_of_each_matrix(As):
+    rows = coupling_rows(As)
+    assert len(rows) == len(As)
+    for r, A in zip(rows, As):
+        want = np.flatnonzero(np.any(A != 0.0, axis=1))
+        assert r.dtype == want.dtype
+        np.testing.assert_array_equal(r, want)
+
+
+class TestCouplingRows:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_lists_match_a_scan_per_matrix(self, seed):
+        # mixed widths, in runs of equal shape and alone
+        rng = np.random.default_rng(seed)
+        n_c = int(rng.integers(0, 9))
+        As = []
+        for _ in range(int(rng.integers(1, 8))):
+            n_x = int(rng.integers(0, 4))
+            As += [random_coupling(rng, n_c, n_x)
+                   for _ in range(int(rng.integers(1, 4)))]
+        assert_rows_of_each_matrix(As)
+
+    def test_signed_zeros_and_nans(self):
+        A = np.array([[0.0, -0.0], [-0.0, np.nan], [0.0, 0.0], [np.nan, 1.0]])
+        (rows,) = coupling_rows([A])
+        np.testing.assert_array_equal(rows, [1, 3])
+        assert [r.tolist() for r in coupling_rows([-A, 0.0 * A])] == [[1, 3], [1, 3]]
+
+    def test_no_consensus_rows_and_no_matrices(self):
+        assert_rows_of_each_matrix(
+            [np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 1))]
+        )
+        assert coupling_rows([]) == []
+
+    def test_group_spanning_several_chunks(self):
+        rng = np.random.default_rng(7)
+        As = [random_coupling(rng, 300, 3) for _ in range(100)]
+        As[40] = random_coupling(rng, 300, 2)  # breaks the run of equal shapes
+        assert len(list(stack_chunks(As, 0, 40))) > 1
+        assert_rows_of_each_matrix(As)
 
 
 class TestReduce:

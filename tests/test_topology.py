@@ -50,6 +50,7 @@ def assert_same_topology(top, ref):
     assert top.n_c == ref.n_c
     assert len(top.rows) == len(ref.rows)
     for r, r_ref in zip(top.rows, ref.rows):
+        assert r.dtype == r_ref.dtype
         np.testing.assert_array_equal(r, r_ref)
     assert top.neighbors == ref.neighbors
     assert list(top.overlap) == list(ref.overlap)
@@ -84,9 +85,31 @@ def test_random_row_sets_match_all_pairs(seed):
             row_sets.append(rs + rs[: int(rng.integers(0, k + 1))])
         if len(set(c for rs in row_sets for c in rs)) == n_c:
             break
+    # agents with no rows, anywhere in the order
+    for _ in range(int(rng.integers(0, 3))):
+        row_sets.insert(int(rng.integers(0, len(row_sets) + 1)), [])
     assert_same_topology(
         topology_from_rows(n_c, row_sets), all_pairs_topology(n_c, row_sets)
     )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_out_of_range_rows_fail_before_the_coverage_check(seed):
+    rng = np.random.default_rng(100 + seed)
+    n_c = int(rng.integers(2, 12))
+    # rows 0 and n_c - 1 stay uncovered, so both checks would fail
+    row_sets = [
+        rng.choice(np.arange(1, n_c - 1), size=int(rng.integers(0, n_c - 1)),
+                   replace=True).tolist()
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    bad = -int(rng.integers(1, 4)) if seed % 2 else n_c + int(rng.integers(0, 3))
+    row_sets[int(rng.integers(0, len(row_sets)))].append(bad)
+    with pytest.raises(ValueError) as ref_err:
+        all_pairs_topology(n_c, row_sets)
+    with pytest.raises(ValueError) as err:
+        topology_from_rows(n_c, row_sets)
+    assert str(err.value) == str(ref_err.value) == "row index out of range"
 
 
 @pytest.mark.parametrize(
