@@ -23,7 +23,8 @@ batch of instructions of one dependency level and one operator.  Every lane
 keeps its own decisions (warm check, interior projection, barrier
 parameter, stall watch, step lengths, backtracking, domain errors) and
 leaves the loop when it converges, stalls, fails or runs out of Newton
-steps; the lanes still iterating are then compacted, so a lane costs nothing
+steps.  The state of the lanes still iterating is one lanes-first container,
+compacted by one row selection wherever lanes leave, so a lane costs nothing
 once it has left.  Each Newton step's condensed KKT system, its right-hand
 side, the refinement residual and the finite test are stacked over the
 lanes; only the LDL^T factorization, its inertia test and the two
@@ -119,16 +120,14 @@ class GroupSolution:
         self.Jh = np.zeros((N, n_h, n))
         self.errors = {}
 
-    def put(self, lanes, x, kappa, gamma, etaL, etaU, ev, status, iterations, err):
-        """Write the rows ``lanes``: a point, its evaluation ``ev`` = (g, h,
-        grad f, Jg, Jh), its status, Newton steps and KKT residual."""
+    def put(self, lanes, pt, rows, status, iterations, err):
+        """Write rows ``rows`` of the point ``pt`` (its x, kappa, gamma, etaL,
+        etaU, h, grad_f, Jg, Jh) at ``lanes``, with status, steps, residuals."""
         n = self.x.shape[-1]
-        self.x[lanes] = x
-        self.kappa[lanes] = kappa
-        self.gamma[lanes] = gamma
-        self.eta[lanes, :n] = etaL
-        self.eta[lanes, n:] = etaU
-        _, self.h[lanes], self.grad_f[lanes], self.Jg[lanes], self.Jh[lanes] = ev
+        for name in ("x", "kappa", "gamma", "h", "grad_f", "Jg", "Jh"):
+            getattr(self, name)[lanes] = getattr(pt, name)[rows]
+        self.eta[lanes, :n] = pt.etaL[rows]
+        self.eta[lanes, n:] = pt.etaU[rows]
         self.status[lanes] = status
         self.iterations[lanes] = iterations
         self.kkt_residual[lanes] = err
@@ -289,6 +288,22 @@ def group_blocks(subs):
     ]
 
 
+def _take(v, rows):
+    """The rows of a lanes-first array or object, None, or a tuple of them."""
+    if type(v) is tuple:
+        return tuple(_take(u, rows) for u in v)
+    return None if v is None else v[rows]
+
+
+def _select(obj, rows, names):
+    """A shallow copy of ``obj`` whose fields ``names`` keep only ``rows``:
+    the one row selection of the work, points and lanes' state."""
+    new = copy.copy(obj)
+    for name in names:
+        setattr(new, name, _take(getattr(obj, name), rows))
+    return new
+
+
 class _Work:
     """The lanes of one group at fixed (z, lam, Sigma, p).
 
@@ -319,10 +334,7 @@ class _Work:
         self.ubU = self.ub[..., self.iU]
 
     def __getitem__(self, rows):
-        new = copy.copy(self)
-        for name in self._PER_LANE:
-            setattr(new, name, getattr(self, name)[rows])
-        return new
+        return _select(self, rows, self._PER_LANE)
 
     def _runner(self, x, errors):
         return self.group.runner(x, self.p, self.lanes, errors)
@@ -416,10 +428,7 @@ class _Point:
         self.nan = self.lead is not None and math.isnan(self.lead.max())
 
     def __getitem__(self, rows):
-        new = _Point.__new__(_Point)
-        for name in self._ARRAYS + self._OPTIONAL:
-            v = getattr(self, name)
-            setattr(new, name, None if v is None else v[rows])
+        new = _select(self, rows, self._ARRAYS + self._OPTIONAL)
         new._mark()
         return new
 
@@ -528,7 +537,8 @@ def _refine(facs, K, rhs, X):
 
 
 def _newton_step(W, Jg, rhs_x, rhs_g, failed):
-    """(dx, dkappa) of the condensed KKT system of every lane not in ``failed``.
+    """(dx, dkappa) of the condensed KKT system of every lane not in ``failed``,
+    one row per such lane.
 
     K = [W, Jg'; Jg, 0] and its right-hand side are built for all lanes at
     once, as are the refinement residual and the finite test (``_refine``);
@@ -548,19 +558,17 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
         K[:, :n, n:] = Jg.swapaxes(-1, -2)
         K[:, n:, :n] = Jg
     rhs = np.concatenate([rhs_x, rhs_g], axis=-1)
+    # the lanes not failed yet; X, K and rhs hold their rows
     if failed:
         rows = np.array([r for r in range(M) if r not in failed], dtype=np.intp)
-        Kr, br = K[rows], rhs[rows]
+        K, rhs = K[rows], rhs[rows]
     else:
-        rows, Kr, br = np.arange(M), K, rhs
-    X = br.copy()
-    bad = _refine([_solve_newton(k, x, n) for k, x in zip(Kr, X)], Kr, br, X)
-    if not failed and not bad.size:
+        rows = np.arange(M)
+    X = rhs.copy()
+    bad = _refine([_solve_newton(k, x, n) for k, x in zip(K, X)], K, rhs, X)
+    if not bad.size:
         return X[:, :n], X[:, n:]
-    sol = np.empty((M, N))
-    sol[rows] = X
-    bad = rows[bad]
-    zeta = 1e-8 * (1.0 + np.abs(W[bad]).max(axis=(-2, -1), initial=0.0))
+    zeta = 1e-8 * (1.0 + np.abs(W[rows[bad]]).max(axis=(-2, -1), initial=0.0))
     zeta_d = 0.0
     for attempt in range(1, 12):
         if not bad.size:
@@ -570,27 +578,46 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
         Kc.reshape(bad.size, N * N)[:, : n * (N + 1) : N + 1] += zeta[:, None]
         if zeta_d:
             Kc[:, n:, n:] = -zeta_d * np.eye(N - n)
-        X = bc.copy()
-        worse = _refine([_attempt(k, x, n) for k, x in zip(Kc, X)], Kc, bc, X)
-        sol[bad] = X
+        Xc = bc.copy()
+        worse = _refine([_attempt(k, x, n) for k, x in zip(Kc, Xc)], Kc, bc, Xc)
+        X[bad] = Xc
         bad, zeta = bad[worse], zeta[worse] * 100.0
         if attempt >= 6:
             zeta_d = zeta_d * 100.0 if zeta_d else 1e-10
-    for r in bad:
+    for r in rows[bad]:
         failed[r] = SingularKktError(
             "local KKT system could not be corrected to solvable form"
         )
-    return sol[:, :n], sol[:, n:]
+    X = np.delete(X, bad, axis=0)
+    return X[:, :n], X[:, n:]
 
 
-def _settle(out, w, pt, rows, status, newton, err0):
-    """Write the given rows of ``pt``, after ``newton`` steps, into the
-    GroupSolution ``out`` at their lanes ``w.lanes``."""
-    out.put(
-        w.lanes[rows], *(v[rows] for v in (pt.x, pt.kappa, pt.gamma, pt.etaL, pt.etaU)),
-        (None, *(v[rows] for v in (pt.h, pt.grad_f, pt.Jg, pt.Jh))),
-        status, newton, err0[rows],
-    )
+class _Lanes:
+    """Per-lane state as fields, each lanes first; ``st[rows]`` selects those
+    rows of every field.  The running lanes keep their work ``w``, point
+    ``pt``, barrier parameter ``mu``, KKT errors ``err_mu`` at mu and ``err0``
+    at 0, least violation ``best_pri`` and ``stall``, steps since it fell."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __getitem__(self, rows):
+        return _select(self, rows, vars(self))
+
+    def leave(self, out, newton=0, errors=None, **settled):
+        """Record in ``out`` the rows that leave, each row of ``errors`` with
+        its error and the rows (mask or indices) of each ``settled`` at their
+        point, with its keyword as status, after ``newton`` steps; the
+        others' state, or None when none is left."""
+        keep = np.ones(len(self.w.lanes), dtype=bool)
+        for status, rows in settled.items():
+            lanes = self.w.lanes[rows]
+            if lanes.size:
+                out.put(lanes, self.pt, rows, status, newton, self.err0[rows])
+                keep[rows] = False
+        for r, err in (errors or {}).items():
+            out.errors[int(self.w.lanes[r])], keep[r] = err, False
+        return self[keep] if keep.any() else None
 
 
 def solve_group(group, z, lam, Sigma, p, warm=None, tol=1e-10):
@@ -649,37 +676,41 @@ def _warm_stacks(warm):
 
 
 def _lockstep(w, warm, tol):
-    N, n, n_g, n_h = len(w.lanes), w.n, w.n_g, w.n_h
-    iL, iU = w.iL, w.iU
-    # by lane; w.lanes holds the lane of each row still running
-    out = GroupSolution(N, n, n_g, n_h)
+    """The interior-point loop over the lanes of ``w``, as a GroupSolution.
 
-    # shortcut: a warm start already at KKT quality is returned unchanged
+    The running lanes keep their state in one ``_Lanes`` container.  A lane
+    leaves by one of five exits, each a ``_Lanes.leave`` that records it and
+    compacts the others: (1) its warm start meets tol, or the warm check's
+    evaluation fails; (2) its start point's evaluation fails; (3) it
+    converges or stalls; (4) its Hessian or KKT system fails; (5) every
+    backtracking trial leaves the domain.  Lanes left after MAX_NEWTON
+    steps end "max-iter"."""
+    n, n_g, n_h = w.n, w.n_g, w.n_h
+    iL, iU = w.iL, w.iU
+    # by lane; st.w.lanes holds the lane of each row still running
+    out = GroupSolution(len(w.lanes), n, n_g, n_h)
+
+    # exit 1: a warm start already at KKT quality is returned unchanged
+    chk = None
     if warm is not None:
-        wx, kap, gam, eta = _warm_stacks(warm)
-        errors = out.errors  # every lane is still running: rows are lanes
-        ev = w.eval_point(wx, errors)
+        x, kappa, gamma, eta = _warm_stacks(warm)
+        errors = {}
+        ev = w.eval_point(x, errors)
         chk = _Point(
-            w, wx, np.maximum(-ev[1], 0.0), kap, gam, eta[:, :n], eta[:, n:], ev
+            w, x, np.maximum(-ev[1], 0.0), kappa, gamma, eta[:, :n], eta[:, n:], ev
         )
-        err = chk.err(0.0)
-        done = err <= tol
+        err0 = chk.err(0.0)
+        done = err0 <= tol
         if w.bounded:
-            done &= (wx >= w.lb).all(axis=-1) & (wx <= w.ub).all(axis=-1)
-        if done.any():
-            out.put(done, wx[done], kap[done], gam[done], eta[done, :n],
-                    eta[done, n:], tuple(v[done] for v in ev), "converged", 0,
-                    err[done])
-        done[list(errors)] = True
-        if done.any():
-            keep = ~done
-            if not keep.any():
+            done &= (x >= w.lb).all(axis=-1) & (x <= w.ub).all(axis=-1)
+        if errors or done.any():
+            st = _Lanes(w=w, pt=chk, err0=err0).leave(out, 0, errors, converged=done)
+            if st is None:
                 return out
-            w, wx, kap, gam, eta, chk = (v[keep] for v in (w, wx, kap, gam, eta, chk))
-            ev = tuple(v[keep] for v in ev)
+            w, chk = st.w, st.pt
 
     # strictly interior start
-    x = (wx if warm is not None else w.z).copy()
+    x = (w.z if chk is None else chk.x).copy()
     if w.bounded:
         span = w.ub - w.lb
         margin = np.where(
@@ -689,33 +720,30 @@ def _lockstep(w, warm, tol):
         x = np.where(w.mU, np.minimum(x, w.ub - margin), x)
 
     # the warm check's evaluation stands unless the projection moved a lane
-    moved = warm is not None and w.bounded and not (x == wx).all()
-    errors = {}
-    if warm is None or moved:
+    moved = chk is not None and w.bounded and not (x == chk.x).all()
+    if chk is None or moved:
+        errors = {}
         ev = w.eval_point(x, errors)
-    if errors:
-        keep = np.ones(len(w.lanes), dtype=bool)
-        for r, e in errors.items():
-            out.errors[int(w.lanes[r])], keep[r] = e, False
-        if not keep.any():
-            return out
-        w, x = w[keep], x[keep]
-        ev = tuple(v[keep] for v in ev)
-        if warm is not None:
-            wx, kap, gam, eta, chk = (v[keep] for v in (wx, kap, gam, eta, chk))
+        if errors:  # exit 2: the evaluation fails at the start point
+            st = _Lanes(w=w, pt=chk, x=x, ev=ev).leave(out, errors=errors)
+            if st is None:
+                return out
+            w, chk, x, ev = st.w, st.pt, st.x, st.ev
+    else:
+        ev = chk.r_g, chk.h, chk.grad_f, chk.Jg, chk.Jh
     M = len(w.lanes)
     h = ev[1]
     etaL = np.zeros((M, n))
     etaU = np.zeros((M, n))
-    if warm is not None:
+    if chk is not None:
         s = np.maximum(-h, 1e-8)
-        gamma = np.maximum(gam, 1e-8)
-        kappa = kap.copy()
+        gamma = np.maximum(chk.gamma, 1e-8)
+        kappa = chk.kappa.copy()
         comp = np.mean(s * gamma, axis=-1) if n_h else np.full(M, 1e-3)
         comp = np.where(comp < 1e-3, comp, 1e-3)
         mu = np.where(comp > tol / 10.0, comp, tol / 10.0)
-        etaL[:, iL] = np.maximum(eta[:, iL], 1e-8)
-        etaU[:, iU] = np.maximum(eta[:, n + iU], 1e-8)
+        etaL[:, iL] = np.maximum(chk.etaL[:, iL], 1e-8)
+        etaU[:, iU] = np.maximum(chk.etaU[:, iU], 1e-8)
         # the check point is the start point unless a floor or the
         # projection changed it
         same = not moved and all(
@@ -734,51 +762,42 @@ def _lockstep(w, warm, tol):
         pt = _Point(w, x, s, kappa, gamma, etaL, etaU, ev)
 
     mu_min = tol / 10.0
-    # the error at the current mu; an accepted trial brings its own along
-    err_mu = pt.err(mu[:, None])
-    best_pri = np.full(M, np.inf)
-    stall = None  # consecutive steps without less infeasibility; None: 0
+    # err_mu is the error at the current mu; an accepted trial brings its own
+    st = _Lanes(w=w, pt=pt, mu=mu, err_mu=pt.err(mu[:, None]),
+                best_pri=np.full(M, np.inf), stall=np.zeros(M, dtype=np.intp))
     # every lane still running has taken ``newton`` Newton steps
     for newton in range(MAX_NEWTON):
-        err0 = pt.err(0.0)
-        conv = err0 <= tol
+        st.err0 = st.pt.err(0.0)
+        conv = st.err0 <= tol
 
-        # infeasibility watch: true violation failing to decrease
-        pri = pt.gmax if n_g else np.zeros(M)
+        # infeasibility watch: true violation failing to decrease; a lane
+        # at or below tol restarts its count
+        pri = st.pt.gmax if n_g else np.zeros(len(conv))
         if n_h:
-            viol = np.maximum(pt.h, 0.0).max(axis=-1)
+            viol = np.maximum(st.pt.h, 0.0).max(axis=-1)
             pri = np.where(viol > pri, viol, pri)
         high = pri > tol
         stop = conv
         if high.any():
-            more = 1 if stall is None else stall + 1
-            stall = np.where((pri >= best_pri - 1e-16) & high, more, 0)
-            stop = conv | (stall >= 10)
+            st.stall = np.where((pri >= st.best_pri - 1e-16) & high, st.stall + 1, 0)
+            stop = conv | (st.stall >= 10)
         else:
-            stall = None
-        best_pri = np.fmin(best_pri, pri)
+            st.stall = np.zeros(len(conv), dtype=np.intp)
+        st.best_pri = np.fmin(st.best_pri, pri)
         if stop.any():
-            if conv.any():
-                _settle(out, w, pt, conv, "converged", newton, err0)
-            if stop is not conv:
-                _settle(out, w, pt, stop & ~conv, "stalled", newton, err0)
-            keep = ~stop
-            if not keep.any():
+            # exit 3: converged or stalled
+            st = st.leave(out, newton, converged=conv, stalled=stop & ~conv)
+            if st is None:
                 return out
-            pt, w, mu, best_pri, stall, err0, err_mu = (
-                None if v is None else v[keep]
-                for v in (pt, w, mu, best_pri, stall, err0, err_mu)
-            )
-            M = len(w.lanes)
+        w, pt, mu, M = st.w, st.pt, st.mu, len(st.mu)
 
-        mu_c = mu[:, None]
-        cut = (err_mu <= 10.0 * mu) & (mu > mu_min)
+        cut = (st.err_mu <= 10.0 * mu) & (mu > mu_min)
         if cut.any():
             # max(mu_min, BARRIER_FACTOR * mu) on the lanes that cut
             lower = np.fmax(BARRIER_FACTOR * mu, mu_min)
-            mu = lower if cut.all() else np.where(cut, lower, mu)
-            mu_c = mu[:, None]
-            err_mu = pt.err(mu_c)
+            st.mu = mu = lower if cut.all() else np.where(cut, lower, mu)
+            st.err_mu = pt.err(mu[:, None])
+        mu_c = mu[:, None]
 
         # the condensed Newton system
         failed = {}
@@ -786,8 +805,7 @@ def _lockstep(w, warm, tol):
         rhs_x = -pt.r_x
         r_L = r_U = r_cs = None
         if w.bounded:
-            r_L = pt.pL - mu_c
-            r_U = pt.pU - mu_c
+            r_L, r_U = pt.pL - mu_c, pt.pU - mu_c
             D = np.zeros((M, n))
             D[:, iL] = pt.eL / pt.dL
             D[:, iU] += pt.eU / pt.dU
@@ -801,18 +819,13 @@ def _lockstep(w, warm, tol):
             rhs_x = rhs_x - mv(JhT, (pt.gamma * pt.r_h - r_cs) / pt.s)
         dx, dkappa = _newton_step(W, pt.Jg, rhs_x, -pt.r_g, failed)
         if failed:
-            keep = np.ones(M, dtype=bool)
-            for r, e in failed.items():
-                out.errors[int(w.lanes[r])], keep[r] = e, False
-            if not keep.any():
+            # exit 4; the products less mu are taken again on the rows kept
+            st = st.leave(out, errors=failed)
+            if st is None:
                 return out
-            (pt, w, mu, mu_c, best_pri, stall, err0, err_mu, dx, dkappa,
-             r_L, r_U, r_cs) = (
-                None if v is None else v[keep]
-                for v in (pt, w, mu, mu_c, best_pri, stall, err0, err_mu,
-                          dx, dkappa, r_L, r_U, r_cs)
-            )
-            M = len(w.lanes)
+            w, pt, M, mu_c = st.w, st.pt, len(st.mu), st.mu[:, None]
+            r_L, r_U = (pt.pL - mu_c, pt.pU - mu_c) if w.bounded else (None, None)
+            r_cs = pt.cs - mu_c if n_h else None
 
         # multiplier steps and the step lengths to the boundary, per lane
         x, s, kappa, gamma, etaL, etaU = pt.x, pt.s, pt.kappa, pt.gamma, pt.etaL, pt.etaU
@@ -847,21 +860,20 @@ def _lockstep(w, warm, tol):
         # backtrack on the barrier KKT residual; the last trial is forced.
         # ``search`` holds the rows still backtracking (None: every row);
         # each has failed every earlier trial, so theta is theirs alike.
-        # ``cur`` is their work, step lengths, mu, error and (value, step)
-        # parts, x and s moving by a_pri and the multipliers by a_dual;
-        # it is selected anew only when some row accepts
-        search = None
-        moves = [(x, dx), (s, ds), (kappa, dkappa if n_g else None), (gamma, dgamma),
-                 (etaL, detaL), (etaU, detaU)]
-        cur = (w, a_pri, a_dual, mu_c, err_mu, moves)
-        pieces = []  # (rows or None, trial point, its accepted rows, its error)
+        # ``cur`` is their work, step lengths, mu, error, values and steps,
+        # x and s moving by a_pri and the multipliers by a_dual; it is
+        # selected anew only when some row accepts
+        search = gave_up = None
+        full = cur = (w, a_pri, a_dual, mu_c, st.err_mu, (x, s, kappa, gamma, etaL, etaU),
+                      (dx, ds, dkappa if n_g else None, dgamma, detaL, detaU))
+        pieces = []  # (rows or None, point, its rows taken, their errors)
         for bt in range(9):
             theta = 0.5 ** bt
-            ws, ap, ad, mus, errs, parts = cur
+            ws, ap, ad, mus, errs, values, moves = cur
             tp = (theta * ap)[:, None]
             td = (theta * ad)[:, None]
             vals = [v if dv is None else v + (td if k > 1 else tp) * dv
-                    for k, (v, dv) in enumerate(parts)]
+                    for k, (v, dv) in enumerate(zip(values, moves))]
             bad = {}
             trial = _Point(ws, *vals, ws.eval_point(vals[0], bad))
             errt = trial.err(mus)
@@ -881,38 +893,25 @@ def _lockstep(w, warm, tol):
                 rows = np.arange(M) if search is None else search
                 pieces.append((rows[ok], trial, ok, errt))
                 search = rows[~ok]
-                cur = (w[search], *(v[search] for v in (a_pri, a_dual, mu_c, err_mu)),
-                       [(v[search], None if dv is None else dv[search])
-                        for v, dv in moves])
+                cur = _take(full, search)
         else:
-            # every trial left the evaluation domain; give up on these centers
-            if search is None:
-                gave_up = np.ones(M, dtype=bool)
-            else:
-                gave_up = np.zeros(M, dtype=bool)
-                gave_up[search] = True
-            _settle(out, w, pt, gave_up, "stalled", newton + 1, err0)
-            keep = ~gave_up
-            if not keep.any():
-                return out
-            w, mu, best_pri, stall, err0 = (
-                None if v is None else v[keep]
-                for v in (w, mu, best_pri, stall, err0)
-            )
-            slot = np.cumsum(keep) - 1  # a kept row's new position
-            pieces = [(slot[rows], *rest) for rows, *rest in pieces]
-            M = len(w.lanes)
+            # exit 5: every trial left the evaluation domain; the rows give
+            # up on these centers at their current point
+            gave_up = np.arange(M) if search is None else search
+            pieces.append((gave_up, pt, gave_up, st.err_mu))
         if pieces[0][0] is None:  # every lane accepted the same trial
-            pt, err_mu = pieces[0][1], pieces[0][3]
+            st.pt, st.err_mu = pieces[0][1], pieces[0][3]
         else:
-            pt = _Point.merge(M, [piece[:3] for piece in pieces])
-            err_mu = np.empty(M)
+            st.pt = _Point.merge(M, [piece[:3] for piece in pieces])
+            st.err_mu = np.empty(M)
             for rows, _, acc, errt in pieces:
-                err_mu[rows] = errt[acc]
-    else:
-        newton = MAX_NEWTON
+                st.err_mu[rows] = errt[acc]
+        if gave_up is not None:
+            st = st.leave(out, newton + 1, stalled=gave_up)
+            if st is None:
+                return out
 
-    _settle(out, w, pt, slice(None), "max-iter", newton, err0)
+    out.put(st.w.lanes, st.pt, slice(None), "max-iter", MAX_NEWTON, st.err0)
     return out
 
 

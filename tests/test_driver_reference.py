@@ -93,10 +93,13 @@ def group_state(problem, opts, groups, state):
         res = GroupSolution(len(g), g.n, g.n_g, g.n_h)
         for j, i in enumerate(g.blocks):
             sol, sub, p = state.locals[i], problem.subproblems[i], problem.parameters[i]
-            ev = (None, ex.evaluate(sub.h, sol.x, p), ex.gradient(sub.f, sol.x, p),
-                  ex.jacobian(sub.g, sol.x, p), ex.jacobian(sub.h, sol.x, p))
-            res.put([j], sol.x, sol.kappa, sol.gamma, sol.eta[:g.n], sol.eta[g.n:],
-                    ev, sol.status, sol.iterations, sol.kkt_residual)
+            pt = SimpleNamespace(
+                x=sol.x, kappa=sol.kappa, gamma=sol.gamma, etaL=sol.eta[:g.n],
+                etaU=sol.eta[g.n:], h=ex.evaluate(sub.h, sol.x, p),
+                grad_f=ex.gradient(sub.f, sol.x, p), Jg=ex.jacobian(sub.g, sol.x, p),
+                Jh=ex.jacobian(sub.h, sol.x, p),
+            )
+            res.put([j], pt, ..., sol.status, sol.iterations, sol.kkt_residual)
         sols.append(res)
     out = IterateState(
         groups=groups, z=stacked(state.z), lam=state.lam,

@@ -640,6 +640,64 @@ def test_inertia_correction_inside_a_group(monkeypatch):
     assert any(K[2, 2] < 0.0 for K in factored)
 
 
+def boxed_log_block(c, lb, ub, p):
+    """c x0 log x0 + (x1 - p0)^2 with x1^2 + p1 <= 0 and lb <= x0 <= ub."""
+    x0, x1 = var(0), var(1)
+    f = VectorFunction([c * (x0 * ex.log(x0)) + ex.square(x1 - ex.param(0))], 2, 2)
+    h = VectorFunction([ex.square(x1) + ex.param(1)], 2, 2)
+    return Subproblem(f, h=h, lb=[lb, -np.inf], ub=[ub, np.inf], p=p)
+
+
+def test_one_group_leaves_by_all_five_exits(monkeypatch):
+    # every lane is one block of a single group and leaves by its own exit,
+    # at its own step, while the others keep iterating:
+    #   0, 7  converge after some Newton steps;
+    #   1     is a warm hit (exit 1);
+    #   2     fails the warm check's evaluation at x0 < 0 (exit 1);
+    #   3     is projected into its box x0 in [-2, -1], outside the log
+    #         domain, and fails at its start (exit 2);
+    #   6     stays at x1 = 0, where x1^2 + 2 <= 0 is violated by 2, and
+    #         stalls (exit 3);
+    #   4     has a NaN parameter, so no KKT correction solves (exit 4);
+    #   5     steps toward a center far below its box: every trial has
+    #         x0 < 0 and the lane gives up after one step (exit 5)
+    lanes = [  # (c, lb, ub, p, z, warm x)
+        (1.5, 1e-3, 10.0, [0.3, -1.0], [0.5, 0.3], [1.0, 0.0]),
+        (0.7, 1e-3, 10.0, [-0.2, -0.5], [0.8, 0.1], None),
+        (2.5, 1e-3, 10.0, [0.1, -1.0], [0.5, 0.0], [-0.5, 0.0]),
+        (1.2, -2.0, -1.0, [0.0, -1.0], [0.5, 0.0], [0.5, 0.0]),
+        (0.8, 1e-3, 10.0, [np.nan, -1.0], [0.5, 0.2], [1.0, 0.2]),
+        (1.5, -10.0, 10.0, [0.0, -1.0], [-1e6, 0.0], [1e-3, 0.0]),
+        (2.0, 1e-3, 10.0, [0.0, 2.0], [0.6, 0.0], [0.6, 0.0]),
+        (0.9, 1e-3, 10.0, [-0.6, -0.8], [2.0, -0.4], [0.1, 0.4]),
+    ]
+    subs = [boxed_log_block(c, lb, ub, p) for c, lb, ub, p, _, _ in lanes]
+    (group,) = group_blocks(subs)
+    z = [np.array(v[4]) for v in lanes]
+    p = [np.array(v[3]) for v in lanes]
+    Sigma = [np.eye(2)] * len(lanes)
+    warm = [
+        None if v[5] is None else LocalSolution(
+            np.array(v[5]), np.zeros(0), np.ones(1), np.full(4, 0.5), "converged", 1, 1.0)
+        for v in lanes
+    ]
+    # lane 1 starts at its own solution, met to a tighter tolerance
+    warm[1] = local.solve_local(subs[1], z[1], np.zeros(0), Sigma[1], p=p[1], tol=1e-12)
+    outs = run_group(monkeypatch, group, z, np.zeros(0), Sigma, p, warm=warm,
+                     tol=1e-10)
+    assert [type(s).__name__ for s in outs] == [
+        "LocalSolution", "LocalSolution", "DomainEvalError", "DomainEvalError",
+        "SingularKktError", "LocalSolution", "LocalSolution", "LocalSolution"]
+    steps = {k: (s.status, s.iterations) for k, s in enumerate(outs)
+             if isinstance(s, LocalSolution)}
+    assert steps[1] == ("converged", 0)
+    assert steps[5] == ("stalled", 1)
+    assert steps[6][0] == "stalled" and steps[6][1] >= 10
+    # the converged lanes leave at other steps than the stalled ones
+    assert steps[0][0] == steps[7][0] == "converged"
+    assert len({steps[k][1] for k in (0, 5, 6, 7)}) == 4
+
+
 def test_solve_local_checks_the_lengths_of_z_and_p():
     f = VectorFunction([ex.square(var(0) - ex.param(0)) + ex.square(var(1))], 2, 1)
     sub = Subproblem(f, p=[0.5])
