@@ -99,16 +99,19 @@ class IterationRecord:
     ``lam`` are the post-update iterate snapshots (primal blocks, local
     solutions, dual); the blocks' z and x are row views of one copy per
     lockstep group.  ``bfgs_min_eig`` is the smallest eigenvalue of each
-    block's quasi-Newton matrix (bfgs modes).
+    block's quasi-Newton matrix (bfgs modes).  ``newton_steps`` is the
+    number of Newton steps the iteration's local solves took, over all
+    blocks (the sum of their ``iterations``), whichever way each step was
+    factored.
     """
 
     __slots__ = ("iter", "consensus_viol", "local_step", "qp_step", "active_changes",
                  "comms_floats", "layer_s", "inner_residual", "z", "x", "lam",
-                 "bfgs_min_eig")
+                 "bfgs_min_eig", "newton_steps")
 
     def __init__(self, iter, consensus_viol, local_step, qp_step, active_changes,
                  comms_floats, timings=None, inner_residual=None, z=None, x=None,
-                 lam=None, bfgs_min_eig=None):
+                 lam=None, bfgs_min_eig=None, newton_steps=None):
         self.iter, self.consensus_viol = iter, consensus_viol
         self.local_step, self.qp_step = local_step, qp_step
         self.active_changes, self.comms_floats = active_changes, comms_floats
@@ -118,6 +121,7 @@ class IterationRecord:
         self.inner_residual = inner_residual
         self.z, self.x, self.lam = z, x, lam
         self.bfgs_min_eig = bfgs_min_eig
+        self.newton_steps = newton_steps
 
     @property
     def timings(self):
@@ -156,6 +160,7 @@ class IterationLog:
                 "timings": rec.timings,
                 "inner_residual": rec.inner_residual,
                 "bfgs_min_eig": rec.bfgs_min_eig,
+                "newton_steps": rec.newton_steps,
             }
             for row, rec in zip(self.rows(), self.records)
         ]
@@ -285,11 +290,36 @@ def _consensus(problem, state, X):
     return viol
 
 
-def _objective(problem, xs):
-    return float(sum(
-        ex.evaluate(s.f, x, p)[0]
-        for s, x, p in zip(problem.subproblems, xs, problem.parameters)
-    ))
+def _objective(state, X):
+    """sum_i f_i(x_i) at the groups' stacks X, added in block order.
+
+    Each group runs its blocks' f tapes as lane tapes, one run per set of
+    its lanes whose f tapes share a key: a group's blocks share the keys of
+    the tapes the local solver runs, and f's value tape is not one of them.
+    A lane gets what its block's own tape gives.  The error of the lowest
+    block whose f fails is raised, as if the blocks were evaluated one after
+    the other.
+    """
+    vals = np.empty(sum(len(grp) for grp in state.groups))
+    errors = {}
+    for grp, x, p in zip(state.groups, X, state.p):
+        tapes = [sub.f._compiled_outputs() for sub in grp.subs]
+        by_key = {}
+        for k, tape in enumerate(tapes):
+            by_key.setdefault(tape.key, []).append(k)
+        for rows in by_key.values():
+            rows = np.array(rows, dtype=np.intp)
+            errs = {}
+            lane = ex._LaneTape([tapes[k] for k in rows])
+            out = lane.run(x[rows], p[rows], np.arange(rows.size), errs)
+            vals[grp.index[rows]] = out[:, 0]
+            errors.update((grp.blocks[rows[r]], err) for r, err in errs.items())
+    if errors:
+        raise errors[min(errors)]
+    total = 0.0
+    for v in vals.tolist():  # one after the other, as a loop over the blocks adds
+        total += v
+    return total
 
 
 def _local_tolerance(opts, err_prev):
@@ -565,6 +595,7 @@ def _outer_loop(problem, opts, state, step, label, t_start):
                 active_changes=_active_changes(prev_active, state.active),
                 timings=timings, z=state.per_block([zz.copy() for zz in state.z]),
                 x=state.per_block([x.copy() for x in X]), lam=state.lam.copy(),
+                newton_steps=int(sum(res.iterations.sum() for res in state.locals)),
                 **fields,
             ))
             if done:
@@ -605,7 +636,7 @@ def _outer_loop(problem, opts, state, step, label, t_start):
         message=message,
         iterations=len(log),
         consensus_violation=viol_inf if np.isfinite(viol_inf) else float("nan"),
-        objective=_objective(problem, xs),
+        objective=_objective(state, [res.x for res in state.locals]),
         log=log,
         timers=timers,
         local_status=status,

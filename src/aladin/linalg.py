@@ -1,10 +1,12 @@
 """Dense symmetric-indefinite linear algebra (Bunch-Kaufman LDL^T).
 
-One internal routine backs every KKT solve in the library.  The factorization
-is LAPACK's sytrf.  ``LdlFactor.back_solve`` is one sytrs call, in place;
-``LdlFactor.solve`` adds a single step of iterative refinement, and
-``sym_solve`` also checks the refined residual; the local solver refines
-its lanes' back-solves itself, with one stacked residual.  ``mv`` is the
+``LdlFactor`` is LAPACK's sytrf.  ``LdlFactor.back_solve`` is one sytrs
+call, in place; ``LdlFactor.solve`` adds a single step of iterative
+refinement, and ``sym_solve``, which the coordination's dual system takes,
+also checks the refined residual.  The local solver factors a lane's KKT
+matrix here when it has equality rows, or when the positive definite test
+of the steps without them (a Cholesky factorization) fails, and refines its
+lanes' back-solves itself, with one stacked residual.  ``mv`` is the
 matrix-vector product over leading lane axes that the lockstep layers share.
 """
 

@@ -18,21 +18,25 @@ equal.  ``solve_group`` runs one interior-point loop over a group in
 lockstep.  Every block is a lane: each iterate is an array with the lanes
 first, and each tape runs once for all lanes through the group's
 ``expr._LaneTape``, which picks the interpreter: a single lane runs its
-block's own scalar tape, several run in wavefronts, one ufunc call per
-batch of instructions of one dependency level and one operator.  Every lane
-keeps its own decisions (warm check, interior projection, barrier
-parameter, stall watch, step lengths, backtracking, domain errors) and
-leaves the loop when it converges, stalls, fails or runs out of Newton
-steps.  The state of the lanes still iterating is one lanes-first container,
-compacted by one row selection wherever lanes leave, so a lane costs nothing
-once it has left.  Each Newton step's condensed KKT system, its right-hand
-side, the refinement residual and the finite test are stacked over the
-lanes; only the LDL^T factorization, its inertia test and the two
-back-solves run lane by lane, and the inertia-correction attempts rerun only
-the lanes that failed.  A lane's result is bit for bit that of solving its
-block alone, and ``solve_local`` is that: a group of one.  A group's
-results come back lanes first, as one ``GroupSolution`` that also keeps
-each lane's evaluation at its solution, the last one the loop made.
+block's own scalar tape, several run in wavefronts, one ufunc call per batch
+of instructions of one dependency level and one operator.  Every lane keeps
+its own decisions (warm check, interior projection, barrier parameter, stall
+watch, step lengths, backtracking, domain errors) and leaves the loop when
+it converges, stalls, fails or runs out of Newton steps.  The state of the
+lanes still iterating is one lanes-first container, compacted by one row
+selection wherever lanes leave, so a lane costs nothing once it has left.
+Each Newton step's condensed KKT system and its right-hand side are stacked
+over the lanes.  Without equality rows the system is W, and the step needs W
+positive definite: one stacked Cholesky factorization tests that, and two
+stacked solves with a refinement residual between them give the step.  The
+lanes it rejects, and every lane of a group with equality rows, take the
+LDL^T path: the factorization, its inertia test and the two back-solves run
+lane by lane, the refinement residual and the finite test stacked, and the
+inertia-correction attempts rerun only the lanes that failed.  A lane's
+route depends only on its own system, so its result is bit for bit that of
+solving its block alone, and ``solve_local`` is that: a group of one.  A
+group's results come back lanes first, as one ``GroupSolution`` that also
+keeps each lane's evaluation at its solution, the last one the loop made.
 
 Each point is evaluated and reduced to its residual parts once: the
 stationarity, equality and slacked-inequality residuals r_x, r_g, r_h and the
@@ -502,11 +506,53 @@ def _attempt(K, x, n):
 
 
 def _solve_newton(K, x, n):
-    """A lane's Newton step, per lane: the ``_attempt`` on its uncorrected K.
+    """A lane's Newton step on the LDL^T path: the ``_attempt`` on its
+    uncorrected K.
 
-    Runs once per lane and step; the correction rounds call ``_attempt``.
+    Runs once per lane and step whose K has equality rows or failed the
+    Cholesky route (``_cholesky_step``); the correction rounds call
+    ``_attempt``.
     """
     return _attempt(K, x, n)
+
+
+def _attempts(attempt, K, rhs, n):
+    """``attempt`` on every lane of the stacks K, rhs, finished by
+    ``_refine``: the solutions, and the positions of the lanes not
+    accepted."""
+    X = rhs.copy()
+    return X, _refine([attempt(k, x, n) for k, x in zip(K, X)], K, rhs, X)
+
+
+def _cholesky_step(K, rhs):
+    """Solve K x = rhs on the lanes whose K is positive definite.
+
+    A lane is accepted when its K passes ``np.linalg.cholesky`` and its
+    solution, by ``np.linalg.solve`` and one refinement step by the same
+    route, is finite.  Returns the solutions and the positions of the lanes
+    not accepted, whose rows are not meaningful.  Each stacked call gives
+    every lane what the call on that lane alone gives, but a stacked
+    factorization that fails raises for the whole stack; every lane is then
+    taken alone, so a lane's route depends only on its own K.
+    """
+    try:
+        np.linalg.cholesky(K)
+        b = rhs[..., None]
+        X = np.linalg.solve(K, b)
+        # a lane with an infinite entry may pass the factorization; its
+        # non-finite solution is rejected below, and must not warn here
+        with np.errstate(invalid="ignore", over="ignore"):
+            R = b - K @ X
+        X += np.linalg.solve(K, R)
+    except np.linalg.LinAlgError:
+        if len(K) == 1:
+            return rhs.copy(), np.zeros(1, dtype=np.intp)
+        alone = [_cholesky_step(K[j:j + 1], rhs[j:j + 1]) for j in range(len(K))]
+        X = np.concatenate([x for x, _ in alone])
+        return X, np.flatnonzero([bad.size for _, bad in alone])
+    X = X[..., 0]
+    fin = np.isfinite(X)
+    return X, _NO_ROWS if fin.all() else np.flatnonzero(~fin.all(axis=-1))
 
 
 def _refine(facs, K, rhs, X):
@@ -541,13 +587,16 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
     one row per such lane.
 
     K = [W, Jg'; Jg, 0] and its right-hand side are built for all lanes at
-    once, as are the refinement residual and the finite test (``_refine``);
-    only the factorization, its inertia test and the two back-solves run
-    lane by lane.  A lane that fails is corrected as in IPOPT: W + zeta I,
-    zeta growing 100-fold per attempt, and from the eighth attempt on a
-    -zeta_d I block as well.  Only the failing lanes rerun, each with its
-    own zeta; a lane left without an acceptable one of 12 attempts gets a
-    SingularKktError in ``failed``.
+    once.  Without equality rows K = W, and the inertia the step needs,
+    (n, 0, 0), means W is positive definite: the lanes first take the
+    stacked Cholesky route (``_cholesky_step``), and only those it rejects
+    go on to the LDL^T path.  There the factorization, its inertia test and
+    the two back-solves run lane by lane, and the refinement residual and
+    the finite test are stacked (``_refine``).  A lane that fails is
+    corrected as in IPOPT: W + zeta I, zeta growing 100-fold per attempt,
+    and from the eighth attempt on a -zeta_d I block as well.  Only the
+    failing lanes rerun, each with its own zeta; a lane left without an
+    acceptable one of 12 attempts gets a SingularKktError in ``failed``.
     """
     M, n = rhs_x.shape
     N = n + rhs_g.shape[-1]
@@ -564,8 +613,13 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
         K, rhs = K[rows], rhs[rows]
     else:
         rows = np.arange(M)
-    X = rhs.copy()
-    bad = _refine([_solve_newton(k, x, n) for k, x in zip(K, X)], K, rhs, X)
+    if N > n:
+        X, bad = _attempts(_solve_newton, K, rhs, n)
+    else:
+        X, bad = _cholesky_step(K, rhs)
+        if bad.size:
+            X[bad], worse = _attempts(_solve_newton, K[bad], rhs[bad], n)
+            bad = bad[worse]
     if not bad.size:
         return X[:, :n], X[:, n:]
     zeta = 1e-8 * (1.0 + np.abs(W[rows[bad]]).max(axis=(-2, -1), initial=0.0))
@@ -573,14 +627,12 @@ def _newton_step(W, Jg, rhs_x, rhs_g, failed):
     for attempt in range(1, 12):
         if not bad.size:
             break
-        Kc, bc = K[bad], rhs[bad]
+        Kc = K[bad]
         # W + zeta I: zeta on the first n entries of K's diagonal
         Kc.reshape(bad.size, N * N)[:, : n * (N + 1) : N + 1] += zeta[:, None]
         if zeta_d:
             Kc[:, n:, n:] = -zeta_d * np.eye(N - n)
-        Xc = bc.copy()
-        worse = _refine([_attempt(k, x, n) for k, x in zip(Kc, Xc)], Kc, bc, Xc)
-        X[bad] = Xc
+        X[bad], worse = _attempts(_attempt, Kc, rhs[bad], n)
         bad, zeta = bad[worse], zeta[worse] * 100.0
         if attempt >= 6:
             zeta_d = zeta_d * 100.0 if zeta_d else 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 from aladin import driver
 from aladin import expr as ex
+from aladin import local
 from aladin.coordination import update_delta_by_violation
 from aladin.expr import VectorFunction, var, param
 from aladin.driver import CSV_HEADER, run_admm, run_aladin
@@ -213,8 +214,9 @@ class TestAdmm:
 
     def test_active_sets_come_from_the_local_solutions(self, monkeypatch):
         # the active sets are read off the local solver's evaluation at its
-        # solutions: nothing but the final objective is evaluated for the
-        # log, and it counts the changes of detecting them block by block
+        # solutions: nothing is evaluated for the log (the final objective
+        # runs the groups' lane tapes, not evaluate), and it counts the
+        # changes of detecting them block by block
         evaluated = []
         evaluate = ex.evaluate
 
@@ -226,7 +228,7 @@ class TestAdmm:
         prob = tutorial()
         opts = SolverOptions(term_eps=0, max_iter=5).check()
         sol = run_admm(prob, opts)
-        assert evaluated == [s.f for s in prob.subproblems]
+        assert evaluated == []
         monkeypatch.undo()
         acts = [
             [detect_active(s, x, p, opts.act_margin).indices
@@ -485,3 +487,56 @@ class TestBlockErrors:
         assert str(exc.value).startswith(
             "outer iteration 2: block 1: active constraint Jacobian is rank deficient"
         )
+
+
+class TestObjective:
+    def test_lowest_failing_block_raises(self):
+        # blocks 1 and 3 leave the log's domain; block 1's error is raised
+        subs = [
+            Subproblem(VectorFunction(
+                [c * (var(0) * ex.log(var(0))) + ex.square(var(1))], 2), A=[[1.0, 0.0]])
+            for c in (1.5, 0.7, 2.5, 3.0)
+        ]
+        problem = SeparableProblem(subs, b=[1.0])
+        _, state, _ = driver._start(problem, SolverOptions(), None, None)
+        assert len(state.groups) == 1
+        X = [np.array([[0.5, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])]
+        with pytest.raises(ex.DomainEvalError) as got:
+            driver._objective(state, X)
+        with pytest.raises(ex.DomainEvalError) as alone:
+            ex.evaluate(subs[1].f, X[0][1])
+        assert got.value.node is alone.value.node
+        assert str(got.value) == str(alone.value)
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize(
+        "run, make, opts",
+        [(run_aladin, tutorial, SolverOptions(term_eps=1e-10)),
+         (run_aladin, ocp_chain, SolverOptions()),
+         (run_admm, lambda: coupled_qp(n_blocks=6, block_size=3),
+          SolverOptions(max_iter=30))],
+        ids=["tutorial", "ocp_chain", "admm-coupled_qp"],
+    )
+    def test_records_count_every_lanes_steps(self, monkeypatch, run, make, opts):
+        # per iteration, the lanes entering a Newton step, whether it is
+        # factored by Cholesky or by LDL^T (tutorial's blocks have no
+        # equality rows, ocp_chain's do)
+        counted = []
+        newton_step, solve_locals = local._newton_step, driver._solve_locals
+
+        def step(W, Jg, rhs_x, rhs_g, failed):
+            counted[-1] += len(rhs_x) - len(failed)
+            return newton_step(W, Jg, rhs_x, rhs_g, failed)
+
+        def per_iteration(*args):
+            counted.append(0)
+            return solve_locals(*args)
+
+        monkeypatch.setattr(local, "_newton_step", step)
+        monkeypatch.setattr(driver, "_solve_locals", per_iteration)
+        sol = run(make(), opts)
+        steps = [rec.newton_steps for rec in sol.log.records]
+        assert steps == counted and sum(steps) > 0
+        assert all(type(v) is int for v in steps)
+        assert [row["newton_steps"] for row in sol.log.to_json()] == steps

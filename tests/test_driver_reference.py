@@ -38,7 +38,7 @@ from aladin.driver import (
 from aladin.errors import SolverError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.local import GroupSolution, group_blocks, solve_local
-from aladin.problem import SolverOptions, Subproblem, validate
+from aladin.problem import SeparableProblem, SolverOptions, Subproblem, validate
 from aladin.sensitivity import detect_active
 
 DIVERGENCE_GUARD = 1e10
@@ -547,6 +547,26 @@ def interleaved_chain(n_blocks=8):
     return _chain(n_blocks, 3, make, shared=True)
 
 
+def offset_problem(offsets=(0.0, 1.5, 0.0, -2.0)):
+    """Blocks (x0 - c)^2 + x1^2 + e in one lockstep group whose f tapes
+    differ: e = 0 folds away, and every other e keeps an add, so the final
+    objective runs two lane tapes for the group."""
+    centers = np.linspace(-1.0, 1.0, len(offsets))
+    subs = []
+    for i, (c, e) in enumerate(zip(centers, offsets)):
+        f = ex.square(ex.var(0) - c) + ex.square(ex.var(1)) + e
+        A = np.zeros((1, 2))
+        A[0, 0] = 1.0 if i % 2 else -1.0
+        subs.append(Subproblem(ex.VectorFunction([f], 2), A=A))
+    return SeparableProblem(subs, b=[0.0])
+
+
+def test_offset_problem_splits_its_group_by_f():
+    (group,) = group_blocks(offset_problem().subproblems)
+    keys = [s.f._compiled_outputs().key for s in group.subs]
+    assert keys[0] == keys[2] != keys[1] == keys[3]
+
+
 TUTORIAL_CASES = [
     (f"tutorial-{variant}-{hessian}", tutorial,
      dict(variant=variant, hessian=hessian, max_iter=40))
@@ -564,6 +584,7 @@ ALADIN_CASES = TUTORIAL_CASES + [
     ("interleaved-nullspace-bfgs", interleaved_chain,
      dict(variant="nullspace", hessian="bfgs")),
     ("interleaved-dbfgs-del-up", interleaved_chain, dict(hessian="dbfgs", del_up=True)),
+    ("offsets-fullspace", offset_problem, dict()),
 ]
 # the 20x3 QP is the benchmark's admm-chain instance, unshifted
 ADMM_CASES = [
@@ -636,12 +657,25 @@ def test_z0_and_lam0_taken_alike(capsys):
 def test_one_solve_per_reduced_block(monkeypatch, build, kwargs):
     real = np.linalg.solve
     calls = [0]  # factored systems: a stacked call factors one per lane
+    # counted inside the coordination only: the local solver's Cholesky
+    # route solves with np.linalg.solve too
+    coordinating = [False]
+    coordinate = driver._coordinate
 
     def counting(*args, **kw):
-        calls[0] += int(np.prod(np.shape(args[0])[:-2]))
+        if coordinating[0]:
+            calls[0] += int(np.prod(np.shape(args[0])[:-2]))
         return real(*args, **kw)
 
+    def scoped(*args, **kw):
+        coordinating[0] = True
+        try:
+            return coordinate(*args, **kw)
+        finally:
+            coordinating[0] = False
+
     monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(driver, "_coordinate", scoped)
     problem = build()
     sol = run_aladin(problem, SolverOptions(**kwargs))
     steps = sol.iterations - (sol.termination == "tolerance-met")

@@ -3,19 +3,22 @@
 The lockstep layers run one call over a lanes-first stack of blocks and
 promise each block the result it would get alone.  That holds because the
 stacked ``matmul`` (matrix @ matrix, matrix @ column, row @ column),
-``linalg.solve``, ``eigh``, ``eigvalsh`` and ``svd`` run the same LAPACK or
-BLAS kernel on each lane.  ``einsum`` does not, and is not used.  The shapes
-below are those the sensitivity layer produces: active Jacobians from empty
-(k, 0, n) through 1x2 to 13x27 and 27x14, reduced Hessians up to 27x27, and
-compact coupling matrices.  The outer loop adds three forms: a stack of
-matrices against one shared vector, the axis-0 add-reduce that sums the
-consensus in block order (from ``initial=-0.0``: by default the reduce
-starts at +0.0, which turns a column of -0.0 into +0.0), and the per-lane
-infinity norm.  The lane tapes add the elementwise form: each operator's
-ufunc applied once to a gathered (k, L) stack of register rows, written
-through ``out=`` into a block of rows, must give every row what a call on
-that row alone gives.  A numpy or BLAS build where this fails breaks the
-bit-identity of every lockstep trajectory.
+``linalg.solve``, ``cholesky``, ``eigh``, ``eigvalsh`` and ``svd`` run the
+same LAPACK or BLAS kernel on each lane.  ``einsum`` does not, and is not
+used.  The shapes below are those the sensitivity layer produces: active
+Jacobians from empty (k, 0, n) through 1x2 to 13x27 and 27x14, reduced
+Hessians up to 27x27, and compact coupling matrices.  The local solver's
+steps without equality rows add the Cholesky route: the factorization, which
+must also raise for a stack with one indefinite lane, and two solves with a
+refinement residual between them, on 2x2 to 10x10 stacks of 1 to 33 lanes.
+The outer loop adds three forms: a stack of matrices against one shared
+vector, the axis-0 add-reduce that sums the consensus in block order (from
+``initial=-0.0``: by default the reduce starts at +0.0, which turns a column
+of -0.0 into +0.0), and the per-lane infinity norm.  The lane tapes add the
+elementwise form: each operator's ufunc applied once to a gathered (k, L)
+stack of register rows, written through ``out=`` into a block of rows, must
+give every row what a call on that row alone gives.  A numpy or BLAS build
+where this fails breaks the bit-identity of every lockstep trajectory.
 """
 
 import numpy as np
@@ -94,6 +97,60 @@ def test_svd(m, n):
     rng = np.random.default_rng(7 * m + n)
     C = rng.standard_normal((LANES, m, n))
     lanes_equal(np.linalg.svd, np.linalg.svd, C)
+
+
+# -- the local solver's Cholesky route -------------------------------------------
+
+# admm-chain's 3x3 and qp-wide's 2x2 systems, and a wider one
+CHOLESKY_SIZES = [2, 3, 10]
+
+
+def pd_stack(rng, L, n):
+    """L positive definite matrices, some with the barrier's spread of
+    diagonal magnitudes."""
+    M = rng.standard_normal((L, n, n))
+    K = M @ M.swapaxes(-1, -2) + 0.1 * np.eye(n)
+    d = 10.0 ** rng.integers(-2, 9, (L, n))
+    d[::2] = 1.0
+    return K * np.sqrt(d[:, :, None] * d[:, None, :])
+
+
+@pytest.mark.parametrize("n", CHOLESKY_SIZES)
+def test_cholesky_route_per_lane(n):
+    # the stacked route of a step without equality rows against the 2-D
+    # calls on each lane: the factorization, the solve, the refinement
+    # residual on a column and the refined solve
+    for L in range(1, 34):  # through the SIMD widths and their tails
+        rng = np.random.default_rng(100 * L + n)
+        K = pd_stack(rng, L, n)
+        b = rng.standard_normal((L, n))
+        C = np.linalg.cholesky(K)
+        X = np.linalg.solve(K, b[..., None])
+        R = b[..., None] - K @ X
+        X2 = X + np.linalg.solve(K, R)
+        for j in range(L):
+            assert same(C[j], np.linalg.cholesky(K[j])), (L, j)
+            x = np.linalg.solve(K[j], b[j])
+            assert same(X[j, :, 0], x), (L, j)
+            r = b[j] - K[j] @ x
+            assert same(R[j, :, 0], r), (L, j)
+            assert same(X2[j, :, 0], x + np.linalg.solve(K[j], r)), (L, j)
+
+
+@pytest.mark.parametrize("n", CHOLESKY_SIZES)
+def test_stacked_cholesky_raises_for_one_indefinite_lane(n):
+    # the local solver takes every lane alone after this error, so it must
+    # come whichever lane is indefinite, and not come without one
+    for L in range(1, 34):
+        rng = np.random.default_rng(200 * L + n)
+        K = pd_stack(rng, L, n)
+        np.linalg.cholesky(K)
+        j = int(rng.integers(L))
+        K[j, n - 1, n - 1] = -1.0 - np.abs(K[j]).max()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K[j])
 
 
 # -- the outer loop's forms ----------------------------------------------------

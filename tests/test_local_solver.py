@@ -192,13 +192,14 @@ class TestNewtonCount:
         p = problem.parameters[block]
         lam = np.zeros(problem.n_c)
         calls = [0]
-        newton = local._solve_newton
+        newton_step = local._newton_step
 
-        def counted(*args):
-            calls[0] += 1
-            return newton(*args)
+        def counted(W, Jg, rhs_x, rhs_g, failed):
+            # the lanes this step solves, on the Cholesky or the LDL^T path
+            calls[0] += len(rhs_x) - len(failed)
+            return newton_step(W, Jg, rhs_x, rhs_g, failed)
 
-        monkeypatch.setattr(local, "_solve_newton", counted)
+        monkeypatch.setattr(local, "_newton_step", counted)
         sol = solve_local(sub, sub.z0, lam, np.eye(sub.n_x), p=p, tol=1e-10)
         assert sol.status == "converged"
         assert sol.iterations == calls[0] > 0
