@@ -2,7 +2,7 @@
 
 Both solvers run one loop (``_outer_loop``) and differ only in its
 coordination step.  The blocks are grouped once per run into lockstep groups
-of structurally identical blocks (``local.group_blocks``), and the loop's
+of blocks of equal shapes (``local.group_blocks``), and the loop's
 state is kept lanes first, one stack per group (``IterateState``).  Per outer
 iteration, once per group: (1) the group's blocks solve their proximal NLPs
 around the current (z, lam) with their weights Sigma_i in one lockstep solve,
@@ -293,27 +293,18 @@ def _consensus(problem, state, X):
 def _objective(state, X):
     """sum_i f_i(x_i) at the groups' stacks X, added in block order.
 
-    Each group runs its blocks' f tapes as lane tapes, one run per set of
-    its lanes whose f tapes share a key: a group's blocks share the keys of
-    the tapes the local solver runs, and f's value tape is not one of them.
-    A lane gets what its block's own tape gives.  The error of the lowest
-    block whose f fails is raised, as if the blocks were evaluated one after
-    the other.
+    Each group runs its blocks' f tapes as one lane tape, which splits the
+    lanes by tape key, so a lane gets what its block's own tape gives.  The
+    error of the lowest block whose f fails is raised, as if the blocks
+    were evaluated one after the other.
     """
     vals = np.empty(sum(len(grp) for grp in state.groups))
     errors = {}
     for grp, x, p in zip(state.groups, X, state.p):
-        tapes = [sub.f._compiled_outputs() for sub in grp.subs]
-        by_key = {}
-        for k, tape in enumerate(tapes):
-            by_key.setdefault(tape.key, []).append(k)
-        for rows in by_key.values():
-            rows = np.array(rows, dtype=np.intp)
-            errs = {}
-            lane = ex._LaneTape([tapes[k] for k in rows])
-            out = lane.run(x[rows], p[rows], np.arange(rows.size), errs)
-            vals[grp.index[rows]] = out[:, 0]
-            errors.update((grp.blocks[rows[r]], err) for r, err in errs.items())
+        lane = ex._LaneTape([sub.f._compiled_outputs() for sub in grp.subs])
+        errs = {}
+        vals[grp.index] = lane.run(x, p, np.arange(len(grp)), errs)[:, 0]
+        errors.update((grp.blocks[r], err) for r, err in errs.items())
     if errors:
         raise errors[min(errors)]
     total = 0.0

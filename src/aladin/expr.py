@@ -23,12 +23,14 @@ and every call allocates its own registers and result, so functions may be
 evaluated from several threads.
 
 Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
-stacks such tapes of several blocks and runs them on all the blocks'
-points at once; each lane's values and errors are those of its own tape.
-A run on a single lane is its own ``_Tape.run``.  A run on several lanes
-goes in wavefronts: the instructions of one dependency level and one
-operator form a batch that writes one contiguous block of register rows,
-and a batch whose operator has a ufunc takes one call for all its
+stacks the tapes of one root set of several blocks, whose results have
+equal sizes, and runs them on all the blocks' points at once; each lane's
+values and errors are those of its own tape.  It splits its lanes once by
+tape key, and each part, the lanes whose tapes share a key, runs on its
+own.  A run on a single lane of a part is its own ``_Tape.run``.  A run on
+several goes in wavefronts: the instructions of one dependency level and
+one operator form a batch that writes one contiguous block of register
+rows, and a batch whose operator has a ufunc takes one call for all its
 instructions and lanes, so a tape costs one call per (level, operator)
 pair rather than one per instruction.  Each interpreter is the faster on
 its own traffic.
@@ -393,14 +395,19 @@ class _Tape:
 
 
 class _LaneTape:
-    """Structurally equal tapes of one or more blocks, run on their lanes.
+    """The tapes of one root set of one or more blocks, run on their lanes.
 
-    Built from tapes with equal ``key``; lane k is the block of ``tapes[k]``,
-    and ``base`` (n_lanes, size) holds each lane's constant result.  A run
-    on one lane is that lane's ``_Tape.run``.  A run on several goes in
-    wavefronts over registers that are rows over the lanes: ``waves``, the
-    program ``_wavefronts`` builds from the tapes on first use (a group that
-    only ever runs one lane at a time never builds it).
+    Built from tapes whose results have equal sizes; lane k is the block of
+    ``tapes[k]``, and ``base`` (n_lanes, size) holds each lane's constant
+    result.  When the tapes' keys differ, ``parts`` splits the lanes by key,
+    once: one ``(at, part)`` per key, ``part`` the lane tape of that key's
+    tapes in lane order and ``at`` each lane's index in it (-1 for a lane
+    of another key).  Tapes of one key, or of one lane, leave ``parts``
+    None and run as one part.  A run on one lane of a part is that lane's
+    ``_Tape.run``.  A run on several goes in wavefronts over registers
+    that are rows over the lanes: ``waves``, the program ``_wavefronts``
+    builds from the tapes on first use (a group that only ever runs one
+    lane at a time never builds it).
     """
 
     def __init__(self, tapes):
@@ -408,6 +415,17 @@ class _LaneTape:
         self.base = np.array([t.base for t in tapes])
         self.constant = not tapes[0].out_reg
         self._iota = np.arange(len(tapes), dtype=np.intp).tobytes()
+        self.parts = None
+        if len(tapes) > 1:
+            by_key = {}
+            for k, t in enumerate(tapes):
+                by_key.setdefault(t.key, []).append(k)
+            if len(by_key) > 1:
+                self.parts = []
+                for idx in by_key.values():
+                    at = np.full(len(tapes), -1, dtype=np.intp)
+                    at[idx] = np.arange(len(idx))
+                    self.parts.append((at, _LaneTape([tapes[k] for k in idx])))
 
     @property
     def waves(self):
@@ -434,11 +452,20 @@ class _LaneTape:
     def run(self, X, P, lanes, errors):
         """Rows of results for the ``lanes``, whose x and p are rows of X, P.
 
-        A single lane runs its own tape's ``_Tape.run`` on row 0, several
-        run ``_run_lanes``.  A lane that leaves an operator's domain has its
-        first DomainEvalError put in ``errors`` under its row (an earlier
-        error of that row is kept); the rest of its row is not meaningful.
+        Each part runs on its rows: a single lane runs its own tape's
+        ``_Tape.run``, several run ``_run_lanes``.  A lane that leaves an
+        operator's domain has its first DomainEvalError put in ``errors``
+        under its row (an earlier error of that row is kept); the rest of
+        its row is not meaningful.
         """
+        if self.parts is not None:
+            out = np.empty((len(lanes), self.base.shape[1]))
+            for at, part in self.parts:
+                pos = at[lanes]
+                rows = np.flatnonzero(pos >= 0)
+                if rows.size:
+                    out[rows] = part.run_rows(X, P, pos, rows, errors)
+            return out
         if len(lanes) != 1:
             return self._run_lanes(X, P, lanes, errors)
         try:
@@ -446,6 +473,15 @@ class _LaneTape:
         except DomainEvalError as err:
             errors.setdefault(0, err)
             return np.full((1, self.base.shape[1]), np.nan)
+
+    def run_rows(self, X, P, lanes, rows, errors):
+        """``run`` on the ``rows`` of X, P and ``lanes`` only, each error put
+        in ``errors`` under its row of those (an earlier error is kept)."""
+        errs = {}
+        out = self.run(X[rows], P[rows], lanes[rows], errs)
+        for r, err in errs.items():
+            errors.setdefault(rows[r], err)
+        return out
 
     def _run_lanes(self, X, P, lanes, errors):
         """``run`` on several lanes, one batch at a time.

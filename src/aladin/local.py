@@ -11,20 +11,23 @@ correction, a 0.995 fraction-to-boundary rule, and monotone barrier reduction
 by a factor of 0.2.
 
 Blocks are solved in groups.  ``group_blocks`` forms them once per run: a
-``BlockGroup`` holds blocks whose compiled tapes are structurally identical
-(``expr._Tape.key``: the same instructions, loads and output positions, only
-the constants may differ) and whose dimensions and finite-bound masks are
-equal.  ``solve_group`` runs one interior-point loop over a group in
-lockstep.  Every block is a lane: each iterate is an array with the lanes
-first, and each tape runs once for all lanes through the group's
-``expr._LaneTape``, which picks the interpreter: a single lane runs its
-block's own scalar tape, several run in wavefronts, one ufunc call per batch
-of instructions of one dependency level and one operator.  Every lane keeps
-its own decisions (warm check, interior projection, barrier parameter, stall
-watch, step lengths, backtracking, domain errors) and leaves the loop when
-it converges, stalls, fails or runs out of Newton steps.  The state of the
-lanes still iterating is one lanes-first container, compacted by one row
-selection wherever lanes leave, so a lane costs nothing once it has left.
+``BlockGroup`` holds blocks of equal shapes (n_x, n_p, n_g, n_h), equal
+finite-bound masks and the same absent root sets (an affine row's zero
+Hessian, say); their compiled tapes may differ in structure, as a constant
+folded to 0 or 1 changes a tape.  ``solve_group`` runs one interior-point
+loop over a group in lockstep.  Every block is a lane: each iterate is an
+array with the lanes first, and each root set runs once for all lanes
+through the group's ``expr._LaneTape``, which splits the lanes by tape key
+(``expr._Tape.key``: the same instructions, loads and output positions,
+only the constants may differ) and picks each part's interpreter: a single
+lane runs its block's own scalar tape, several run in wavefronts, one ufunc
+call per batch of instructions of one dependency level and one operator.
+Every lane keeps its own decisions (warm check, interior projection, barrier
+parameter, stall watch, step lengths, backtracking, domain errors) and
+leaves the loop when it converges, stalls, fails or runs out of Newton
+steps.  The state of the lanes still iterating is one lanes-first
+container, compacted by one row selection wherever lanes leave, so a lane
+costs nothing once it has left.
 Each Newton step's condensed KKT system and its right-hand side are stacked
 over the lanes.  Without equality rows the system is W, and the step needs W
 positive definite: one stacked Cholesky factorization tests that, and two
@@ -169,7 +172,7 @@ def _root_sets(sub):
 
 
 class BlockGroup:
-    """Blocks solved in lockstep: equal tapes up to constants, equal shapes.
+    """Blocks solved in lockstep: equal shapes, bound masks and absent tapes.
 
     ``blocks`` are the blocks' indices in their problem (``index``: the
     same as an array), ``subs`` the blocks, ``A`` their coupling matrices
@@ -179,7 +182,8 @@ class BlockGroup:
     ``iL``/``iU``, and ``rows``, the (0 for g or 1 for h, row, root-set
     position) of every constraint row whose Hessian is not zero; ``lb`` and
     ``ub`` stack the bounds, lanes first, and ``lane`` holds one
-    ``_LaneTape`` per root set (None where the blocks have no such tape).
+    ``_LaneTape`` per root set (None where the blocks have no such tape),
+    which splits the lanes by tape key where the blocks' tapes differ.
     """
 
     def __init__(self, subs, blocks=None, tapes=None):
@@ -233,11 +237,7 @@ class BlockGroup:
         def run(i, rows=None):
             if rows is None:
                 return tapes[i].run(x, p, lanes, errors)
-            errs = {}
-            out = tapes[i].run(x[rows], p[rows], lanes[rows], errs)
-            for r, err in errs.items():
-                errors.setdefault(rows[r], err)
-            return out
+            return tapes[i].run_rows(x, p, lanes, rows, errors)
 
         return run
 
@@ -272,8 +272,10 @@ class BlockGroup:
 def group_blocks(subs):
     """Partition blocks into lockstep groups, ordered by their first block.
 
-    Each block's root sets are walked once: the tape keys that group it are
-    read from them, and its group keeps them.
+    A group's blocks agree in n_x, n_p, n_g, n_h, their finite-bound masks
+    and which of their root sets are None; their tape keys may differ, and
+    the group's lane tapes split by them.  Each block's root sets are
+    compiled once, and its group keeps them.
     """
     groups = {}
     for i, sub in enumerate(subs):
@@ -281,7 +283,7 @@ def group_blocks(subs):
         key = (
             sub.n_x, sub.n_p, sub.n_g, sub.n_h,
             np.isfinite(sub.lb).tobytes(), np.isfinite(sub.ub).tobytes(),
-            tuple(None if t is None else t.key for t in tapes),
+            tuple(t is None for t in tapes),
         )
         idx, sets = groups.setdefault(key, ([], []))
         idx.append(i)

@@ -457,8 +457,8 @@ class TestSensitivityPacks:
         sol = run_aladin(ocp_chain(), SolverOptions(variant=variant))
         assert sol.termination == "tolerance-met" and calls == []
         # the full-space variant regularizes once per lockstep group and
-        # iteration: ocp_chain's three groups of one, coupled_qp's one group
-        # of eight
+        # iteration: ocp_chain's group of two and group of one, coupled_qp's
+        # one group of eight
         for problem in (ocp_chain(), coupled_qp(n_blocks=8, block_size=3)):
             del calls[:]
             sol = run_aladin(problem, SolverOptions(variant="fullspace", max_iter=2))

@@ -17,10 +17,10 @@ import pytest
 
 from aladin import expr as ex
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
-from aladin import local
+from aladin import driver, local
 from aladin.expr import Expression, VectorFunction, param, var
 from aladin.local import group_blocks
-from aladin.problem import Subproblem
+from aladin.problem import SeparableProblem, SolverOptions, Subproblem
 
 
 # -- reference ---------------------------------------------------------------
@@ -824,8 +824,103 @@ def test_structural_keys_equal_exactly_for_equal_structure():
     # a constant that folds to 1 or 0 changes the graph, the others only values
     assert keys[0] == keys[1] == keys[4]
     assert keys[2] != keys[0] and keys[3] != keys[0] and keys[2] != keys[3]
+    # groups follow the shapes and the absent tapes, not the keys: block 3's
+    # zero weight leaves g affine, so g's row has no Hessian
     groups = group_blocks(subs)
-    assert [g.blocks for g in groups] == [(0, 1, 4), (2,), (3,)]
+    assert [g.blocks for g in groups] == [(0, 1, 2, 4), (3,)]
+
+
+def folded_block(c, d):
+    """A block whose tapes change structure where d folds, not its shapes.
+
+    d = 0 drops f's shift of x1 and its x1 term, d = 1 folds the x1 term's
+    weight and leaves h's Hessian constant; x0 <= 0 leaves f's log domain.
+    """
+    x0, x1 = var(0), var(1)
+    f = VectorFunction([c * (x0 * ex.log(x0)) + ex.square(x1 - d) + d * x1], 2)
+    h = VectorFunction([ex.square(x0) + (d - 1.0) * ex.sin(x1) - c], 2)
+    return Subproblem(f, h=h, A=[[1.0, 0.0]])
+
+
+FOLDED = [(1.5, 0.0), (0.7, 2.5), (2.5, 1.0), (3.0, 0.0), (0.4, -0.5), (1.2, 1.0)]
+
+
+def test_lane_tapes_split_by_key_and_give_each_lane_its_own_tape():
+    subs = [folded_block(c, d) for c, d in FOLDED]
+    (group,) = group_blocks(subs)
+    split = [lane for lane in group.lane if lane is not None and lane.parts is not None]
+    # f's value tape splits too, though the local solver never runs it
+    split.append(ex._LaneTape([s.f._compiled_outputs() for s in subs]))
+    assert len(split) >= 4
+    assert any(len({part.constant for _, part in lane.parts}) == 2 for lane in split)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.2, 2.0, (6, 2))
+    P = np.zeros((6, 0))
+    for lane in split:
+        for lanes in (np.arange(6), np.array([1, 2, 4]), np.array([5, 0, 3, 2]),
+                      np.array([3]), np.array([2])):
+            errors = {}
+            got = lane.run(X[lanes], P[lanes], lanes, errors)
+            assert not errors and got.shape == (len(lanes), lane.base.shape[1])
+            for r, i in enumerate(lanes):
+                assert_same_bits(got[r], lane.tapes[i].run(X[i], P[i]))
+
+
+def test_a_part_puts_its_lanes_errors_under_their_rows():
+    subs = [folded_block(c, d) for c, d in FOLDED]
+    (group,) = group_blocks(subs)
+    lane = group.lane[local._GRAD_F]
+    assert len(lane.parts) == 3
+    # lanes 0 and 3 (d = 0), 2 (d = 1) and 4 (d = -0.5) are outside the log
+    # domain: failures in each of the three parts
+    X = np.array([[-1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [-0.5, 0.2], [-2.0, 0.3],
+                  [0.8, 0.1]])
+    P = np.zeros((6, 0))
+    for lanes in (np.arange(6), np.array([4, 1, 3, 2]), np.array([3])):
+        errors = {}
+        got = lane.run(X[lanes], P[lanes], lanes, errors)
+        failed = 0
+        for r, i in enumerate(lanes):
+            want = _raised(lane.tapes[i].run, X[i], P[i])
+            if want is None:
+                assert r not in errors
+                assert_same_bits(got[r], lane.tapes[i].run(X[i], P[i]))
+            else:
+                failed += 1
+                assert errors[r].node is want.node and str(errors[r]) == str(want)
+        assert len(errors) == failed > 0
+        # an earlier error of a row is kept
+        kept = {r: ValueError(r) for r in range(len(lanes))}
+        lane.run(X[lanes], P[lanes], lanes, kept)
+        assert all(type(err) is ValueError and err.args == (r,) for r, err in kept.items())
+
+
+def test_one_key_builds_no_partition():
+    subs = [folded_block(c, 2.5 + c) for c, _ in FOLDED]
+    (group,) = group_blocks(subs)
+    assert all(lane is None or lane.parts is None for lane in group.lane)
+    tapes = [s.f._compiled_jacobian() for s in (folded_block(1.5, 0.0), folded_block(2.5, 0.0))]
+    assert ex._LaneTape(tapes).parts is None
+    # a single lane is not split, whatever its key
+    assert ex._LaneTape(tapes[:1]).parts is None
+
+
+def test_objective_of_a_mixed_key_group_adds_the_solo_values_in_block_order():
+    subs = [folded_block(c, d) for c, d in FOLDED]
+    _, state, _ = driver._start(SeparableProblem(subs, b=[1.0]), SolverOptions(), None, None)
+    assert len(state.groups) == 1
+    X = [np.random.default_rng(9).uniform(0.2, 2.0, (6, 2))]
+    want = 0.0
+    for k, sub in enumerate(subs):
+        want += ex.evaluate(sub.f, X[0][k])[0]
+    got = driver._objective(state, X)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # blocks 2 and 4, of two parts, leave the domain: block 2's error is raised
+    X[0][[2, 4], 0] = (-1.0, -0.5)
+    with pytest.raises(ex.DomainEvalError) as got:
+        driver._objective(state, X)
+    alone = _raised(ex.evaluate, subs[2].f, X[0][2])
+    assert got.value.node is alone.node and str(got.value) == str(alone)
 
 
 def test_zero_multiplier_skips_its_hessian_term_per_lane():

@@ -446,7 +446,7 @@ PROBLEMS = {
 }
 GROUP_SIZES = {
     "coupled_qp": [8], "sensor_net": [20, 9, 1], "tutorial": [1, 1],
-    "ocp_chain": [1, 1, 1],
+    "ocp_chain": [2, 1],
 }
 
 
@@ -506,9 +506,9 @@ def test_partial_warm_hits(monkeypatch):
 
 
 def test_a_group_of_one_runs_only_its_scalar_tapes(monkeypatch):
-    # ocp_chain's blocks are groups of one: every evaluation is one of the
-    # block's own _Tape.run calls, and the lane tapes' ufunc loop is never
-    # entered, cold or warm
+    # ocp_chain's middle block is a group of one: every evaluation is one of
+    # the block's own _Tape.run calls, and the lane tapes' ufunc loop is
+    # never entered, cold or warm
     problem = ocp_chain()
     rng = np.random.default_rng(4)
     group = group_blocks(problem.subproblems)[1]
@@ -534,6 +534,65 @@ def test_a_group_of_one_runs_only_its_scalar_tapes(monkeypatch):
         (sol,) = solve_group(group, z2, lam, Sigma, p, warm=warm, tol=1e-9)
         assert isinstance(sol, LocalSolution) and sol.iterations > 0
         assert len(runs) > sol.iterations and set(runs) <= own
+
+
+def test_blocks_apart_in_one_folded_constant_share_a_group(monkeypatch):
+    # ocp_chain's cart 0 has setpoint 0.0, so its `pos - 0.0` folds away and
+    # its grad f tape is shorter than cart 2's; the two carts agree in every
+    # shape and run as one group, each lane equal to its solo solve cold,
+    # warm and moved.  grad f's lane tape splits into one part per lane, so
+    # each of its runs is one scalar tape per lane, while the root sets
+    # whose keys the lanes share take the wavefront loop when both run
+    problem = ocp_chain()
+    group = group_blocks(problem.subproblems)[0]
+    assert group.blocks == (0, 2)
+    grad_f = group.lane[local._GRAD_F]
+    assert grad_f.parts is not None and len(grad_f.parts) == 2
+    shared = {id(t) for t in group.lane if t is not None and t.parts is None}
+    assert len(shared) > 1
+    rng = np.random.default_rng(5)
+    z, Sigma, p = lane_data(problem, group, rng)
+    lam = rng.standard_normal(problem.n_c)
+    cold = run_group(monkeypatch, group, z, lam, Sigma, p, tol=1e-9)
+    again = run_group(monkeypatch, group, z, lam, Sigma, p, warm=cold, tol=1e-8)
+    assert [a.iterations for a in again] == [0, 0]
+    z2 = [v + 0.05 * rng.standard_normal(v.size) for v in z]
+    lam2 = lam + 0.05 * rng.standard_normal(problem.n_c)
+    moved = run_group(monkeypatch, group, z2, lam2, Sigma, p, warm=cold, tol=1e-9)
+    assert all(m.iterations > 0 for m in moved)
+
+    scalar, lane_run, run_lanes = ex._Tape.run, ex._LaneTape.run, ex._LaneTape._run_lanes
+    runs, lane_runs, wave_runs = [], [], []
+
+    def counted(tape, x, p):
+        runs.append(id(tape))
+        return scalar(tape, x, p)
+
+    def lane_counted(lane, X, P, lanes, errors):
+        lane_runs.append((id(lane), len(lanes)))
+        return lane_run(lane, X, P, lanes, errors)
+
+    def waves_counted(lane, X, P, lanes, errors):
+        wave_runs.append((id(lane), len(lanes)))
+        return run_lanes(lane, X, P, lanes, errors)
+
+    monkeypatch.setattr(ex._Tape, "run", counted)
+    monkeypatch.setattr(ex._LaneTape, "run", lane_counted)
+    monkeypatch.setattr(ex._LaneTape, "_run_lanes", waves_counted)
+    sols = solve_group(group, z2, lam2, Sigma, p, warm=cold, tol=1e-9)
+    monkeypatch.undo()
+    for new, ref in zip(sols, moved):
+        assert new.x.tobytes() == ref.x.tobytes() and new.iterations == ref.iterations
+    # one scalar grad f run per lane of every grad f run, never a wavefront
+    own = {id(t) for t in grad_f.tapes}
+    lanes_run = sum(n for i, n in lane_runs if i == id(grad_f))
+    assert lanes_run > sum(s.iterations for s in sols)
+    assert sum(r in own for r in runs) == lanes_run
+    assert {r for r in runs if r in own} == own
+    # the wavefront loop runs shared-key root sets only, on both lanes, and
+    # every run of one of them on both lanes enters it
+    assert wave_runs and all(i in shared and n == 2 for i, n in wave_runs)
+    assert sorted(wave_runs) == sorted(r for r in lane_runs if r[0] in shared and r[1] == 2)
 
 
 def x_log_x_block(c, d):
