@@ -183,16 +183,6 @@ class MessageLog:
     def total_floats(self):
         return sum(self.edge_floats.values()) + self.global_sum_rounds * self.n_agents
 
-    def to_dict(self):
-        return {
-            "edges": {f"{i}->{j}": n for (i, j), n in sorted(self.edge_floats.items())},
-            "neighbor_rounds": self.neighbor_rounds,
-            "global_sum_rounds": self.global_sum_rounds,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "total_floats": self.total_floats(),
-        }
-
 
 def _fold(top, S_blocks, s_blocks, mu, lam_outer, b):
     """Stack the agents' terms and absorb the diag(1/mu) and (lam/mu - b) shares.

@@ -52,8 +52,6 @@ from .linalg import mv
 from .local import (  # noqa: F401
     BlockGroup, GroupSolution, group_blocks, solve_group, solve_local,
 )
-# positions of the root sets a group's runner evaluates
-from .local import _GRAD_F, _JG, _JH
 from .problem import SolverOptions, coupling_rows, validate
 from .sensitivity import (
     SensitivityPack,
@@ -291,25 +289,17 @@ def _consensus(problem, state, X):
 
 
 def _objective(state, X):
-    """sum_i f_i(x_i) at the groups' stacks X, added in block order.
+    """sum_i f_i(x_i) at the groups' stacks X, a Python float.
 
-    Each group runs its blocks' f tapes as one lane tape, which splits the
-    lanes by tape key, so a lane gets what its block's own tape gives.  The
-    error of the lowest block whose f fails is raised, as if the blocks
-    were evaluated one after the other.
+    Each block runs its own f tape on its row of X, and the values are
+    added in block order, starting from 0.0.  The blocks are evaluated one
+    after the other, so the lowest block whose f fails raises its
+    DomainEvalError.
     """
-    vals = np.empty(sum(len(grp) for grp in state.groups))
-    errors = {}
-    for grp, x, p in zip(state.groups, X, state.p):
-        lane = ex._LaneTape([sub.f._compiled_outputs() for sub in grp.subs])
-        errs = {}
-        vals[grp.index] = lane.run(x, p, np.arange(len(grp)), errs)[:, 0]
-        errors.update((grp.blocks[r], err) for r, err in errs.items())
-    if errors:
-        raise errors[min(errors)]
+    subs = {i: sub for grp in state.groups for i, sub in zip(grp.blocks, grp.subs)}
     total = 0.0
-    for v in vals.tolist():  # one after the other, as a loop over the blocks adds
-        total += v
+    for i, (x, p) in enumerate(zip(state.per_block(X), state.per_block(state.p))):
+        total += subs[i].f._compiled_outputs().run(x, p).item()
     return total
 
 
@@ -342,11 +332,12 @@ def _sensitivity_pack(problem, opts, state, coupling):
     """Every block's gradient, active set, Jacobian and processed Hessian.
 
     Each group's gradient, Jacobians and active mask are those of its local
-    solution; only the Lagrangian Hessian, or the BFGS curvature probe at
-    the previous x, runs the lane tapes.  The group is split into packs
-    whose lanes agree in the numbers of active and of coupling rows;
-    ``coupling`` holds each block's C(i) and A_i[C(i)].  The lowest failing
-    block's DomainEvalError is raised.
+    solution; only the Lagrangian Hessian (``BlockGroup.hessian``), or the
+    BFGS curvature probe at the previous x (``BlockGroup.eval_point``),
+    evaluates the blocks again.  The group is split into packs whose lanes
+    agree in the numbers of active and of coupling rows; ``coupling`` holds
+    each block's C(i) and A_i[C(i)].  The lowest failing block's
+    DomainEvalError is raised.
     """
     rows, compact = coupling
     exact = opts.hessian == "exact"
@@ -362,16 +353,13 @@ def _sensitivity_pack(problem, opts, state, coupling):
         errs = {}
         if exact:
             # inactive rows get a zero multiplier, which the Hessian skips
-            H_raw = grp.hessian(grp.runner(x, p, lanes, errs), kappa,
-                                np.where(on[:, :n_h], gamma, 0.0))
+            H_raw = grp.hessian(x, p, lanes, kappa,
+                                np.where(on[:, :n_h], gamma, 0.0), errs)
         elif state.prev_x is not None:
             xp = state.prev_x[g]
-            run_prev = grp.runner(xp, p, lanes, errs)
             y_new = _lagrangian_gradient(grad, Jg, Jh, kappa, gamma)
-            y = y_new - _lagrangian_gradient(
-                run_prev(_GRAD_F), run_prev(_JG).reshape(Jg.shape),
-                run_prev(_JH).reshape(Jh.shape), kappa, gamma,
-            )
+            prev = grp.eval_point(xp, p, lanes, errs)
+            y = y_new - _lagrangian_gradient(*prev[2:], kappa, gamma)
         if errs:
             for r, err in errs.items():
                 errors[grp.blocks[r]] = err
@@ -565,10 +553,7 @@ def _outer_loop(problem, opts, state, step, label, t_start):
 
             prev_viol_vec, viol_vec = viol_vec, _consensus(problem, state, X)
             viol_inf = float(np.abs(viol_vec).max()) if problem.n_c else 0.0
-            local_step = max(
-                float(np.abs(x - zz).max()) if x.size else 0.0
-                for x, zz in zip(X, state.z)
-            )
+            local_step = max(float(np.abs(x - zz).max()) for x, zz in zip(X, state.z))
             err_prev = max(viol_inf, local_step)
             prev_active, state.active = state.active, _active_masks(opts, state)
 
@@ -672,7 +657,7 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
         timings["inner"] = t_inner
 
         D = [np.array([result.dx[i] for i in grp.blocks]) for grp in state.groups]
-        qp_step = max((float(np.abs(d).max()) for d in D if d.size), default=0.0)
+        qp_step = max(float(np.abs(d).max()) for d in D)
         alpha = opts.step_size
         state.z = [zz + alpha * (x - zz + d) for zz, x, d in zip(state.z, X, D)]
         state.lam = state.lam + alpha * (result.lam_qp - state.lam)
@@ -738,10 +723,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
             znew = [x - mv(P_g, nu) / rho for x, P_g in zip(X, P)]
         else:
             znew = X
-        qp_step = max(
-            float(np.abs(zn - x).max()) if x.size else 0.0
-            for zn, x in zip(znew, X)
-        )
+        qp_step = max(float(np.abs(zn - x).max()) for zn, x in zip(znew, X))
         state.z = znew
         state.lam = state.lam + rho * viol_vec
         timings["qp"] = time.perf_counter() - t0

@@ -62,7 +62,13 @@ class LdlFactor:
         return x + r
 
     def inertia(self):
-        """(n_pos, n_neg, n_zero) eigenvalue counts from the block-diagonal D."""
+        """(n_pos, n_neg, n_zero) eigenvalue counts from the block-diagonal D.
+
+        A 1x1 pivot counts by its sign.  Bunch-Kaufman takes a 2x2 pivot
+        block only where |a11| |a22| < alpha^2 b^2 < b^2, so a finite block
+        has a negative determinant and one eigenvalue of each sign; a block
+        whose determinant is not negative (a NaN entry) counts as two zeros.
+        """
         npos = nneg = nzero = 0
         k = 0
         if self.n == 0:
@@ -82,27 +88,11 @@ class LdlFactor:
                     nzero += 1
                 k += 1
             else:
-                # 2x2 pivot block; Bunch-Kaufman picks these indefinite, but
-                # derive the signs from trace/determinant to be safe
-                a, b_, c = diag[k], sub[k], diag[k + 1]
-                det = a * c - b_ * b_
-                tr = a + c
-                if det < 0:
+                if diag[k] * diag[k + 1] - sub[k] * sub[k] < 0:
                     npos += 1
                     nneg += 1
-                elif det > 0:
-                    if tr > 0:
-                        npos += 2
-                    else:
-                        nneg += 2
                 else:
-                    nzero += 1
-                    if tr > 0:
-                        npos += 1
-                    elif tr < 0:
-                        nneg += 1
-                    else:
-                        nzero += 1
+                    nzero += 2
                 k += 2
         return npos, nneg, nzero
 

@@ -22,12 +22,14 @@ through the group's ``expr._LaneTape``, which splits the lanes by tape key
 only the constants may differ) and picks each part's interpreter: a single
 lane runs its block's own scalar tape, several run in wavefronts, one ufunc
 call per batch of instructions of one dependency level and one operator.
-Every lane keeps its own decisions (warm check, interior projection, barrier
-parameter, stall watch, step lengths, backtracking, domain errors) and
-leaves the loop when it converges, stalls, fails or runs out of Newton
-steps.  The state of the lanes still iterating is one lanes-first
-container, compacted by one row selection wherever lanes leave, so a lane
-costs nothing once it has left.
+The group owns evaluation: only its ``eval_point`` and ``hessian`` know the
+root sets' positions and run the lane tapes, for this loop and the driver's
+sensitivities alike.  Every lane keeps its own decisions (warm check,
+interior projection, barrier parameter, stall watch, step lengths,
+backtracking, domain errors) and leaves the loop when it converges, stalls,
+fails or runs out of Newton steps.  The state of the lanes still iterating
+is one lanes-first container, compacted by one row selection wherever lanes
+leave, so a lane costs nothing once it has left.
 Each Newton step's condensed KKT system and its right-hand side are stacked
 over the lanes.  Without equality rows the system is W, and the step needs W
 positive definite: one stacked Cholesky factorization tests that, and two
@@ -50,7 +52,8 @@ next iteration's convergence test, barrier update and Newton right-hand
 side.  A warm start's check point is the start point itself when the interior
 projection and the start's floors leave it unchanged; when the projection
 moves any lane, every lane is evaluated again at its start point.  Empty
-constraint blocks cost no evaluation and no step arithmetic.
+constraint blocks cost no evaluation and no step arithmetic; a block has at
+least one variable, so r_x is never empty.
 """
 
 from __future__ import annotations
@@ -183,7 +186,9 @@ class BlockGroup:
     position) of every constraint row whose Hessian is not zero; ``lb`` and
     ``ub`` stack the bounds, lanes first, and ``lane`` holds one
     ``_LaneTape`` per root set (None where the blocks have no such tape),
-    which splits the lanes by tape key where the blocks' tapes differ.
+    which splits the lanes by tape key where the blocks' tapes differ.  The
+    group owns its blocks' evaluation: only its ``eval_point`` and
+    ``hessian`` run the lane tapes.  Every block has at least one variable.
     """
 
     def __init__(self, subs, blocks=None, tapes=None):
@@ -224,7 +229,7 @@ class BlockGroup:
         """
         return stack_chunks(self.A, start, stop)
 
-    def runner(self, x, p, lanes, errors):
+    def _runner(self, x, p, lanes, errors):
         """run(position, rows=None): one root set's results, lanes first.
 
         The lanes are the group's blocks ``lanes`` at the rows of ``x`` and
@@ -241,13 +246,33 @@ class BlockGroup:
 
         return run
 
-    def hessian(self, run, kappa, gamma):
-        """Hessian of the Lagrangian f + kappa.g + gamma.h per lane of ``run``.
+    def eval_point(self, x, p, lanes, errors):
+        """(g, h, grad f, Jg, Jh) of the blocks ``lanes`` at the rows of x
+        and p, lanes first.
+
+        A lane whose evaluation leaves the domain has its first
+        DomainEvalError put in ``errors`` under its row, and its row of the
+        results is not meaningful.  Absent g/h are stood in for by empty
+        arrays and never evaluated.
+        """
+        run = self._runner(x, p, lanes, errors)
+        k, n, n_g, n_h = len(x), self.n, self.n_g, self.n_h
+        g = run(_G) if n_g else np.zeros((k, 0))
+        h = run(_H) if n_h else np.zeros((k, 0))
+        grad_f = run(_GRAD_F)
+        Jg = run(_JG).reshape(k, n_g, n) if n_g else np.zeros((k, 0, n))
+        Jh = run(_JH).reshape(k, n_h, n) if n_h else np.zeros((k, 0, n))
+        return g, h, grad_f, Jg, Jh
+
+    def hessian(self, x, p, lanes, kappa, gamma, errors):
+        """Hessian of the Lagrangian f + kappa.g + gamma.h per lane; the
+        lanes and errors as in ``eval_point``.
 
         As ``lagrangian_hessian``: the rows' terms follow f's in row order,
         and a term is added only on the lanes whose multiplier is nonzero (a
         masked add, never a multiply by 0).
         """
+        run = self._runner(x, p, lanes, errors)
         k, n = len(kappa), self.n
         H = (
             run(_HESS_F).reshape(k, n, n)
@@ -316,8 +341,8 @@ class _Work:
     Per lane, lanes first: ``z``, ``Sigma``, ``p``, ``Alam`` = A' lam, the
     bounds ``lb``/``ub`` and the finite ones ``lbL``/``ubU``; ``lanes``
     indexes the group's blocks, and ``w[rows]`` is the work of some of the
-    lanes.  Every evaluation runs the group's lane tapes.  Absent g/h are
-    stood in for by empty arrays and never evaluated.
+    lanes.  Every evaluation is the group's (``BlockGroup.eval_point`` and
+    ``BlockGroup.hessian``) on these lanes.
     """
 
     _PER_LANE = ("lanes", "z", "Sigma", "Sigma2", "p", "Alam", "lb", "ub", "lbL",
@@ -342,38 +367,13 @@ class _Work:
     def __getitem__(self, rows):
         return _select(self, rows, self._PER_LANE)
 
-    def _runner(self, x, errors):
-        return self.group.runner(x, self.p, self.lanes, errors)
-
     def eval_point(self, x, errors):
-        """(g, h, grad f, Jg, Jh) at x, lanes first.
-
-        A lane whose evaluation leaves the domain has its first
-        DomainEvalError put in ``errors`` under its row, and its row of the
-        results is not meaningful.
-        """
-        run = self._runner(x, errors)
-        k, n, n_g, n_h = len(x), self.n, self.n_g, self.n_h
-        g = run(_G) if n_g else np.zeros((k, 0))
-        h = run(_H) if n_h else np.zeros((k, 0))
-        grad_f = run(_GRAD_F)
-        Jg = run(_JG).reshape(k, n_g, n) if n_g else np.zeros((k, 0, n))
-        Jh = run(_JH).reshape(k, n_h, n) if n_h else np.zeros((k, 0, n))
-        return g, h, grad_f, Jg, Jh
+        """The group's ``BlockGroup.eval_point`` on these lanes at x."""
+        return self.group.eval_point(x, self.p, self.lanes, errors)
 
     def hess(self, x, kappa, gamma, errors):
         """Hessian of the proximal Lagrangian per lane; errors as eval_point."""
-        return self.group.hessian(self._runner(x, errors), kappa, gamma) + self.Sigma2
-
-
-def _first_max(parts):
-    """Python's max over non-negative (or NaN) parts, per lane: a NaN counts
-    only in the first part, where no later part can replace it."""
-    out = parts[0]
-    for q in parts[1:]:
-        out = np.fmax(out, q)
-    nan = np.isnan(parts[0])
-    return np.where(nan, parts[0], out) if nan.any() else out
+        return self.group.hessian(x, self.p, self.lanes, kappa, gamma, errors) + self.Sigma2
 
 
 class _Point:
@@ -385,14 +385,14 @@ class _Point:
     products; ``r_g`` is g itself, and ``h``, ``grad_f``, ``Jg`` and ``Jh``
     are the evaluation.  ``fixed`` is the max norm of the mu-free
     parts r_x, r_g, r_h (NaN ignored), ``gmax`` that of r_g, and ``lead``
-    that of the part the KKT error opens with when it is one of them
-    (``nan``: a lane's lead is NaN).  ``pt[rows]`` is the point of some
-    lanes.
+    that of r_x, the part the KKT error opens with (``nan``: some lane's
+    lead is NaN).  ``pt[rows]`` is the point of some lanes.
     """
 
     _ARRAYS = ("x", "s", "kappa", "gamma", "etaL", "etaU", "r_g", "h", "grad_f",
-               "Jg", "Jh", "r_x", "r_h", "cs", "dL", "dU", "eL", "eU", "pL", "pU")
-    _OPTIONAL = ("gmax", "fixed", "lead")  # per lane, or None
+               "Jg", "Jh", "r_x", "r_h", "cs", "dL", "dU", "eL", "eU", "pL", "pU",
+               "fixed", "lead")
+    _OPTIONAL = ("gmax",)  # per lane, or None
     __slots__ = _ARRAYS + _OPTIONAL + ("nan",)
 
     def __init__(self, w, x, s, kappa, gamma, etaL, etaU, ev):
@@ -419,19 +419,17 @@ class _Point:
         else:
             self.dL = self.dU = self.eL = self.eU = self.pL = self.pU = x[..., :0]
         # max norms of the mu-free parts; err() adds the products
+        self.lead = self.fixed = np.abs(self.r_x).max(axis=-1)
         self.gmax = np.abs(g).max(axis=-1) if w.n_g else None
-        head = [np.abs(self.r_x).max(axis=-1)] if x.shape[-1] else []
-        head += [] if self.gmax is None else [self.gmax]
-        fixed = head + ([np.abs(self.r_h).max(axis=-1)] if w.n_h else [])
-        self.fixed = fixed[0] if fixed else None
-        for v in fixed[1:]:
-            self.fixed = np.fmax(self.fixed, v)
-        self.lead = head[0] if head else None
+        if w.n_g:
+            self.fixed = np.fmax(self.fixed, self.gmax)
+        if w.n_h:
+            self.fixed = np.fmax(self.fixed, np.abs(self.r_h).max(axis=-1))
         self._mark()
 
     def _mark(self):
         # a NaN in any lane makes the max NaN
-        self.nan = self.lead is not None and math.isnan(self.lead.max())
+        self.nan = math.isnan(self.lead.max())
 
     def __getitem__(self, rows):
         new = _select(self, rows, self._ARRAYS + self._OPTIONAL)
@@ -468,9 +466,6 @@ class _Point:
             parts = [np.abs(v).max(axis=-1) for v in prods]  # v - 0.0 is v
         else:
             parts = [np.abs(v - mu).max(axis=-1) for v in prods]
-        if self.lead is None:  # the error opens with a product, or is empty
-            parts += [] if self.fixed is None else [self.fixed]
-            return _first_max(parts) if parts else np.zeros(self.x.shape[:-1])
         out = self.fixed
         for q in parts:
             out = np.fmax(out, q)

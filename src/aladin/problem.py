@@ -73,6 +73,8 @@ class Subproblem:
     def __init__(self, f, g=None, h=None, A=None, lb=None, ub=None, p=None, z0=None):
         if f.n_out != 1:
             raise ValueError("objective must have exactly one output")
+        if f.n_x < 1:
+            raise ValueError("a subproblem needs at least one variable")
         self.f = f
         self.n_x = f.n_x
         self.n_p = f.n_p
@@ -399,15 +401,7 @@ class SolverOptions:
 def _bound_from_json(v, n, fill):
     if v is None:
         return np.full(n, fill)
-    out = []
-    for item in v:
-        if item is None:
-            out.append(fill)
-        elif isinstance(item, str):
-            out.append(float(item))
-        else:
-            out.append(float(item))
-    return _as_vec(out, n, "bound")
+    return _as_vec([fill if item is None else float(item) for item in v], n, "bound")
 
 
 def problem_from_dict(data):

@@ -242,8 +242,7 @@ def nullspace_basis(C):
     if m == 0:
         return np.broadcast_to(np.eye(n), (*lead, n, n))
     U, sv, Vt = np.linalg.svd(C)
-    top = sv[..., 0] if n else np.zeros(lead)
-    rank = np.sum(sv > max(m, n) * np.finfo(float).eps * top[..., None], axis=-1)
+    rank = np.sum(sv > max(m, n) * np.finfo(float).eps * sv[..., :1], axis=-1)
     short = rank < m
     if short.any():
         raise LicqError(

@@ -47,6 +47,15 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 1
         assert "invalid problem" in capsys.readouterr().err
 
+    def test_block_with_no_variables_exit_1(self, tmp_path, capsys):
+        # block 0 covers the consensus row, so only block 1 is at fault
+        data = {"subproblems": [{"n_x": 1, "f": ["square", ["var", 0]], "A": [[1.0]]},
+                                {"n_x": 0, "f": 2.0, "A": [[]]}], "b": [1.0]}
+        path = tmp_path / "empty_block.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 1
+        assert "at least one variable" in capsys.readouterr().err
+
     def test_strict_max_iter_exit_3(self, capsys):
         assert main(["example", "tutorial", "--max-iter", "1", "--strict"]) == 3
 

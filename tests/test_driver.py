@@ -508,6 +508,20 @@ class TestObjective:
         assert got.value.node is alone.value.node
         assert str(got.value) == str(alone.value)
 
+    def test_solution_objective_is_the_block_order_sum_of_solo_values(self):
+        from test_driver_reference import interleaved_chain
+
+        problem = interleaved_chain()
+        groups = [g.blocks for g in group_blocks(problem.subproblems)]
+        assert groups == [(0, 2, 4, 6), (1, 3, 5, 7)]
+        sol = run_aladin(problem, SolverOptions(max_iter=5, log_every=0))
+        # a float, not an np.float64 that prints and pickles otherwise
+        assert type(sol.objective) is float
+        want = 0.0
+        for sub, x, p in zip(problem.subproblems, sol.xs, problem.parameters):
+            want += ex.evaluate(sub.f, x, p)[0]
+        assert np.float64(sol.objective).tobytes() == np.float64(want).tobytes()
+
 
 class TestNewtonSteps:
     @pytest.mark.parametrize(

@@ -693,6 +693,31 @@ def test_a_lane_whose_every_trial_leaves_the_domain_stalls(monkeypatch):
     assert sols[1].status == "converged" and sols[1].iterations > 1
 
 
+def test_a_lane_whose_hessian_fails_enters_the_newton_step_as_failed(monkeypatch):
+    # the gradient 1.5 x0^0.5 of x0^1.5 is defined at x0 = 0, its Hessian
+    # 0.75 x0^-0.5 is not: lane 1, warm at x = (0, 0), fails in the Hessian
+    # and enters _newton_step in ``failed``, then leaves by exit 4 with its
+    # own error, while lanes 0 and 2 step on to their solo solutions
+    subs = [Subproblem(VectorFunction([var(0) ** 1.5 + ex.square(var(1) - c)], 2))
+            for c in (1.0, 2.0, 3.0)]
+    (group,) = group_blocks(subs)
+    warm = [LocalSolution(np.array([x0, 0.0]), np.zeros(0), np.zeros(0), np.zeros(4),
+                          "converged", 1, 1.0) for x0 in (0.5, 0.0, 0.7)]
+    entered = []
+    newton_step = local._newton_step
+
+    def watched(W, Jg, rhs_x, rhs_g, failed):
+        entered.append(sorted(failed))
+        return newton_step(W, Jg, rhs_x, rhs_g, failed)
+
+    monkeypatch.setattr(local, "_newton_step", watched)
+    outs = run_group(monkeypatch, group, [np.array([0.5, 0.0])] * 3, np.zeros(0),
+                     [np.eye(2)] * 3, [np.zeros(0)] * 3, warm=warm, tol=1e-10)
+    assert entered[0] == [1] and not any(entered[1:])
+    assert isinstance(outs[1], ex.DomainEvalError)
+    assert outs[0].status == outs[2].status == "converged"
+
+
 def double_well_block(a):
     """x0^4 + a x0^2 + (x1 - p0)^2 with x1^2 = 1/4: W is indefinite near
     x0 = 0 for a < 0, and Jg's row vanishes at x1 = 0."""

@@ -89,6 +89,14 @@ class TestValidate:
         assert len(msgs) >= 2
 
 
+class TestSubproblem:
+    def test_block_with_no_variables_rejected(self):
+        # a block without variables would pass validate and crash the
+        # driver's reductions over its empty iterate
+        with pytest.raises(ValueError, match="at least one variable"):
+            Subproblem(VectorFunction([ex.const(2.0)], 0), A=np.zeros((1, 0)))
+
+
 class TestLift:
     def test_tutorial_shape(self):
         # term 1 touches {0}; term 2 touches {0, 1}
@@ -231,6 +239,13 @@ class TestJson:
         s = prob.subproblems[0]
         assert s.lb[0] == -np.inf and s.lb[1] == 0.0
         assert s.ub[0] == 1.0 and s.ub[1] == np.inf
+
+    def test_block_with_no_variables_rejected(self):
+        # block 0 covers the consensus row, so only block 1 is at fault
+        data = {"subproblems": [{"n_x": 1, "f": ["square", ["var", 0]], "A": [[1.0]]},
+                                {"n_x": 0, "f": 2.0, "A": [[]]}], "b": [1.0]}
+        with pytest.raises(ValueError, match="at least one variable"):
+            problem_from_dict(data)
 
     def test_missing_fields(self):
         with pytest.raises(ValueError):
