@@ -8,26 +8,47 @@ in the table ``_OPS``: its scalar value, its exactly rounded numpy ufunc and
 domain, and its derivative rule.  Folding, differentiation and both tape
 interpreters look it up there.
 
-Evaluation does not walk the graphs.  On first use, each root set of a
-``VectorFunction`` (its outputs, its gradient graphs, or the Hessian of one
-output) is compiled once into a ``_Tape``: the nonconstant nodes in
-post-order, deduplicated by node identity, one register each.  Roots that are
-constants are folded into a stored result array, so a constant Jacobian or
-Hessian costs one copy per call; an output with all-constant gradient graphs
-has a zero Hessian and no Hessian graphs at all.  The tapes apply the same
-scalar functions in the same order as a direct post-order walk of the graphs,
-so values, overflow to inf and ``DomainEvalError`` (naming the failing node)
-are exactly those of that walk.  Tapes are read-only once built (their
-structural ``key``, computed on first use, is the same whoever computes it)
-and every call allocates its own registers and result, so functions may be
-evaluated from several threads.
+Evaluation does not walk the graphs.  Each root set of a ``VectorFunction``
+(its outputs, its gradient graphs, or the Hessian of one output) is compiled
+once into a ``_Tape``: the outputs on first use, the Jacobian and every
+Hessian together on the first use of any derivative.  A tape holds the
+nonconstant nodes in post-order, deduplicated by node identity, one register
+each.  Roots that are constants are folded into a stored result array, so a
+constant Jacobian or Hessian costs one copy per call; an output with
+all-constant gradient graphs has a zero Hessian and no Hessian graphs at
+all.  The tapes apply the same scalar functions in the same order as a
+direct post-order walk of the graphs, so values, overflow to inf and
+``DomainEvalError`` (naming the failing node) are exactly those of that
+walk.  Tapes are read-only once built (their structural ``key``, computed on
+first use, is the same whoever computes it) and every call allocates its own
+registers and result, so functions may be evaluated from several threads.
+
+The functions of one problem that differ only in their constants' values
+share their derivation and compilation, as CasADi's ``Function.map``
+evaluates one function over many instances.  A function's structure
+(``VectorFunction._key``) is its graph with every node numbered by identity
+and each constant reduced to its fold class (0, 1, 2 or other, what
+``_binary``'s folding tests); ``share_structure`` links the functions of one
+problem with equal structures to one ``_Structure``.  Its representative
+alone is differentiated and compiled, while the constants its derivation
+folds are recorded.  Every other function then replays those folds on its
+own constants, all functions at once in one lane tape, and takes the
+representative's tapes (instructions, loads, scatter and key) with its own
+``init`` and ``base``: bit for bit the tapes it would compile itself.  A
+function whose replayed folds meet another fold class (``x**3.0`` derives
+``square`` where ``x**2.5`` derives ``pow(x, 1.5)``) or raise compiles its
+own.  Nothing outlives the problem's functions: once both kinds of root set
+are compiled, they let go of their structure.  A shared tape's nodes are the
+representative's, so on a DomainEvalError it compiles the block's own tape
+and reruns the point on it, and the error names the block's own node.
 
 Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
 stacks the tapes of one root set of several blocks, whose results have
 equal sizes, and runs them on all the blocks' points at once; each lane's
 values and errors are those of its own tape.  It splits its lanes once by
-tape key, and each part, the lanes whose tapes share a key, runs on its
-own.  A run on a single lane of a part is its own ``_Tape.run``.  A run on
+tape key (tapes of one structure hold one key object, so it is hashed
+once), and each part, the lanes whose tapes share a key, runs on its own.
+A run on a single lane of a part is its own ``_Tape.run``.  A run on
 several goes in wavefronts: the instructions of one dependency level and
 one operator form a batch that writes one contiguous block of register
 rows, and a batch whose operator has a ufunc takes one call for all its
@@ -38,9 +59,11 @@ its own traffic.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,48 +187,83 @@ _ZERO = const(0.0)
 _ONE = const(1.0)
 
 
-def _is_const(e, v=None):
-    return e.kind == "const" and (v is None or e.value == v)
+# The folds made while a _Structure derives its representative's graphs.
+# The derivative rules call _unary and _binary directly, so no list can be
+# passed down to them; a context variable, set only inside _recording,
+# keeps one derivation's folds apart from another thread's.
+_FOLDS = contextvars.ContextVar("_FOLDS", default=None)
+
+
+@contextmanager
+def _recording():
+    """Collect, as (operator, constant operands, result), every constant
+    that ``_unary`` and ``_binary`` fold inside."""
+    folds = []
+    token = _FOLDS.set(folds)
+    try:
+        yield folds
+    finally:
+        _FOLDS.reset(token)
+
+
+def _fold_class(v):
+    """What ``_binary``'s folding tests see of a constant: 0, 1, 2 or other."""
+    return 0 if v == 0.0 else 1 if v == 1.0 else 2 if v == 2.0 else 3
 
 
 def _unary(op, a):
     if a.kind == "const":
-        return const(_OPS[op].fn(a.value))
+        c = const(_OPS[op].fn(a.value))
+        folds = _FOLDS.get()
+        if folds is not None:
+            folds.append((op, (a,), c))
+        return c
     return Expression(op, args=(a,))
 
 
 def _binary(op, a, b):
-    if a.kind == "const" and b.kind == "const":
-        return const(_OPS[op].fn(a.value, b.value))
-    # identity folds keep derivative graphs small
+    if a.kind == "const":
+        if b.kind == "const":
+            c = const(_OPS[op].fn(a.value, b.value))
+            folds = _FOLDS.get()
+            if folds is not None:
+                folds.append((op, (a, b), c))
+            return c
+        u, v = a.value, None
+    elif b.kind == "const":
+        u, v = None, b.value
+    else:
+        return Expression(op, args=(a, b))
+    # identity folds keep derivative graphs small; u or v is the value of
+    # the one constant operand (None == 0.0 is false)
     if op == "add":
-        if _is_const(a, 0.0):
+        if u == 0.0:
             return b
-        if _is_const(b, 0.0):
+        if v == 0.0:
             return a
     elif op == "sub":
-        if _is_const(b, 0.0):
+        if v == 0.0:
             return a
-        if _is_const(a, 0.0):
+        if u == 0.0:
             return _unary("neg", b)
     elif op == "mul":
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
+        if u == 0.0 or v == 0.0:
             return _ZERO
-        if _is_const(a, 1.0):
+        if u == 1.0:
             return b
-        if _is_const(b, 1.0):
+        if v == 1.0:
             return a
     elif op == "div":
-        if _is_const(a, 0.0):
+        if u == 0.0:
             return _ZERO
-        if _is_const(b, 1.0):
+        if v == 1.0:
             return a
     elif op == "pow":
-        if _is_const(b, 1.0):
+        if v == 1.0:
             return a
-        if _is_const(b, 0.0):
+        if v == 0.0:
             return _ONE
-        if _is_const(b, 2.0):
+        if v == 2.0:
             return _unary("square", a)
     return Expression(op, args=(a, b))
 
@@ -282,7 +340,7 @@ def _pow(u, v):
 
 def _d_pow(e, a, b, da, db):
     if b.kind == "const":
-        c = const(b.value - 1.0)
+        c = _binary("sub", b, _ONE)
         return _binary("mul", _binary("mul", b, _binary("pow", a, c)), da)
     if a.kind == "const":
         return _binary("mul", _binary("mul", e, _unary("log", a)), db)
@@ -347,10 +405,18 @@ class _Tape:
     raises.
     Evaluation copies ``base`` and ``init``, so every call gets fresh
     registers and a fresh result.
+
+    A tape ``shared`` from another function's of one ``_Structure`` holds
+    that tape's instructions, loads, scatter and key, and its own function's
+    constants.  Its nodes are the other function's, so ``own`` holds its
+    function's outputs, dimensions and root set: on the first error the
+    function's own tape is compiled from them (and kept), and it reruns the
+    point and raises the error naming the block's own node.  ``own`` is
+    None for a tape compiled from its function's graphs.
     """
 
     __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos",
-                 "out_reg", "_key")
+                 "out_reg", "own", "_key")
 
     @property
     def key(self):
@@ -379,19 +445,35 @@ class _Tape:
         # Python floats, as the constants are: arithmetic on them overflows
         # to inf without a numpy warning, and errors print them plainly
         reg = self.init.copy()
-        x, p = x.tolist(), p.tolist()
+        xs, ps = x.tolist(), p.tolist()
         for r, i in self.x_loads:
-            reg[r] = x[i]
+            reg[r] = xs[i]
         for r, i in self.p_loads:
-            reg[r] = p[i]
+            reg[r] = ps[i]
         try:
             for fn, dst, a, b, node in self.code:
                 reg[dst] = fn(reg[a]) if b < 0 else fn(reg[a], reg[b])
         except DomainEvalError as err:
-            err.node = node
-            raise
-        out[self.out_pos] = [reg[r] for r in self.out_reg]
-        return out
+            if self.own is None:
+                err.node = node
+                raise
+        else:
+            out[self.out_pos] = [reg[r] for r in self.out_reg]
+            return out
+        if type(self.own) is tuple:
+            outputs, n_x, n_p, which = self.own
+            self.own = _compile_sets(VectorFunction(outputs, n_x, n_p), (which,))[0]
+        return self.own.run(x, p)
+
+    def shared(self, init, base, own):
+        """This tape with another function's constants, ``init`` and
+        ``base``; ``own`` is that function's (outputs, n_x, n_p) and the
+        root set."""
+        t = _Tape()
+        t.code, t.x_loads, t.p_loads = self.code, self.x_loads, self.p_loads
+        t.out_pos, t.out_reg, t._key = self.out_pos, self.out_reg, self.key
+        t.init, t.base, t.own = init, base, own
+        return t
 
 
 class _LaneTape:
@@ -417,12 +499,18 @@ class _LaneTape:
         self._iota = np.arange(len(tapes), dtype=np.intp).tobytes()
         self.parts = None
         if len(tapes) > 1:
-            by_key = {}
+            # tapes shared from one function's hold its key object: each
+            # key object is hashed and compared once, not once per tape
+            by_id = {}
             for k, t in enumerate(tapes):
-                by_key.setdefault(t.key, []).append(k)
+                by_id.setdefault(id(t.key), []).append(k)
+            by_key = {}
+            for idx in by_id.values():
+                by_key.setdefault(tapes[idx[0]].key, []).extend(idx)
             if len(by_key) > 1:
                 self.parts = []
                 for idx in by_key.values():
+                    idx.sort()
                     at = np.full(len(tapes), -1, dtype=np.intp)
                     at[idx] = np.arange(len(idx))
                     self.parts.append((at, _LaneTape([tapes[k] for k in idx])))
@@ -616,7 +704,7 @@ def _gather(M, rows):
 _READY = object()  # stack marker in _compile
 
 
-def _compile(roots, positions, size):
+def _compile(roots, positions, size, consts=None):
     """Compile ``roots`` into a tape whose result has ``size`` entries.
 
     Root k fills the flat result indices ``positions[k]``.  Nodes are
@@ -625,7 +713,9 @@ def _compile(roots, positions, size):
     identity: a node shared between roots runs once, and when several
     operands are invalid the DomainEvalError names the first in this order.
     Constant roots go straight into ``base``; constant operands get a
-    register but no instruction.
+    register but no instruction.  Given ``consts``, a pair of lists, each
+    constant's (register, node) goes into the first and each constant
+    root's (positions, node) into the second.
     """
     init, x_loads, p_loads, code = [], [], [], []
     const_pos, const_val, out_pos, out_reg = [], [], [], []
@@ -634,6 +724,8 @@ def _compile(roots, positions, size):
         if root.kind == "const":
             const_pos.extend(pos)
             const_val.extend([root.value] * len(pos))
+            if consts is not None:
+                consts[1].append((pos, root))
             continue
         stack = [root]
         while stack:
@@ -655,6 +747,8 @@ def _compile(roots, positions, size):
             kind = node.kind
             if kind == "const":
                 init.append(node.value)
+                if consts is not None:
+                    consts[0].append((r, node))
                 continue
             init.append(0.0)
             if kind == "var":
@@ -674,6 +768,7 @@ def _compile(roots, positions, size):
     tape.init, tape.x_loads, tape.p_loads, tape.code = init, x_loads, p_loads, code
     tape.out_pos = np.array(out_pos, dtype=np.intp)
     tape.out_reg = out_reg
+    tape.own = None
     return tape
 
 
@@ -707,6 +802,228 @@ def _diff_memo(e, i, memo):
     return d
 
 
+def _root_set(fun, grads, which):
+    """(roots, positions, size) of one of ``fun``'s root sets, to compile.
+
+    ``which`` is "out", the outputs; "jac", the gradient graphs ``grads``
+    row-major (n_out, n_x), so a scalar function's gradient is its one row;
+    or an output's index, the upper triangle of its Hessian, mirrored so it
+    is exactly symmetric, or None where the output is affine.
+    """
+    if which == "out":
+        return fun.outputs, [(k,) for k in range(fun.n_out)], fun.n_out
+    if which == "jac":
+        roots = [g for row in grads for g in row]
+        return roots, [(k,) for k in range(len(roots))], len(roots)
+    grad = grads[which]
+    if all(d.kind == "const" for d in grad):
+        return None
+    n = fun.n_x
+    roots, positions = [], []
+    for i in range(n):
+        for k in range(i, n):
+            roots.append(diff(grad[i], k))
+            positions.append((i * n + k,) if i == k else (i * n + k, k * n + i))
+    return roots, positions, n * n
+
+
+def _compile_sets(fun, sets, slots=None):
+    """The tapes of ``fun``'s root ``sets``, derived from its own graphs;
+    given ``slots``, a list, each tape's constants (``_compile``'s
+    ``consts``) are appended to it."""
+    grads = () if sets == ("out",) else tuple(
+        tuple(diff(o, i) for i in range(fun.n_x)) for o in fun.outputs
+    )
+    tapes = []
+    for which in sets:
+        roots = _root_set(fun, grads, which)
+        consts = None if slots is None else ([], [])
+        tapes.append(None if roots is None else _compile(*roots, consts))
+        if slots is not None:
+            slots.append(consts)
+    return tapes
+
+
+# ---------------------------------------------------------------------------
+# shared structures
+# ---------------------------------------------------------------------------
+
+# How the constants of one structure's tapes follow from each function's
+# own leaf constants ``_consts``.  ``tape`` runs the folds of the derivation
+# that read those constants, in the order they were made, on them as its x
+# (its constant operands are the ones all functions of the structure have
+# alike: those the derivative rules write, and their folds), and returns
+# each fold's value; ``classes`` holds the fold classes the representative's
+# folds met.  A function's values are its leaf constants, then its fold
+# values.  Per tape of the structure, ``slots`` holds ``(regs, reg_src, pos,
+# pos_src)``: register ``regs[k]`` of ``init`` takes value ``reg_src[k]``
+# and result position ``pos[k]`` of ``base`` value ``pos_src[k]``; the
+# constants all functions have alike stay as the representative's tape
+# holds them.
+_Constants = namedtuple("_Constants", "tape classes slots")
+_Fold = namedtuple("_Fold", "kind")  # a fold's node in a _Constants tape
+
+
+def _constants(consts, folds, slots):
+    """The ``_Constants`` of tapes compiled with ``slots`` from graphs
+    whose leaf constants are ``consts`` and whose derivation made
+    ``folds``."""
+    n = len(consts)
+    at = {id(c): k for k, c in enumerate(consts)}  # constant -> value index
+    reg = {}  # value index -> register: loaded, or a fold's
+    alike = {}  # id of a constant alike in every function -> register
+    init, x_loads, code, classes = [], [], [], []
+    for op, args, c in folds:
+        if id(args[0]) not in at and id(args[-1]) not in at:
+            continue  # alike in every function
+        rs = []
+        for a in args:
+            k = at.get(id(a))
+            if k is None:
+                r = alike.get(id(a))
+                if r is None:
+                    r = alike[id(a)] = len(init)
+                    init.append(a.value)
+            else:
+                r = reg.get(k)
+                if r is None:
+                    r = reg[k] = len(init)
+                    init.append(0.0)
+                    x_loads.append((r, k))
+            rs.append(r)
+        k = at[id(c)] = n + len(code)
+        r = reg[k] = len(init)
+        init.append(0.0)
+        code.append((_OPS[op].fn, r, rs[0], rs[1] if len(rs) > 1 else -1, _Fold(op)))
+        classes.append(_fold_class(c.value))
+    tape = _Tape()
+    tape.init, tape.x_loads, tape.p_loads, tape.code = init, x_loads, [], code
+    tape.out_pos = np.arange(len(code), dtype=np.intp)
+    tape.out_reg = [dst for _, dst, _, _, _ in code]
+    tape.base, tape.own = np.zeros(len(code)), None
+    out = []
+    for regs, roots in slots:
+        regs = [(r, at[id(n)]) for r, n in regs if id(n) in at]
+        roots = [(k, at[id(n)]) for pos, n in roots if id(n) in at for k in pos]
+        out.append(([r for r, _ in regs], [k for _, k in regs],
+                    [k for k, _ in roots], [k for _, k in roots]))
+    return _Constants(tape, np.array(classes, dtype=int), out)
+
+
+def _replay(program, consts):
+    """Every function's values of ``program``, a row per function, from
+    ``consts``, the rows of their leaf constants; and the mask of the
+    functions whose folds all go as the representative's.  The folds run
+    as one lane tape, a lane per function; a function whose fold raises or
+    meets another fold class derives another graph.
+    """
+    m = len(consts)
+    errors = {}
+    with np.errstate(all="ignore"):
+        made = _LaneTape([program.tape] * m).run(
+            consts, np.zeros((m, 0)), np.arange(m), errors
+        )
+    cls = np.select([made == 0.0, made == 1.0, made == 2.0], [0, 1, 2], 3)
+    ok = (cls == program.classes).all(axis=1)
+    ok[list(errors)] = False
+    return np.hstack([consts, made]), ok
+
+
+class _Structure:
+    """The functions of one problem with one structure (``_key``).
+
+    ``funs[0]``, the representative, is derived and compiled, its folds
+    recorded (``_recording``), once for its outputs and once for all its
+    derivative tapes.  The other functions' constants are replayed from
+    their own (``_replay``), all at once, and each takes the
+    representative's tapes with its constants (``_Tape.shared``); a
+    function whose replay finds a fold that goes otherwise, or each of them
+    where the representative's derivation raised, compiles its own.  The
+    graphs derived here are the representative's own, so its tapes are
+    those it would compile itself.  ``fill`` puts every function's tapes
+    into its caches, and once both sets are filled the functions let go of
+    the structure.  Threads that fill at once build equal tapes, and either
+    may be kept; a fill counted twice or lost only lets a set compile
+    unshared or keeps the structure longer.
+    """
+
+    __slots__ = ("funs", "_filled")
+
+    def __init__(self, funs):
+        self.funs = funs
+        self._filled = 0
+
+    def fill(self, sets):
+        """Fill every function's cache of the root ``sets``; False, and the
+        functions let go of the structure, where the representative's
+        derivation or the replay raised."""
+        every = self._tapes(sets)
+        self._filled += 1
+        if every is None or self._filled == 2:
+            for fun in self.funs:
+                fun._structure = None
+        if every is None:
+            return False
+        for fun, tapes in zip(self.funs, every):
+            fun._keep(sets, tapes)
+        return True
+
+    def _tapes(self, sets):
+        """Every function's tapes of the root ``sets``, or None."""
+        rep, funs = self.funs[0], self.funs[1:]
+        slots = []
+        try:
+            with _recording() as folds:
+                tapes = _compile_sets(rep, sets, slots)
+            program = _constants(rep._consts, folds, slots)
+            values, ok = _replay(program, np.array(
+                [[c.value for c in f._consts] for f in funs], dtype=float))
+        except (ArithmeticError, ValueError):
+            # a fold raised, or math.sin or cos met an infinite constant:
+            # each function derives its own, and raises only its own error
+            return None
+        values = values.T
+        columns = []  # per root set, every other function's tape
+        for t, (regs, reg_src, pos, pos_src), which in zip(tapes, program.slots, sets):
+            if t is None:
+                columns.append([None] * len(funs))
+                continue
+            bases = np.tile(t.base, (len(funs), 1))
+            bases[:, pos] = values[pos_src].T
+            column = []
+            for f, own, base in zip(funs, values[reg_src].T.tolist(), bases):
+                init = t.init.copy()
+                for r, v in zip(regs, own):
+                    init[r] = v
+                column.append(t.shared(init, base, (f.outputs, f.n_x, f.n_p, which)))
+            columns.append(column)
+        return [tapes] + [
+            row if good else _compile_sets(f, sets)
+            for f, row, good in zip(funs, zip(*columns), ok)
+        ]
+
+
+def share_structure(functions):
+    """Link the ``functions`` of one problem that share a structure.
+
+    Functions with outputs, no structure yet and nothing compiled are
+    grouped by ``_key``; each group of two or more shares one
+    ``_Structure``, whose representative is its first function.  A
+    function is linked at most once, so a structure lives as long as the
+    functions it serves.
+    """
+    groups = {}
+    for fun in functions:
+        if (fun.outputs and fun._structure is None and fun._output_tape is None
+                and fun._derived is None):
+            groups.setdefault(fun._key, {})[id(fun)] = fun
+    for group in groups.values():
+        if len(group) > 1:
+            shared = _Structure(list(group.values()))
+            for fun in shared.funs:
+                fun._structure = shared
+
+
 # ---------------------------------------------------------------------------
 # vector functions
 # ---------------------------------------------------------------------------
@@ -714,10 +1031,11 @@ def _diff_memo(e, i, memo):
 class VectorFunction:
     """A list of scalar expression outputs over (x, p) of fixed dimensions.
 
-    Each root set is compiled into a ``_Tape`` on its first use and cached:
-    the outputs (``evaluate``), the gradient graphs of all outputs
-    (``gradient``, ``jacobian``), and, per output, the upper triangle of its
-    Hessian (``lagrangian_hessian``).  Constant roots are folded into the
+    Each root set is compiled into a ``_Tape`` and cached: the outputs
+    (``evaluate``) on their first use, and on the first use of any
+    derivative, together, the gradient graphs of all outputs (``gradient``,
+    ``jacobian``) and, per output, the upper triangle of its Hessian
+    (``lagrangian_hessian``).  Constant roots are folded into the
     tape's stored result, so a function whose derivatives are constant
     costs one array copy per call.  An output whose gradient graphs are all
     constant (an affine row) is marked as having a zero Hessian and its
@@ -726,6 +1044,18 @@ class VectorFunction:
     derive from them.  A function with no outputs (an absent g or h) compiles
     nothing: its outputs and Jacobian are the one shared empty tape, whose
     runs return a fresh empty array each.
+
+    ``_key`` is the function's structure: its graph with each node numbered
+    by identity, the constants' values taken out and only their fold
+    classes kept (and whether one is the shared ``_ZERO`` or ``_ONE``, which
+    derivative rules also write), and ``_consts`` its constant nodes in that
+    numbering.  The functions of one problem with equal keys share one
+    ``_Structure`` (``share_structure``) until both their root sets are
+    compiled: the representative alone is differentiated and compiled, and
+    every other function's tapes are the representative's with its own
+    constants.  Nothing is shared beyond the problem's functions, and a
+    function compiles from its own graphs where its derived constants fold
+    otherwise, and, on an error, to name the block's own node.
 
     Concurrent evaluation is safe: a tape is immutable once built and every
     call allocates its own registers and result.  Two threads compiling the
@@ -738,18 +1068,34 @@ class VectorFunction:
         self.n_x = int(n_x)
         self.n_p = int(n_p)
         max_var = max_param = -1
-        seen = set()
+        number = {}  # id(node) -> its number in the walk
+        nodes = []
         stack = list(outputs)
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if id(node) in number:
                 continue
-            seen.add(id(node))
-            if node.kind == "var":
-                max_var = max(max_var, node.index)
-            elif node.kind == "param":
-                max_param = max(max_param, node.index)
+            number[id(node)] = len(nodes)
+            nodes.append(node)
             stack.extend(node.args)
+        key, consts = [], []
+        for node in nodes:
+            kind = node.kind
+            key.append(kind)
+            if node.args:
+                key.append(len(node.args))
+                key.extend([number[id(a)] for a in node.args])
+            elif kind == "const":
+                consts.append(node)
+                # the two shared constants are also derivative leaves
+                key.append("zero" if node is _ZERO else "one" if node is _ONE
+                           else _fold_class(node.value))
+            else:
+                key.append(node.index)
+                if kind == "var":
+                    max_var = max(max_var, node.index)
+                elif kind == "param":
+                    max_param = max(max_param, node.index)
         if max_var >= self.n_x:
             raise ValueError(
                 f"variable index {max_var} out of range for n_x={self.n_x}"
@@ -758,10 +1104,13 @@ class VectorFunction:
             raise ValueError(
                 f"parameter index {max_param} out of range for n_p={self.n_p}"
             )
-        self._grad_graphs = None
+        self._key = (self.n_x, self.n_p, tuple(key),
+                     tuple(number[id(o)] for o in outputs))
+        self._consts = consts
+        self._structure = None
         # a function without outputs shares the one empty tape
-        self._output_tape = self._jacobian_tape = None if outputs else _EMPTY_TAPE
-        self._hessian_tapes = {}  # output index -> _Tape, or None if affine
+        self._output_tape = None if outputs else _EMPTY_TAPE
+        self._derived = None if outputs else (_EMPTY_TAPE, ())
 
     @property
     def n_out(self):
@@ -771,51 +1120,36 @@ class VectorFunction:
         return f"VectorFunction(n_out={self.n_out}, n_x={self.n_x}, n_p={self.n_p})"
 
     # -- cache builders -----------------------------------------------------
-    def _grads(self):
-        if self._grad_graphs is None:
-            self._grad_graphs = tuple(
-                tuple(diff(o, i) for i in range(self.n_x)) for o in self.outputs
-            )
-        return self._grad_graphs
+    def _fill(self, sets):
+        """Compile the root ``sets``: this function's, or, if it shares a
+        structure, every function's of it."""
+        shared = self._structure
+        if shared is None or not shared.fill(sets):
+            self._keep(sets, _compile_sets(self, sets))
+
+    def _keep(self, sets, tapes):
+        if sets == ("out",):
+            self._output_tape = tapes[0]
+        else:
+            self._derived = (tapes[0], tuple(tapes[1:]))
 
     def _compiled_outputs(self):
         if self._output_tape is None:
-            self._output_tape = _compile(
-                self.outputs, [(k,) for k in range(self.n_out)], self.n_out
-            )
+            self._fill(("out",))
         return self._output_tape
 
+    def _derivatives(self):
+        """(Jacobian tape, the Hessian tape of each output), built together."""
+        if self._derived is None:
+            self._fill(("jac",) + tuple(range(self.n_out)))
+        return self._derived
+
     def _compiled_jacobian(self):
-        # row-major (n_out, n_x); a scalar function's gradient is its one row
-        if self._jacobian_tape is None:
-            roots = [g for row in self._grads() for g in row]
-            self._jacobian_tape = _compile(
-                roots, [(k,) for k in range(len(roots))], len(roots)
-            )
-        return self._jacobian_tape
+        return self._derivatives()[0]
 
     def _compiled_hessian(self, j):
-        """Tape of the (n_x, n_x) Hessian of output j; None if it is zero.
-
-        Built from the upper triangle and mirrored, so it is exactly
-        symmetric.
-        """
-        if j not in self._hessian_tapes:
-            grad = self._grads()[j]
-            if all(d.kind == "const" for d in grad):
-                tape = None
-            else:
-                n = self.n_x
-                roots, positions = [], []
-                for i in range(n):
-                    for k in range(i, n):
-                        roots.append(diff(grad[i], k))
-                        positions.append(
-                            (i * n + k,) if i == k else (i * n + k, k * n + i)
-                        )
-                tape = _compile(roots, positions, n * n)
-            self._hessian_tapes[j] = tape
-        return self._hessian_tapes[j]
+        """Tape of the (n_x, n_x) Hessian of output j; None if it is zero."""
+        return self._derivatives()[1][j]
 
     def _check_args(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -896,22 +1230,19 @@ _SEXPR_BINARY = set(BINARY_OPS)
 def expr_from_sexpr(obj):
     """Build an Expression from the nested-list prefix form.
 
-    Numbers are constants; ``["var", i]`` / ``["param", i]`` are leaves;
-    operator forms are ``["add", a, b]``, ``["neg", a]``, etc.
+    Numbers are constants; ``["var", i]`` / ``["param", i]`` are leaves,
+    with i an integer; operator forms are ``["add", a, b]``, ``["neg", a]``,
+    etc.  Booleans are neither numbers nor indices.
     """
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return const(obj)
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ValueError(f"malformed expression: {obj!r}")
     head = obj[0]
-    if head == "var":
-        if len(obj) != 2:
-            raise ValueError(f"malformed var node: {obj!r}")
-        return var(int(obj[1]))
-    if head == "param":
-        if len(obj) != 2:
-            raise ValueError(f"malformed param node: {obj!r}")
-        return param(int(obj[1]))
+    if head in ("var", "param"):
+        if len(obj) != 2 or type(obj[1]) is not int:
+            raise ValueError(f"malformed {head} node: {obj!r}")
+        return (var if head == "var" else param)(obj[1])
     if head in _SEXPR_UNARY:
         if len(obj) != 2:
             raise ValueError(f"{head} takes one argument: {obj!r}")

@@ -109,6 +109,13 @@ class SeparableProblem:
     ``parameters`` holds the active parameter vector per block; it is the only
     mutable state and is what :func:`set_parameters` updates, so repeated
     solves reuse every expression graph and cached derivative.
+
+    The blocks' functions f, g and h are linked by structure
+    (``expr.share_structure``): of the functions that differ only in their
+    constants' values, one is differentiated and compiled, and the others
+    take its tapes (bit for bit their own) with their own constants.
+    Nothing is shared with another problem's functions, and an evaluation
+    error still names the failing block's own node.
     """
 
     def __init__(self, subproblems, b=None, name=""):
@@ -119,6 +126,7 @@ class SeparableProblem:
         self.b = _as_vec(b, n_c, "b")
         self.name = name
         self.parameters = [s.p0.copy() for s in self.subproblems]
+        ex.share_structure([fun for s in self.subproblems for fun in (s.f, s.g, s.h)])
 
     @property
     def n_s(self):
@@ -405,32 +413,43 @@ def _bound_from_json(v, n, fill):
 
 
 def problem_from_dict(data):
-    """Build a SeparableProblem from the documented JSON structure."""
+    """Build a SeparableProblem from the documented JSON structure.
+
+    A field that is missing where it is required, or whose value is
+    malformed, raises a ValueError naming its subproblem and the field:
+    ``subproblem k: 'field': ...``.
+    """
     if "subproblems" not in data:
         raise ValueError("problem file must contain a 'subproblems' list")
     subs = []
     for k, sd in enumerate(data["subproblems"]):
+        def read(name, build, *default):
+            """``build`` of field ``name`` (or of ``default``, if given and
+            the field is absent), its errors naming the field."""
+            if name not in sd and not default:
+                raise ValueError(f"subproblem {k}: missing {name!r}")
+            try:
+                return build(sd.get(name, *default))
+            except (ValueError, TypeError) as err:
+                raise ValueError(f"subproblem {k}: {name!r}: {err}") from None
+
+        def functions(exprs):
+            return VectorFunction([ex.expr_from_sexpr(e) for e in exprs], n_x, n_p)
+
+        n_x = read("n_x", int)
+        n_p = read("n_p", int, 0)
+        f = read("f", lambda e: functions([e]))
+        g = read("g", functions, [])
+        h = read("h", functions, [])
+        A = read("A", lambda a: a if a is None else np.asarray(a, dtype=float), None)
+        lb = read("lb", lambda v: _bound_from_json(v, n_x, -np.inf), None)
+        ub = read("ub", lambda v: _bound_from_json(v, n_x, np.inf), None)
+        p = read("p", lambda v: _as_vec(v, n_p, "p"), None)
+        z0 = read("z0", lambda v: _as_vec(v, n_x, "z0"), None)
         try:
-            n_x = int(sd["n_x"])
-        except KeyError:
-            raise ValueError(f"subproblem {k}: missing 'n_x'") from None
-        n_p = int(sd.get("n_p", 0))
-        f = VectorFunction([ex.expr_from_sexpr(sd["f"])], n_x, n_p)
-        g = VectorFunction([ex.expr_from_sexpr(e) for e in sd.get("g", [])], n_x, n_p)
-        h = VectorFunction([ex.expr_from_sexpr(e) for e in sd.get("h", [])], n_x, n_p)
-        A = sd.get("A")
-        subs.append(
-            Subproblem(
-                f,
-                g=g,
-                h=h,
-                A=A,
-                lb=_bound_from_json(sd.get("lb"), n_x, -np.inf),
-                ub=_bound_from_json(sd.get("ub"), n_x, np.inf),
-                p=sd.get("p"),
-                z0=sd.get("z0"),
-            )
-        )
+            subs.append(Subproblem(f, g=g, h=h, A=A, lb=lb, ub=ub, p=p, z0=z0))
+        except ValueError as err:  # with every field read, only n_x < 1 is left
+            raise ValueError(f"subproblem {k}: 'n_x': {err}") from None
     n_c = subs[0].A.shape[0] if subs else 0
     b = data.get("b")
     if b is None:

@@ -56,6 +56,23 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 1
         assert "at least one variable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda block: block.pop("f"), "subproblem 1: missing 'f'"),
+            (lambda block: block.update(lb=[0.0]),
+             "subproblem 1: 'lb': bound must have length 2, got 1"),
+        ],
+        ids=["missing-f", "short-lb"],
+    )
+    def test_load_error_names_subproblem_and_field(self, tmp_path, capsys, change, message):
+        data = problem_to_dict(tutorial())
+        change(data["subproblems"][1])
+        path = tmp_path / "bad_block.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot load problem: {message}\n"
+
     def test_strict_max_iter_exit_3(self, capsys):
         assert main(["example", "tutorial", "--max-iter", "1", "--strict"]) == 3
 

@@ -260,3 +260,19 @@ class TestSexpr:
             ex.expr_from_sexpr(["add", 1])
         with pytest.raises(ValueError):
             ex.expr_from_sexpr([])
+
+    @pytest.mark.parametrize(
+        "obj",
+        [True, False, ["add", ["var", 0], False], ["mul", 2.0, True],
+         ["var", 1.5], ["var", True], ["var", "1"], ["param", "0"], ["param", 0.0],
+         ["param", None], ["var", 0, 1], ["var"]],
+        ids=repr,
+    )
+    def test_rejects_bools_and_non_integer_indices(self, obj):
+        with pytest.raises(ValueError):
+            ex.expr_from_sexpr(obj)
+
+    def test_json_integers_are_constants(self):
+        e = ex.expr_from_sexpr(["add", ["mul", 3, ["var", 0]], ["param", 1]])
+        assert e.to_sexpr() == ["add", ["mul", 3.0, ["var", 0]], ["param", 1]]
+        assert ex.expr_from_sexpr(0).to_sexpr() == 0.0

@@ -946,3 +946,215 @@ def test_zero_multiplier_skips_its_hessian_term_per_lane():
             assert np.array_equal(H[k], want, equal_nan=True)
             assert np.array_equal(np.signbit(H[k]), np.signbit(want))
         assert np.isfinite(H[kappa[:, 0] == 0.0]).all()
+
+
+# -- structures shared within a problem ----------------------------------------
+
+def standalone(fun):
+    """The root sets of a copy of ``fun`` that shares no structure."""
+    return root_sets(VectorFunction(fun.outputs, fun.n_x, fun.n_p))
+
+
+def assert_tapes_are_own(fun):
+    """``fun``'s root sets equal those it compiles alone: key, constants."""
+    for got, want in zip(root_sets(fun), standalone(fun), strict=True):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.key == want.key
+            assert np.array(got.init).tobytes() == np.array(want.init).tobytes()
+            assert got.base.tobytes() == want.base.tobytes()
+
+
+def sharing_problems():
+    from test_driver_reference import interleaved_chain
+    from test_sensitivity_reference import disc_chain
+
+    return [coupled_qp(n_blocks=400, block_size=2), ocp_chain(), tutorial(),
+            disc_chain(), interleaved_chain()]
+
+
+@pytest.mark.parametrize("problem", sharing_problems(), ids=lambda p: p.name or "chain")
+def test_every_block_takes_the_tapes_it_compiles_alone(problem):
+    funs = [fun for s in problem.subproblems for fun in (s.f, s.g, s.h)]
+    for fun in funs:
+        assert_tapes_are_own(fun)
+    rng = np.random.default_rng(2)
+    for s, p in zip(problem.subproblems, problem.parameters):
+        x = s.z0 + rng.standard_normal(s.n_x)
+        for fun in (s.f, s.g, s.h):
+            assert_same(ex.evaluate(fun, x, p), ref_evaluate(fun, x, p))
+            assert_same(ex.jacobian(fun, x, p), ref_jacobian(fun, x, p))
+
+
+def test_blocks_of_one_structure_share_their_instructions():
+    problem = coupled_qp(n_blocks=400, block_size=2)
+    tapes = [t for s in problem.subproblems for t in local._root_sets(s) if t is not None]
+    assert len(tapes) == 2400
+    # grad f, the Hessian of f and the empty tape of g and h
+    assert len({id(t.code) for t in tapes}) == len({id(t.key) for t in tapes}) == 3
+    # every block's f tapes are the first block's, with its own constants
+    first = root_sets(problem.subproblems[0].f)
+    for s in problem.subproblems[1:]:
+        for t, rep in zip(root_sets(s.f), first):
+            assert t.code is rep.code and t.key is rep.key
+            assert t.own is not None and rep.own is None
+
+
+def power_block(c):
+    return Subproblem(VectorFunction([var(0) ** c + ex.sin(var(1))], 2))
+
+
+@pytest.mark.parametrize("exponents", [(3.0, 2.5, 5.5), (2.5, 3.0, 5.5)])
+def test_a_derived_constant_of_another_fold_class_splits(exponents):
+    # d/dx x**c is c * x**(c - 1): c - 1 = 2 folds to square, 1.5 and 4.5
+    # do not, and neither do the Hessians' exponents 0.5 and 3.5
+    problem = SeparableProblem([power_block(c) for c in exponents])
+    fs = [s.f for s in problem.subproblems]
+    assert len({f._key for f in fs}) == 1
+    for f in fs:
+        assert_tapes_are_own(f)
+    hess = [f._compiled_hessian(0) for f in fs]
+    assert hess[0].key != hess[1].key
+    assert (hess[2].code is hess[0].code) == (exponents[0] != 3.0)
+
+
+def test_a_leaf_constant_keys_by_its_fold_class():
+    # built without the operators' folding, c = 0 and c = 1 survive in the
+    # graph, and the derivative folds c * cos(x0) on them
+    def block(c):
+        f = Expression("mul", args=(ex.const(c), ex.sin(var(0))))
+        return Subproblem(VectorFunction([f + ex.square(var(1))], 2))
+
+    consts = (2.5, 1.0, 0.0, -0.0, 3.5, 2.0)
+    problem = SeparableProblem([block(c) for c in consts])
+    fs = [s.f for s in problem.subproblems]
+    keys = [f._key for f in fs]
+    assert keys[0] == keys[4] and keys[2] == keys[3]
+    assert len(set(keys)) == 4
+    for f in fs:
+        assert_tapes_are_own(f)
+    assert fs[4]._compiled_jacobian().code is fs[0]._compiled_jacobian().code
+    assert fs[3]._compiled_jacobian().code is fs[2]._compiled_jacobian().code
+
+
+def product_block(c, d):
+    # d/dx0 of (c (d x0)) sin(x0) starts with (c d) sin(x0): c d = 1 folds
+    # the product away, c d = 0 the whole term
+    x0 = var(0)
+    return Subproblem(VectorFunction([(c * (d * x0)) * ex.sin(x0) + ex.square(var(1))], 2))
+
+
+def test_a_derived_constant_reaching_0_or_1_in_one_block_splits():
+    pairs = [(3.0, 1.5), (0.25, 4.0), (1e-200, 1e-200), (3.0, 0.25)]
+    problem = SeparableProblem([product_block(c, d) for c, d in pairs])
+    fs = [s.f for s in problem.subproblems]
+    assert len({f._key for f in fs}) == 1
+    for f in fs:
+        assert_tapes_are_own(f)
+    jac = [f._compiled_jacobian() for f in fs]
+    assert len({t.key for t in jac}) == 3
+    assert jac[3].code is jac[0].code
+    assert jac[1].code is not jac[0].code and jac[2].code is not jac[0].code
+
+
+def test_a_representative_whose_derivation_raises_leaves_the_others_their_own():
+    # d/dx c**x folds log(c), which raises for c = -2 only
+    problem = SeparableProblem(
+        [Subproblem(VectorFunction([ex.const(c) ** var(0) + ex.square(var(1))], 2))
+         for c in (-2.0, 3.0, 0.5)]
+    )
+    fs = [s.f for s in problem.subproblems]
+    x = np.array([0.5, 1.0])
+    for f in fs[1:]:  # the first use is a sibling's
+        assert_same(ex.gradient(f, x), ref_gradient(f, x))
+        assert_tapes_are_own(f)
+    got = _raised(ex.gradient, fs[0], x)
+    want = _raised(ex.gradient, VectorFunction(fs[0].outputs, 2), x)
+    assert got is not None and str(got) == str(want)
+    assert all(f._structure is None for f in fs)
+
+
+def log_block(c):
+    return Subproblem(VectorFunction([ex.log(var(0) - c) * ex.square(var(1))], 2))
+
+
+def test_a_shared_tape_raises_with_the_blocks_own_node():
+    consts = (0.5, 1.5, 2.5)
+    problem = SeparableProblem([log_block(c) for c in consts])
+    fs = [s.f for s in problem.subproblems]
+    x = np.array([1.0, 2.0])  # outside the domain of the second and third blocks
+    for f in fs[1:]:
+        assert f._compiled_outputs().own is not None
+        alone = VectorFunction(f.outputs, 2)
+        got, want = _raised(ex.evaluate, f, x), _raised(ex.evaluate, alone, x)
+        assert got.node is want.node is f.outputs[0].args[0]
+        assert str(got) == str(want)
+        for fn in (ex.gradient, ex.jacobian):
+            got, want = _raised(fn, f, x), _raised(fn, alone, x)
+            assert got.node == want.node and str(got) == str(want)
+            assert got.node != _raised(fn, VectorFunction(fs[0].outputs, 2), [0.0, 2.0]).node
+    # and through the lane tapes of the group
+    (group,) = group_blocks(problem.subproblems)
+    errors = {}
+    group.eval_point(np.array([x, x, x]), np.zeros((3, 0)), np.arange(3), errors)
+    assert sorted(errors) == [1, 2]
+    for k in (1, 2):
+        want = _raised(ex.gradient, VectorFunction(fs[k].outputs, 2), x)
+        assert errors[k].node == want.node and str(errors[k]) == str(want)
+
+
+def test_two_problems_of_one_generator_share_nothing():
+    problems = [coupled_qp(n_blocks=6, block_size=2) for _ in range(2)]
+    tapes = [[t for s in pr.subproblems for t in local._root_sets(s)] for pr in problems]
+    codes = [{id(t.code) for t in ts if t is not ex._EMPTY_TAPE} for ts in tapes]
+    assert len(codes[0]) == len(codes[1]) == 2 and not codes[0] & codes[1]
+    for pr in problems:
+        for s in pr.subproblems:
+            s.f._compiled_outputs()
+            # both sets compiled: the functions let go of their structure
+            assert s.f._structure is None
+
+
+def test_a_function_is_linked_once():
+    blocks = [log_block(c) for c in (0.5, 1.5, 2.5)]
+    first = SeparableProblem(blocks)
+    shared = blocks[0].f._structure
+    assert shared is not None and all(b.f._structure is shared for b in blocks)
+    # a second problem over the same functions leaves them where they are
+    SeparableProblem(blocks[1:] + [log_block(3.5)])
+    assert all(b.f._structure is shared for b in blocks)
+    for b in first.subproblems:
+        assert_tapes_are_own(b.f)
+
+
+def test_concurrent_first_use_of_one_structure_matches_alone():
+    # every thread compiles through the one structure its blocks share
+    consts = [0.5 + 0.25 * k for k in range(12)]
+    problem = SeparableProblem([log_block(c) for c in consts])
+    x = np.array([4.0, -0.5])
+    results = [None] * len(consts)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            s = problem.subproblems[k]
+            results[k] = (ex.evaluate(s.f, x), ex.jacobian(s.f, x),
+                          ex.lagrangian_hessian(s.f, s.g, s.h, x, None, [], []))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(consts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    empty = VectorFunction([], 2)
+    for got, c in zip(results, consts):
+        alone = log_block(c).f
+        want = (ex.evaluate(alone, x), ex.jacobian(alone, x),
+                ex.lagrangian_hessian(alone, empty, empty, x, None, [], []))
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    for s in problem.subproblems:
+        assert_tapes_are_own(s.f)

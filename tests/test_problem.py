@@ -250,5 +250,51 @@ class TestJson:
     def test_missing_fields(self):
         with pytest.raises(ValueError):
             problem_from_dict({})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^subproblem 0: missing 'n_x'$"):
             problem_from_dict({"subproblems": [{"f": ["var", 0]}]})
+
+    @staticmethod
+    def two_blocks(**second):
+        """A valid two-block problem whose second block takes ``second``."""
+        block = {"n_x": 2, "f": ["square", ["var", 1]], "A": [[-1.0, 0.0]]}
+        block.update(second)
+        return {"subproblems": [{"n_x": 1, "f": ["square", ["var", 0]], "A": [[1.0]]},
+                                block], "b": [0.0]}
+
+    def test_two_blocks_load(self):
+        assert validate(problem_from_dict(self.two_blocks())) == []
+
+    def test_missing_objective_names_its_subproblem(self):
+        data = self.two_blocks()
+        del data["subproblems"][1]["f"]
+        with pytest.raises(ValueError, match=r"^subproblem 1: missing 'f'$"):
+            problem_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("lb", [0.0], "bound must have length 2, got 1"),
+            ("ub", [1.0, "x"], "could not convert string to float"),
+            ("ub", 3.0, "not iterable"),
+            ("p", [1.0], "p must have length 0, got 1"),
+            ("z0", [0.0, 0.0, 0.0], "z0 must have length 2, got 3"),
+            ("A", [[1.0, 0.0], [2.0]], "inhomogeneous"),
+            ("n_x", "two", "invalid literal"),
+            ("n_p", None, "int"),
+            ("f", ["frobnicate", ["var", 0]], "unknown operator 'frobnicate'"),
+            ("f", ["var", 2], "variable index 2 out of range for n_x=2"),
+            ("g", [["var", 0], ["param", 0]], "parameter index 0 out of range"),
+            ("h", [["var", True]], "malformed var node"),
+            ("h", 7, "not iterable"),
+        ],
+    )
+    def test_field_errors_name_the_subproblem_and_field(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            problem_from_dict(self.two_blocks(**{field: value}))
+        assert str(err.value).startswith(f"subproblem 1: {field!r}: ")
+        assert message in str(err.value)
+
+    def test_block_without_variables_names_n_x(self):
+        data = self.two_blocks(n_x=0, f=2.0, A=[[]])
+        with pytest.raises(ValueError, match=r"^subproblem 1: 'n_x': .*at least one variable"):
+            problem_from_dict(data)
