@@ -27,12 +27,9 @@ from .expr import (
     var,
 )
 from .problem import (
-    LiftResult,
-    LiftTerm,
     SeparableProblem,
     SolverOptions,
     Subproblem,
-    lift,
     load_problem_json,
     problem_from_dict,
     problem_to_dict,
@@ -41,12 +38,9 @@ from .problem import (
 )
 from .local import LocalSolution, solve_local
 from .sensitivity import (
-    ActiveSet,
     ReducedBlock,
     SensitivityPack,
-    active_jacobian,
     bfgs_update,
-    detect_active,
     nullspace_basis,
     reduce_block,
     regularize,

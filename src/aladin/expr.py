@@ -319,6 +319,18 @@ def _sqrt(u):
     return math.sqrt(u)
 
 
+def _sin(u):
+    if math.isinf(u):
+        raise DomainEvalError(f"sin of infinite value {u!r}")
+    return math.sin(u)
+
+
+def _cos(u):
+    if math.isinf(u):
+        raise DomainEvalError(f"cos of infinite value {u!r}")
+    return math.cos(u)
+
+
 def _square(u):
     return u * u
 
@@ -362,9 +374,9 @@ _OPS = {
     "neg": _Op(operator.neg, np.negative, None, lambda e, a, da: _unary("neg", da)),
     "exp": _Op(_exp, None, None, lambda e, a, da: _binary("mul", e, da)),
     "log": _Op(_log, None, None, lambda e, a, da: _binary("div", da, a)),
-    "sin": _Op(math.sin, None, None,
+    "sin": _Op(_sin, None, None,
                lambda e, a, da: _binary("mul", _unary("cos", a), da)),
-    "cos": _Op(math.cos, None, None,
+    "cos": _Op(_cos, None, None,
                lambda e, a, da: _unary("neg", _binary("mul", _unary("sin", a), da))),
     "sqrt": _Op(_sqrt, np.sqrt, lambda u: u < 0.0,
                 lambda e, a, da: _binary("div", da, _binary("mul", const(2.0), e))),
@@ -978,9 +990,9 @@ class _Structure:
             program = _constants(rep._consts, folds, slots)
             values, ok = _replay(program, np.array(
                 [[c.value for c in f._consts] for f in funs], dtype=float))
-        except (ArithmeticError, ValueError):
-            # a fold raised, or math.sin or cos met an infinite constant:
-            # each function derives its own, and raises only its own error
+        except ArithmeticError:
+            # a fold raised: each function derives its own, and raises only
+            # its own error
             return None
         values = values.T
         columns = []  # per root set, every other function's tape

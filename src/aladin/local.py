@@ -561,22 +561,20 @@ def _refine(facs, K, rhs, X):
     and is accepted when its refined solution is finite.  Returns the
     positions of the lanes not accepted, whose rows of X are not meaningful.
     """
-    if None in facs or not facs:
-        bad = np.ones(len(facs), dtype=bool)
-        rows = np.array([j for j, f in enumerate(facs) if f is not None], dtype=np.intp)
-        if rows.size:
-            Xr = X[rows]
-            worse = _refine([facs[j] for j in rows], K[rows], rhs[rows], Xr)
-            X[rows] = Xr
-            bad[rows] = False
-            bad[rows[worse]] = True
-        return np.flatnonzero(bad)
-    R = rhs - mv(K, X)
-    for fac, r in zip(facs, R):
+    have = [fac for fac in facs if fac is not None]
+    rows, Xr = None, X
+    if len(have) < len(facs):  # the lanes with a factor, on a copy of their rows
+        rows = np.flatnonzero([fac is not None for fac in facs])
+        K, rhs, Xr = K[rows], rhs[rows], X[rows]
+    R = rhs - mv(K, Xr)
+    for fac, r in zip(have, R):
         fac.back_solve(r)
-    X += R
-    fin = np.isfinite(X)
-    return _NO_ROWS if fin.all() else np.flatnonzero(~fin.all(axis=-1))
+    Xr += R
+    fin = np.isfinite(Xr).all(axis=-1)
+    if rows is None:
+        return _NO_ROWS if fin.all() else np.flatnonzero(~fin)
+    X[rows] = Xr
+    return np.setdiff1d(np.arange(len(facs)), rows[fin])
 
 
 def _newton_step(W, Jg, rhs_x, rhs_g, failed):

@@ -1,4 +1,4 @@
-"""Problem data model: subproblem blocks, coupling, options, lifting, JSON IO.
+"""Problem data model: subproblem blocks, coupling, options, JSON IO.
 
 A :class:`SeparableProblem` is a list of blocks, each with its own objective
 ``f_i``, equality/inequality constraints ``g_i``/``h_i``, box bounds, and a
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,7 @@ __all__ = [
     "Subproblem",
     "SeparableProblem",
     "SolverOptions",
-    "LiftTerm",
-    "LiftResult",
     "validate",
-    "lift",
     "set_parameters",
     "load_problem_json",
     "problem_from_dict",
@@ -230,86 +227,6 @@ def set_parameters(problem, i, p):
 
 
 # ---------------------------------------------------------------------------
-# lifting: shared-variable terms -> consensus-coupled blocks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LiftTerm:
-    """One additive term of a problem over a shared global variable vector.
-
-    ``touches`` lists the global indices the term reads; its functions are
-    written over local variables in that order.
-    """
-
-    f: VectorFunction
-    touches: list[int]
-    g: VectorFunction | None = None
-    h: VectorFunction | None = None
-    p: np.ndarray | None = None
-
-
-@dataclass
-class LiftResult:
-    problem: SeparableProblem
-    # owner[j] = (term index, local index) of global variable j's primary copy
-    owner: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def map_back(self, xs):
-        """Recover the global variable vector from per-block solutions."""
-        n = max(self.owner) + 1 if self.owner else 0
-        out = np.zeros(n)
-        for j, (ti, li) in self.owner.items():
-            out[j] = xs[ti][li]
-        return out
-
-
-def lift(terms, lb=None, ub=None, x0=None):
-    """Rewrite additive terms over shared variables as a separable problem.
-
-    Each term becomes one subproblem over local copies of the globals it
-    touches.  For every global variable shared by several terms, a consensus
-    row per extra copy pins that copy to the first (owner) copy: +1 on the
-    owner, -1 on the copy.  Bounds and initial values given over the global
-    vector are replicated onto every copy.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one term")
-    for t in terms:
-        if not t.touches:
-            raise ValueError("every term must touch at least one variable")
-        if t.f.n_x != len(t.touches):
-            raise ValueError(
-                f"term functions use {t.f.n_x} locals but touch {len(t.touches)}"
-            )
-    owner: dict[int, tuple[int, int]] = {}
-    rows = []  # (global idx, owner (ti, li), copy (ti, li))
-    for ti, t in enumerate(terms):
-        for li, j in enumerate(t.touches):
-            if j in owner:
-                rows.append((j, owner[j], (ti, li)))
-            else:
-                owner[j] = (ti, li)
-    n_c = len(rows)
-    subs = []
-    for ti, t in enumerate(terms):
-        n_loc = len(t.touches)
-        A = np.zeros((n_c, n_loc))
-        for r, (_, own, cpy) in enumerate(rows):
-            if own[0] == ti:
-                A[r, own[1]] += 1.0
-            if cpy[0] == ti:
-                A[r, cpy[1]] -= 1.0
-        loc_lb = None if lb is None else [np.asarray(lb, float)[j] for j in t.touches]
-        loc_ub = None if ub is None else [np.asarray(ub, float)[j] for j in t.touches]
-        loc_z0 = None if x0 is None else [np.asarray(x0, float)[j] for j in t.touches]
-        subs.append(
-            Subproblem(t.f, g=t.g, h=t.h, A=A, lb=loc_lb, ub=loc_ub, p=t.p, z0=loc_z0)
-        )
-    return LiftResult(SeparableProblem(subs, b=np.zeros(n_c)), owner)
-
-
-# ---------------------------------------------------------------------------
 # solver options
 # ---------------------------------------------------------------------------
 
@@ -393,6 +310,8 @@ class SolverOptions:
             raise ValueError("gamma must lie in (0, 1)")
         if self.inner_iter < 1:
             raise ValueError("inner_iter must be positive")
+        if self.log_every < 0:
+            raise ValueError("log_every must be nonnegative")
         if self.hessian not in HESSIAN_MODES:
             raise ValueError(f"hessian must be one of {HESSIAN_MODES}")
         if self.variant not in VARIANTS:

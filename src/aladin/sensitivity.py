@@ -19,40 +19,21 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as ex
 from .errors import LicqError, SingularKktError
 from .linalg import mv
 from .problem import coupling_rows
 
 __all__ = [
-    "ActiveSet",
     "SensitivityPack",
     "ReducedBlock",
     "active_mask",
     "active_rows",
-    "detect_active",
-    "active_jacobian",
     "regularize",
     "bfgs_update",
     "nullspace_basis",
-    "coupling_rows",
     "reduce_block",
     "schur_contribution",
 ]
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices into h~ = (h, lb - x, x - ub) whose value exceeds -margin."""
-
-    indices: tuple[int, ...]
-    n_h: int
-    n_x: int
-
-    @property
-    def nonbox(self):
-        """Active indices that belong to h itself (curvature carriers)."""
-        return tuple(j for j in self.indices if j < self.n_h)
 
 
 @dataclass(frozen=True)
@@ -109,7 +90,7 @@ class SensitivityPack:
     grad: np.ndarray
     hess_raw: np.ndarray
     hess: np.ndarray | None
-    active: np.ndarray | ActiveSet
+    active: np.ndarray
     jac_active: np.ndarray
     blocks: np.ndarray | None = None
     rows: np.ndarray | None = None
@@ -123,21 +104,6 @@ def active_mask(h, x, lb, ub, tau):
     Infinite bounds give -inf rows, which are never active.
     """
     return np.concatenate([h, lb - x, x - ub], axis=-1) > -tau
-
-
-def detect_active(sub, x, p, tau):
-    """Active set at x: every j with h~_j(x) > -tau.
-
-    A block without inequalities and finite bounds has nothing that could be
-    active, so it gets the empty set without evaluating anything.
-    """
-    if tau <= 0:
-        raise ValueError("active-set margin must be positive")
-    if sub.n_h == 0 and not (np.isfinite(sub.lb).any() or np.isfinite(sub.ub).any()):
-        return ActiveSet((), 0, sub.n_x)
-    p = sub.p0 if p is None else p
-    on = active_mask(ex.evaluate(sub.h, x, p), x, sub.lb, sub.ub, tau)
-    return ActiveSet(tuple(np.flatnonzero(on).tolist()), sub.n_h, sub.n_x)
 
 
 def active_rows(Jg, Jh, active):
@@ -156,18 +122,6 @@ def active_rows(Jg, Jh, active):
     )
     lanes = np.indices(active.shape, sparse=True)[:-1]
     return np.concatenate([Jg, ineq[(*lanes, active)]], axis=-2)
-
-
-def active_jacobian(sub, x, p, act):
-    """Rows: grad g_i stacked over grad h~_j for j active, in index order.
-
-    Box rows are unit vectors: -e_k for an active lower bound on x_k,
-    +e_k for an active upper bound.
-    """
-    p = sub.p0 if p is None else p
-    Jg = ex.jacobian(sub.g, x, p)
-    active = np.array(act.indices, dtype=np.intp)
-    return active_rows(Jg, ex.jacobian(sub.h, x, p) if active.size else None, active)
 
 
 def regularize(H, delta):

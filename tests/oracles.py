@@ -1,10 +1,13 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately decoupled from the solver internals: finite
-differences, dense KKT solves, grid refinement, and scipy-based centralized
-solves.  Expected values in the tests are computed (or were frozen) from these
-routines, never from the code paths they check.
+differences, dense KKT solves, grid refinement, per-block active sets and
+their Jacobians, and scipy-based centralized solves.  Expected values in the
+tests are computed (or were frozen) from these routines, never from the code
+paths they check.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -108,6 +111,69 @@ def grid_refine_minimize(f, feasible, lo, hi, levels=20, pts=41):
         lo = best - span
         hi = best + span
     return best, best_val
+
+
+# -- per-block active sets ---------------------------------------------------
+
+@dataclass(frozen=True)
+class ActiveSet:
+    """Indices into h~ = (h, lb - x, x - ub) whose value exceeds -margin."""
+
+    indices: tuple[int, ...]
+    n_h: int
+    n_x: int
+
+    @property
+    def nonbox(self):
+        """Active indices that belong to h itself (curvature carriers)."""
+        return tuple(j for j in self.indices if j < self.n_h)
+
+
+def combined_inequalities(sub, x, p=None):
+    """Values of h~ = (h, lb - x, x - ub); infinite bounds give -inf rows."""
+    p = sub.p0 if p is None else p
+    hv = ex.evaluate(sub.h, x, p)
+    return np.concatenate([hv, sub.lb - x, x - sub.ub])
+
+
+def detect_active(sub, x, p, tau):
+    """Active set at x: every j with h~_j(x) > -tau.
+
+    A block without inequalities and finite bounds has nothing that could be
+    active, so it gets the empty set without evaluating anything.
+    """
+    if tau <= 0:
+        raise ValueError("active-set margin must be positive")
+    if sub.n_h == 0 and not (np.isfinite(sub.lb).any() or np.isfinite(sub.ub).any()):
+        return ActiveSet((), 0, sub.n_x)
+    vals = combined_inequalities(sub, x, p)
+    idx = tuple(int(j) for j in np.flatnonzero(vals > -tau))
+    return ActiveSet(idx, sub.n_h, sub.n_x)
+
+
+def active_jacobian(sub, x, p, act):
+    """Rows: grad g_i stacked over grad h~_j for j active, in index order.
+
+    Box rows are unit vectors: -e_k for an active lower bound on x_k,
+    +e_k for an active upper bound.
+    """
+    p = sub.p0 if p is None else p
+    n = sub.n_x
+    rows = [ex.jacobian(sub.g, x, p)]
+    if act.indices:
+        Jh = ex.jacobian(sub.h, x, p)
+        for j in act.indices:
+            if j < act.n_h:
+                rows.append(Jh[j: j + 1])
+            elif j < act.n_h + n:
+                e = np.zeros((1, n))
+                e[0, j - act.n_h] = -1.0
+                rows.append(e)
+            else:
+                e = np.zeros((1, n))
+                e[0, j - act.n_h - n] = 1.0
+                rows.append(e)
+    return np.vstack(rows) if rows else np.zeros((0, n))
 
 
 # -- centralized solves of SeparableProblem instances -------------------------

@@ -11,12 +11,7 @@ from aladin.coordination import (
 )
 from aladin.errors import SingularKktError
 from aladin.problem import SolverOptions
-from aladin.sensitivity import (
-    SensitivityPack,
-    ActiveSet,
-    nullspace_basis,
-    reduce_block,
-)
+from aladin.sensitivity import SensitivityPack, nullspace_basis, reduce_block
 
 
 def make_pack(B, g, C):
@@ -25,7 +20,7 @@ def make_pack(B, g, C):
     C = np.asarray(C, dtype=float)
     return SensitivityPack(
         grad=g, hess_raw=B, hess=B,
-        active=ActiveSet((), 0, g.size), jac_active=C,
+        active=np.zeros(0, dtype=np.intp), jac_active=C,
     )
 
 

@@ -19,9 +19,9 @@ from aladin.problem import (
     set_parameters,
     validate,
 )
-from aladin.sensitivity import detect_active
 
 import oracles
+from oracles import detect_active
 
 
 def convex_coupled_instance(seed, n_blocks=3, block_size=2):

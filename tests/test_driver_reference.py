@@ -39,7 +39,8 @@ from aladin.errors import SolverError
 from aladin.examples_lib import coupled_qp, ocp_chain, tutorial
 from aladin.local import GroupSolution, group_blocks, solve_local
 from aladin.problem import SeparableProblem, SolverOptions, Subproblem, validate
-from aladin.sensitivity import detect_active
+
+from oracles import detect_active
 
 DIVERGENCE_GUARD = 1e10
 

@@ -35,10 +35,10 @@ def _apply_unary(op, u, node):
             if u <= 0.0:
                 raise ex.DomainEvalError(f"log of non-positive value {u!r}", node)
             return math.log(u)
-        if op == "sin":
-            return math.sin(u)
-        if op == "cos":
-            return math.cos(u)
+        if op in ("sin", "cos"):
+            if math.isinf(u):
+                raise ex.DomainEvalError(f"{op} of infinite value {u!r}", node)
+            return math.sin(u) if op == "sin" else math.cos(u)
         if op == "sqrt":
             if u < 0.0:
                 raise ex.DomainEvalError(f"sqrt of negative value {u!r}", node)
@@ -389,6 +389,18 @@ def test_domain_errors_at_same_inputs_and_node(e):
     assert n_raised > 0
 
 
+@pytest.mark.parametrize("op", ["sin", "cos"])
+def test_sin_and_cos_at_infinity_raise_domain_errors_naming_their_node(op):
+    f = VectorFunction([getattr(ex, op)(var(0)) + var(1)], 2)
+    for x in ([np.inf, 0.0], [-np.inf, 1.0]):
+        got = _raised(ex.evaluate, f, x)
+        want = _raised(ref_evaluate, f, x)
+        assert got.node is want.node and got.node.kind == op
+        assert str(got) == str(want)
+    with pytest.raises(ex.DomainEvalError, match=f"{op} of infinite value inf"):
+        getattr(ex, op)(ex.const(np.inf))
+
+
 def test_exp_overflow_gives_inf():
     f = VectorFunction([ex.exp(var(0)), -ex.exp(var(0))], 1)
     x = [1000.0]
@@ -622,6 +634,21 @@ def test_lane_domain_errors_name_each_lanes_node(build):
                     assert errors[k].node is want.node
                     assert str(errors[k]) == str(want)
     assert n_raised > 0
+
+
+@pytest.mark.parametrize("op", ["sin", "cos"])
+def test_one_lane_at_infinity_fails_alone_in_sin_and_cos(op):
+    funs = [VectorFunction([getattr(ex, op)(var(0) * c) + var(1)], 2)
+            for c in (0.5, 2.0, -3.0)]
+    X = np.array([[0.3, 1.0], [np.inf, 0.0], [-1.2, 2.0]])
+    for tapes in zip(*[(f._compiled_outputs(), f._compiled_jacobian()) for f in funs]):
+        errors = {}
+        got = ex._LaneTape(list(tapes)).run(X, np.zeros((3, 0)), np.arange(3), errors)
+        want = _raised(tapes[1].run, X[1], np.zeros(0))
+        assert list(errors) == [1]
+        assert errors[1].node is want.node and str(errors[1]) == str(want)
+        for k in (0, 2):
+            assert got[k].tobytes() == tapes[k].run(X[k], np.zeros(0)).tobytes()
 
 
 def test_lane_errors_keep_each_rows_first_error():

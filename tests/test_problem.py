@@ -1,4 +1,4 @@
-"""Problem construction, validation, lifting, parameters, JSON round trips."""
+"""Problem construction, validation, parameters, JSON round trips."""
 
 import json
 
@@ -8,19 +8,15 @@ import pytest
 from aladin import expr as ex
 from aladin.expr import VectorFunction, var, param
 from aladin.problem import (
-    LiftTerm,
     SeparableProblem,
     SolverOptions,
     Subproblem,
-    lift,
     load_problem_json,
     problem_from_dict,
     problem_to_dict,
     set_parameters,
     validate,
 )
-
-import oracles
 
 
 def tutorial_problem():
@@ -97,71 +93,6 @@ class TestSubproblem:
             Subproblem(VectorFunction([ex.const(2.0)], 0), A=np.zeros((1, 0)))
 
 
-class TestLift:
-    def test_tutorial_shape(self):
-        # term 1 touches {0}; term 2 touches {0, 1}
-        t1 = LiftTerm(VectorFunction([2 * ex.square(var(0) - 1)], 1), [0])
-        h = VectorFunction([-1 - var(0) * var(1), -1.5 + var(0) * var(1)], 2)
-        t2 = LiftTerm(VectorFunction([ex.square(var(1) - 2)], 2), [0, 1], h=h)
-        res = lift([t1, t2])
-        prob = res.problem
-        assert prob.n_s == 2 and prob.n_c == 1
-        np.testing.assert_allclose(prob.subproblems[0].A, [[1.0]])
-        np.testing.assert_allclose(prob.subproblems[1].A, [[-1.0, 0.0]])
-        np.testing.assert_allclose(prob.b, [0.0])
-        assert validate(prob) == []
-
-    def test_single_term_no_consensus(self):
-        t = LiftTerm(VectorFunction([ex.square(var(0)) + ex.square(var(1))], 2), [0, 1])
-        res = lift([t])
-        assert res.problem.n_c == 0
-        assert res.problem.subproblems[0].A.shape == (0, 2)
-        assert res.problem.b.size == 0
-        assert validate(res.problem) == []
-
-    def test_term_with_no_variables_rejected(self):
-        t = LiftTerm(VectorFunction([ex.const(1.0)], 0), [])
-        with pytest.raises(ValueError):
-            lift([t])
-
-    def test_three_terms_one_shared_scalar(self):
-        # three convex quadratic terms in one global scalar; the lifted KKT
-        # solution must equal the centralized minimizer of the sum
-        rng = np.random.default_rng(42)
-        qs = rng.uniform(0.5, 2.0, 3)
-        cs = rng.uniform(-1.0, 1.0, 3)
-        terms = [
-            LiftTerm(VectorFunction([q * ex.square(var(0) - c)], 1), [0])
-            for q, c in zip(qs, cs)
-        ]
-        res = lift(terms)
-        prob = res.problem
-        assert prob.n_c == 2
-        assert validate(prob) == []
-        # two rows pin copies 2 and 3 to copy 1
-        np.testing.assert_allclose(prob.subproblems[0].A, [[1.0], [1.0]])
-        np.testing.assert_allclose(prob.subproblems[1].A, [[-1.0], [0.0]])
-        np.testing.assert_allclose(prob.subproblems[2].A, [[0.0], [-1.0]])
-        # centralized oracle: stationarity of sum q_i (x - c_i)^2
-        x_star = np.sum(qs * cs) / np.sum(qs)
-        # lifted KKT: quadratic equality QP in the 3 copies
-        H = np.diag(2 * qs)
-        gvec = -2 * qs * cs
-        Afull = np.column_stack([s.A for s in prob.subproblems]).reshape(2, 3)
-        xsol, _ = oracles.solve_equality_qp(H, gvec, Afull, np.zeros(2))
-        np.testing.assert_allclose(xsol, x_star, atol=1e-8)
-        assert abs(res.map_back([xsol[:1], xsol[1:2], xsol[2:]])[0] - x_star) < 1e-8
-
-    def test_bounds_replicated_on_copies(self):
-        t1 = LiftTerm(VectorFunction([ex.square(var(0))], 1), [0])
-        t2 = LiftTerm(VectorFunction([ex.square(var(0) - 2)], 1), [0])
-        res = lift([t1, t2], lb=[-1.0], ub=[1.0], x0=[0.5])
-        for s in res.problem.subproblems:
-            np.testing.assert_allclose(s.lb, [-1.0])
-            np.testing.assert_allclose(s.ub, [1.0])
-            np.testing.assert_allclose(s.z0, [0.5])
-
-
 class TestSetParameters:
     def test_graphs_are_reused(self):
         f = VectorFunction([ex.square(var(0) - param(0))], 1, n_p=1)
@@ -195,6 +126,7 @@ class TestSolverOptions:
             {"hessian": "newton"},
             {"variant": "other"},
             {"inner_alg": "cg"},
+            {"log_every": -1},
         ],
     )
     def test_invalid_rejected(self, kw):

@@ -6,22 +6,17 @@ import pytest
 from aladin import expr as ex
 from aladin.expr import VectorFunction, var
 from aladin.errors import LicqError
-from aladin.problem import stack_chunks
-from aladin.problem import Subproblem
+from aladin.problem import Subproblem, coupling_rows, stack_chunks
 from aladin.sensitivity import (
-    ActiveSet,
     ReducedBlock,
-    active_jacobian,
     bfgs_update,
-    coupling_rows,
-    detect_active,
     nullspace_basis,
     reduce_block,
     regularize,
     schur_contribution,
 )
 
-import oracles
+from oracles import ActiveSet, active_jacobian, detect_active
 
 TAU = 1e-6
 

@@ -3,11 +3,12 @@
 The reference below is the per-block sensitivity and Schur code as it stood
 before the layers became group-major, copied verbatim: ``_sensitivity_pack``
 and ``_coordinate`` of the driver, the per-block kernels of ``sensitivity``
-(active sets and Jacobians, ``regularize``, ``bfgs_update``,
-``nullspace_basis``, ``reduce_block``, ``ReducedBlock.solved``,
-``schur_contribution``) and ``solve_coordination_reduced`` and
-``reduced_result`` of ``coordination``; the one edit is that the copied
-``solve_coordination_reduced`` calls the copied ``schur_contribution``.  It
+(active sets and Jacobians, which ``oracles`` keeps, ``regularize``,
+``bfgs_update``, ``nullspace_basis``, ``reduce_block``,
+``ReducedBlock.solved``, ``schur_contribution``) and
+``solve_coordination_reduced`` and ``reduced_result`` of ``coordination``;
+the one edit is that the copied ``solve_coordination_reduced`` calls the
+copied ``schur_contribution``.  It
 shares no code with the stacked layers: the adapters swap it in for
 ``driver._sensitivity_pack`` and ``driver._coordinate`` with
 ``monkeypatch``, block after block, reading the driver's group-major state
@@ -35,8 +36,8 @@ from aladin.examples_lib import coupled_qp
 from aladin.expr import VectorFunction, param, var
 from aladin.linalg import sym_solve
 from aladin.problem import SeparableProblem, SolverOptions, Subproblem
-from aladin.sensitivity import ActiveSet
 
+from oracles import ActiveSet, active_jacobian, detect_active
 from test_driver_reference import ALADIN_CASES, assert_same_run
 
 
@@ -96,53 +97,6 @@ class SensitivityPack:
     hess: np.ndarray | None
     active: ActiveSet
     jac_active: np.ndarray
-
-
-def combined_inequalities(sub, x, p=None):
-    """Values of h~ = (h, lb - x, x - ub); infinite bounds give -inf rows."""
-    p = sub.p0 if p is None else p
-    hv = ex.evaluate(sub.h, x, p)
-    return np.concatenate([hv, sub.lb - x, x - sub.ub])
-
-
-def detect_active(sub, x, p, tau):
-    """Active set at x: every j with h~_j(x) > -tau.
-
-    A block without inequalities and finite bounds has nothing that could be
-    active, so it gets the empty set without evaluating anything.
-    """
-    if tau <= 0:
-        raise ValueError("active-set margin must be positive")
-    if sub.n_h == 0 and not (np.isfinite(sub.lb).any() or np.isfinite(sub.ub).any()):
-        return ActiveSet((), 0, sub.n_x)
-    vals = combined_inequalities(sub, x, p)
-    idx = tuple(int(j) for j in np.flatnonzero(vals > -tau))
-    return ActiveSet(idx, sub.n_h, sub.n_x)
-
-
-def active_jacobian(sub, x, p, act):
-    """Rows: grad g_i stacked over grad h~_j for j active, in index order.
-
-    Box rows are unit vectors: -e_k for an active lower bound on x_k,
-    +e_k for an active upper bound.
-    """
-    p = sub.p0 if p is None else p
-    n = sub.n_x
-    rows = [ex.jacobian(sub.g, x, p)]
-    if act.indices:
-        Jh = ex.jacobian(sub.h, x, p)
-        for j in act.indices:
-            if j < act.n_h:
-                rows.append(Jh[j: j + 1])
-            elif j < act.n_h + n:
-                e = np.zeros((1, n))
-                e[0, j - act.n_h] = -1.0
-                rows.append(e)
-            else:
-                e = np.zeros((1, n))
-                e[0, j - act.n_h - n] = 1.0
-                rows.append(e)
-    return np.vstack(rows) if rows else np.zeros((0, n))
 
 
 def regularize(H, delta):
