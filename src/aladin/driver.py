@@ -402,8 +402,7 @@ def _sensitivity_pack(problem, opts, state, coupling):
 def _reduce(opts, full, H, grad, C, A, rows):
     """Nullspace basis and reduced block of some lanes, B factored."""
     Z = nullspace_basis(C)
-    red = reduce_block(H, grad, A, Z, opts.reg_param, reg=opts.reg and not full,
-                       rows=rows)
+    red = reduce_block(H, grad, A, Z, opts.reg_param, rows, reg=opts.reg and not full)
     red.solved  # factor B here, so a singular one names its block
     return Z, red
 

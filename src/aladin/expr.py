@@ -5,8 +5,8 @@ variables ``var(i)`` and parameters ``param(j)``.  Derivatives (gradients,
 Jacobians, Lagrangian Hessians) are obtained by symbolic graph rewriting with
 constant folding.  As in CasADi's SX machine, each operator is written once,
 in the table ``_OPS``: its scalar value, its exactly rounded numpy ufunc and
-domain, and its derivative rule.  Folding, differentiation and both tape
-interpreters look it up there.
+domain, and its derivative rule.  Folding, differentiation and the
+generated programs look it up there.
 
 Evaluation does not walk the graphs.  Each root set of a ``VectorFunction``
 (its outputs, its gradient graphs, or the Hessian of one output) is compiled
@@ -19,9 +19,10 @@ all-constant gradient graphs has a zero Hessian and no Hessian graphs at
 all.  The tapes apply the same scalar functions in the same order as a
 direct post-order walk of the graphs, so values, overflow to inf and
 ``DomainEvalError`` (naming the failing node) are exactly those of that
-walk.  Tapes are read-only once built (their structural ``key``, computed on
-first use, is the same whoever computes it) and every call allocates its own
-registers and result, so functions may be evaluated from several threads.
+walk.  Tapes are read-only once built (their structural ``key`` and
+programs, filled in on first use, are the same whoever fills them) and every
+call allocates its own registers and result, so functions may be evaluated
+from several threads.
 
 The functions of one problem that differ only in their constants' values
 share their derivation and compilation, as CasADi's ``Function.map``
@@ -33,8 +34,8 @@ problem with equal structures to one ``_Structure``.  Its representative
 alone is differentiated and compiled, while the constants its derivation
 folds are recorded.  Every other function then replays those folds on its
 own constants, all functions at once in one lane tape, and takes the
-representative's tapes (instructions, loads, scatter and key) with its own
-``init`` and ``base``: bit for bit the tapes it would compile itself.  A
+representative's tapes (instructions, loads, scatter and programs) with its
+own ``init`` and ``base``: bit for bit the tapes it would compile itself.  A
 function whose replayed folds meet another fold class (``x**3.0`` derives
 ``square`` where ``x**2.5`` derives ``pow(x, 1.5)``) or raise compiles its
 own.  Nothing outlives the problem's functions: once both kinds of root set
@@ -42,24 +43,40 @@ are compiled, they let go of their structure.  A shared tape's nodes are the
 representative's, so on a DomainEvalError it compiles the block's own tape
 and reruns the point on it, and the error names the block's own node.
 
-Tapes of equal ``key`` differ only in their constants.  A ``_LaneTape``
-stacks the tapes of one root set of several blocks, whose results have
-equal sizes, and runs them on all the blocks' points at once; each lane's
-values and errors are those of its own tape.  It splits its lanes once by
-tape key (tapes of one structure hold one key object, so it is hashed
-once), and each part, the lanes whose tapes share a key, runs on its own.
-A run on a single lane of a part is its own ``_Tape.run``.  A run on
-several goes in wavefronts: the instructions of one dependency level and
-one operator form a batch that writes one contiguous block of register
-rows, and a batch whose operator has a ufunc takes one call for all its
-instructions and lanes, so a tape costs one call per (level, operator)
-pair rather than one per instruction.  Each interpreter is the faster on
-its own traffic.
+Tapes of equal ``key`` differ only in their constants, and run as one
+generated Python program per key, as CasADi evaluates a function through
+generated code rather than by walking its graph.  The programs are built on
+first use and kept in a process-wide table of fixed size, so the problems
+that one generator builds again and again generate each program once; the
+table holds only code and index arrays derived from keys, and each call
+takes the tape's constants as an argument.  A tape's scalar program is
+straight-line code, a statement per instruction: ``add``, ``sub``, ``mul``,
+``neg`` and ``square`` are written infix, exactly their ``_OPS`` functions
+on Python floats, and the other operators call their ``_OPS`` function, so
+domain checks and overflow are unchanged.  The instruction list itself is
+run one instruction at a time only on the error path, to name the node
+whose DomainEvalError the program raised.
+
+A ``_LaneTape`` stacks the tapes of one root set of several blocks, whose
+results have equal sizes, and runs them on all the blocks' points at once;
+each lane's values and errors are those of its own tape.  It splits its
+lanes once by tape key (tapes of one structure hold one key object, so it
+is hashed once), and each part, the lanes whose tapes share a key, runs on
+its own.  A run on a single lane of a part is its own ``_Tape.run``.  A run
+on several calls the part's wavefront program: the instructions of one
+dependency level and one operator form a batch that writes one contiguous
+block of register rows, and the program is a statement per batch, one
+ufunc call over all its instructions and lanes where the operator has one,
+so a tape costs one call per (level, operator) pair rather than one per
+instruction.  Where a lane leaves an operator's domain the program stops
+and every lane reruns its own tape, which gives the failing lanes their
+errors and the others the values the program would have given.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -403,6 +420,73 @@ _OPS = {
 # evaluation
 # ---------------------------------------------------------------------------
 
+# the globals of the generated programs: each operator's scalar function,
+# ufunc and domain mask (the first three fields of its _OPS entry) by name
+_GLOBALS = {f"{op}_{part}": v for op, entry in _OPS.items()
+            for part, v in zip(("fn", "uf", "out"), entry)}
+_GLOBALS["reshape"] = np.reshape
+
+# operators written infix in the scalar programs: exactly their _OPS function
+# on Python floats
+_INFIX = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "neg": "-{}",
+          "square": "{0} * {0}"}
+
+# the most programs of each kind the process keeps; a program dropped is
+# generated again by the next instruction list of its key to run
+_PROGRAMS = 256
+
+
+def _generated(source, names):
+    """The function ``run`` that ``source`` defines, with ``_GLOBALS`` and
+    ``names``, index arrays derived from a key, as its globals: never a
+    problem's constants or nodes."""
+    namespace = dict(_GLOBALS, **names)
+    exec(compile(source, "<tape program>", "exec"), namespace)
+    return namespace["run"]
+
+
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _scalar_program(key):
+    """The straight-line program of tapes of ``key``: ``run(init, xs, ps)``,
+    the values of their nonconstant roots in ``out_reg`` order.
+
+    Register r is the local ``r<r>``: a constant is read from ``init``, a
+    load from the lists ``xs`` and ``ps``, and an instruction is one
+    statement, infix where ``_INFIX`` has its operator and else a call of
+    its ``_OPS`` function, so values, overflow and errors are the
+    interpreter's.
+    """
+    code, x_loads, p_loads, _, out_reg, n_reg, _ = key
+    written = {r for r, _ in x_loads} | {r for r, _ in p_loads} | {d for _, d, _, _ in code}
+    lines = ["def run(init, xs, ps):"]
+    lines += [f" r{r} = init[{r}]" for r in range(n_reg) if r not in written]
+    lines += [f" r{r} = xs[{i}]" for r, i in x_loads]
+    lines += [f" r{r} = ps[{i}]" for r, i in p_loads]
+    for kind, dst, a, b in code:
+        args = (f"r{a}",) if b < 0 else (f"r{a}", f"r{b}")
+        form = _INFIX.get(kind)
+        value = form.format(*args) if form else f"{kind}_fn({', '.join(args)})"
+        lines.append(f" r{dst} = {value}")
+    lines.append(f" return [{', '.join(f'r{r}' for r in out_reg)}]")
+    return _generated("\n".join(lines), {})
+
+
+class _Programs:
+    """What every tape of one instruction list shares: its ``key`` and its
+    generated programs, each looked up by key on first use.
+
+    ``_compile`` makes one per instruction list and ``_Tape.shared`` hands
+    it on.  ``scalar`` is ``_scalar_program(key)`` and ``waves``
+    ``_wavefronts(key)``.  Threads that fill one at once store equal
+    values, and either may be kept.
+    """
+
+    __slots__ = ("key", "scalar", "waves")
+
+    def __init__(self):
+        self.key = self.scalar = self.waves = None
+
+
 class _Tape:
     """One compiled root set: a flat instruction list over numbered registers.
 
@@ -413,22 +497,32 @@ class _Tape:
     the walk order of the graph, and ``out_pos``/``out_reg`` scatter the
     nonconstant roots into the result.  An instruction ``(fn, dst, a, b,
     node)`` holds its operator's scalar function from ``_OPS`` (b < 0 for a
-    unary one) and its node, attached to any DomainEvalError the function
-    raises.
-    Evaluation copies ``base`` and ``init``, so every call gets fresh
-    registers and a fresh result.
+    unary one) and its node.
+
+    ``run`` calls the straight-line program generated for the tape's
+    ``key`` (``_scalar_program``, through ``programs``) on ``init`` and the
+    point, and scatters its values into a copy of ``base``, so every call
+    gets fresh registers and a fresh result.  Where the program raises a
+    DomainEvalError, ``_interpret`` runs the instructions one by one to
+    attach the failing node; it is the error path only.
 
     A tape ``shared`` from another function's of one ``_Structure`` holds
-    that tape's instructions, loads, scatter and key, and its own function's
-    constants.  Its nodes are the other function's, so ``own`` holds its
-    function's outputs, dimensions and root set: on the first error the
-    function's own tape is compiled from them (and kept), and it reruns the
-    point and raises the error naming the block's own node.  ``own`` is
-    None for a tape compiled from its function's graphs.
+    that tape's instructions, loads, scatter and programs, and its own
+    function's constants.  Its nodes are the other function's, so ``own``
+    holds its function's outputs, dimensions and root set: on the first
+    error the function's own tape is compiled from them (and kept), and it
+    reruns the point and raises the error naming the block's own node.
+    ``own`` is None for a tape compiled from its function's graphs.
     """
 
     __slots__ = ("base", "init", "x_loads", "p_loads", "code", "out_pos",
-                 "out_reg", "own", "_key")
+                 "out_reg", "own", "programs")
+
+    def __init__(self, init, x_loads, p_loads, code, base, out_pos, out_reg,
+                 own=None, programs=None):
+        self.init, self.x_loads, self.p_loads, self.code = init, x_loads, p_loads, code
+        self.base, self.out_pos, self.out_reg, self.own = base, out_pos, out_reg, own
+        self.programs = _Programs() if programs is None else programs
 
     @property
     def key(self):
@@ -439,16 +533,15 @@ class _Tape:
         result positions; they differ at most in the values of ``init`` and
         ``base``.
         """
-        try:
-            return self._key
-        except AttributeError:
-            self._key = (
+        programs = self.programs
+        if programs.key is None:
+            programs.key = (
                 tuple((node.kind, dst, a, b) for _, dst, a, b, node in self.code),
                 tuple(self.x_loads), tuple(self.p_loads),
                 tuple(self.out_pos.tolist()), tuple(self.out_reg),
                 len(self.init), self.base.size,
             )
-            return self._key
+        return programs.key
 
     def run(self, x, p):
         out = self.base.copy()
@@ -456,36 +549,43 @@ class _Tape:
             return out
         # Python floats, as the constants are: arithmetic on them overflows
         # to inf without a numpy warning, and errors print them plainly
-        reg = self.init.copy()
         xs, ps = x.tolist(), p.tolist()
+        program = self.programs.scalar
+        if program is None:
+            program = self.programs.scalar = _scalar_program(self.key)
+        try:
+            out[self.out_pos] = program(self.init, xs, ps)
+        except DomainEvalError:
+            if self.own is None:
+                self._interpret(xs, ps)  # raises the error, naming its node
+                raise
+            if type(self.own) is tuple:
+                outputs, n_x, n_p, which = self.own
+                self.own = _compile_sets(VectorFunction(outputs, n_x, n_p), (which,))[0]
+            return self.own.run(x, p)
+        return out
+
+    def _interpret(self, xs, ps):
+        """Run the instructions one at a time on the lists ``xs``, ``ps``,
+        and attach its node to the DomainEvalError one of them raises."""
+        reg = self.init.copy()
         for r, i in self.x_loads:
             reg[r] = xs[i]
         for r, i in self.p_loads:
             reg[r] = ps[i]
-        try:
-            for fn, dst, a, b, node in self.code:
+        for fn, dst, a, b, node in self.code:
+            try:
                 reg[dst] = fn(reg[a]) if b < 0 else fn(reg[a], reg[b])
-        except DomainEvalError as err:
-            if self.own is None:
+            except DomainEvalError as err:
                 err.node = node
                 raise
-        else:
-            out[self.out_pos] = [reg[r] for r in self.out_reg]
-            return out
-        if type(self.own) is tuple:
-            outputs, n_x, n_p, which = self.own
-            self.own = _compile_sets(VectorFunction(outputs, n_x, n_p), (which,))[0]
-        return self.own.run(x, p)
 
     def shared(self, init, base, own):
         """This tape with another function's constants, ``init`` and
         ``base``; ``own`` is that function's (outputs, n_x, n_p) and the
         root set."""
-        t = _Tape()
-        t.code, t.x_loads, t.p_loads = self.code, self.x_loads, self.p_loads
-        t.out_pos, t.out_reg, t._key = self.out_pos, self.out_reg, self.key
-        t.init, t.base, t.own = init, base, own
-        return t
+        return _Tape(init, self.x_loads, self.p_loads, self.code, base,
+                     self.out_pos, self.out_reg, own, self.programs)
 
 
 class _LaneTape:
@@ -498,10 +598,11 @@ class _LaneTape:
     tapes in lane order and ``at`` each lane's index in it (-1 for a lane
     of another key).  Tapes of one key, or of one lane, leave ``parts``
     None and run as one part.  A run on one lane of a part is that lane's
-    ``_Tape.run``.  A run on several goes in wavefronts over registers
-    that are rows over the lanes: ``waves``, the program ``_wavefronts``
-    builds from the tapes on first use (a group that only ever runs one
-    lane at a time never builds it).
+    ``_Tape.run``.  A run on several calls the wavefront program of the
+    part's key (``_wavefronts``) on registers that are rows over the lanes,
+    starting from ``waves.init``, the rows of the lanes' constants, built
+    on first use (a group that only ever runs one lane at a time never
+    builds them).
     """
 
     def __init__(self, tapes):
@@ -529,25 +630,21 @@ class _LaneTape:
 
     @property
     def waves(self):
-        """The wavefront program, built once; whoever builds it builds the same."""
+        """The part's ``_Wavefronts``, built once; whoever builds it builds
+        the same."""
         try:
             return self._waves
         except AttributeError:
-            self._waves = _wavefronts(self.tapes, self.base)
+            first = self.tapes[0]
+            schedule = first.programs.waves
+            if schedule is None:
+                schedule = first.programs.waves = _wavefronts(first.key)
+            values = np.hstack([np.array([t.init for t in self.tapes])[:, schedule.consts],
+                                self.base[:, schedule.roots]])
+            init = np.zeros((schedule.n_rows, len(self.tapes)))
+            init[schedule.consts_at:schedule.consts_at + values.shape[1]] = values.T
+            self._waves = _Wavefronts(init, schedule.batches, schedule.run)
             return self._waves
-
-    def _fail(self, errors, lanes, row, X, P):
-        """Put the error of this row's lane into ``errors``, unless it has one.
-
-        The lane's own tape runs on its row of X and P, so the error is the
-        one solving its block alone raises, node and message alike.
-        """
-        if row in errors:
-            return
-        try:
-            self.tapes[lanes[row]].run(X[row], P[row])
-        except DomainEvalError as err:
-            errors[row] = err
 
     def run(self, X, P, lanes, errors):
         """Rows of results for the ``lanes``, whose x and p are rows of X, P.
@@ -584,120 +681,140 @@ class _LaneTape:
         return out
 
     def _run_lanes(self, X, P, lanes, errors):
-        """``run`` on several lanes, one batch at a time.
+        """``run`` on several lanes: the wavefront program, once.
 
         Every row holds, in each lane, the value of its registers in the
-        lane's own tape, so a lane's results are those of its ``_Tape.run``;
-        a lane that leaves a domain takes its error from rerunning that
-        tape (``_fail``).
+        lane's own tape, so a lane's results are those of its ``_Tape.run``.
+        Where an operand of some lane leaves its operator's domain the
+        program stops, and every lane reruns its own ``_Tape.run``: the
+        lanes that fail there take its error, the others its values.
         """
         every = len(lanes) == len(self.base) and lanes.tobytes() == self._iota
         if self.constant:
             return self.base.copy() if every else self.base[lanes]
         waves = self.waves
         R = waves.init.copy() if every else waves.init.take(lanes, axis=1)
-        n_x, n_p = waves.n_x, waves.n_p
-        if n_x:
-            R[:n_x] = _gather(X.T, waves.x_idx)
-        if n_p:
-            R[n_x:n_x + n_p] = _gather(P.T, waves.p_idx)
-        for fn, ufunc, outside, dst, a, b in waves.batches:
-            args = (_gather(R, a),) if b is None else (_gather(R, a), _gather(R, b))
-            if ufunc is None:
-                # the scalar function on every entry, so libm rounds each
-                n = R.shape[1]
-                vals = []
-                for k, v in enumerate(zip(*[u.ravel().tolist() for u in args])):
-                    try:
-                        vals.append(fn(*v))
-                    except DomainEvalError:
-                        self._fail(errors, lanes, k % n, X, P)
-                        vals.append(math.nan)
-                R[dst] = np.reshape(vals, args[0].shape)
-            elif outside is None:
-                ufunc(*args, out=R[dst])
-            else:
-                # the entries outside the domain are skipped, their lanes fail
-                bad = outside(*args)
-                ufunc(*args, out=R[dst], where=~bad)
-                if bad.any():
-                    for j in np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0)):
-                        self._fail(errors, lanes, j, X, P)
-        return R.take(waves.src, axis=0).T.copy()
+        try:
+            out = waves.run(R, X, P)
+        except DomainEvalError:
+            out = None
+        if out is not None:
+            return out
+        out = np.full((len(lanes), self.base.shape[1]), np.nan)
+        for k, i in enumerate(lanes.tolist()):
+            try:
+                out[k] = self.tapes[i].run(X[k], P[k])
+            except DomainEvalError as err:
+                errors.setdefault(k, err)
+        return out
 
 
-_Wavefronts = namedtuple("_Wavefronts", "init n_x n_p x_idx p_idx batches src")
+# ``init`` (n_rows, n_lanes), one lane tape's starting registers, and its
+# key's ``_Schedule`` ``batches`` and ``run``
+_Wavefronts = namedtuple("_Wavefronts", "init batches run")
+_Schedule = namedtuple("_Schedule", "n_rows consts_at consts roots batches run")
 
 
-def _wavefronts(tapes, base):
-    """The program that runs structurally equal ``tapes`` on their lanes.
+@functools.lru_cache(maxsize=_PROGRAMS)
+def _wavefronts(key):
+    """The ``_Schedule`` that runs tapes of ``key`` on several lanes at once.
 
     An instruction's level is one above its operands' highest (loads and
     constants are level 0); the instructions of one level and one operator
-    form a batch, and none of them reads another's result.  The rows of
-    ``init`` (n_rows, n_lanes) are, in order: ``n_x`` rows, one per x entry
-    loaded, and ``n_p``, one per p entry loaded, by index (``x_idx``,
-    ``p_idx``; registers loading the same entry share its row); the
-    constants, operands and constant roots alike, each lane's value taken
-    from its own tape (two with equal values in every lane share a row);
-    then the destinations of each batch in (level, operator) order, so that
-    a batch writes one contiguous block of rows.  A batch is ``(fn, ufunc,
-    outside, dst, a, b)``: its operator's ``_OPS`` entry, its destination
-    rows (a slice, or one row for a batch of one) and its operand rows (a
-    slice where they are contiguous; ``b`` is None for a unary operator).
-    An operator with a ufunc runs as one call over the batch's rows and
-    lanes, skipping the entries outside its domain; the others run their
-    scalar function entry by entry.  Result position k of a lane is row
-    ``src[k]``; ``base`` holds the lanes' results, constant roots filled in.
+    form a batch, and none of them reads another's result.  The rows of the
+    registers (n_rows, n_lanes) are, in order: one per x entry loaded, then
+    one per p entry loaded (registers loading the same entry share its
+    row); from ``consts_at``, one per constant register, the registers
+    ``consts`` in order, then one per constant root, the result positions
+    ``roots``; then the destinations of each batch in (level, operator)
+    order, so that a batch writes one contiguous block of rows, up to
+    ``n_rows``.  The layout depends on the key alone, and a lane tape fills
+    the constant rows from its own tapes.  A batch is ``(fn, ufunc, outside,
+    dst, a, b)``: its operator's ``_OPS`` entry, its destination rows (a
+    slice, or one row for a batch of one) and its operand rows (a slice
+    where they are contiguous, else an array; ``b`` is None for a unary
+    operator).
+
+    ``run(R, X, P)`` is the schedule as one generated function, a statement
+    per batch with its rows fixed: it loads the rows of X and P (lanes
+    first) into R, runs each batch, and returns the lanes' results, lanes
+    first.  A batch whose operator has a ufunc is one call over its rows
+    and lanes; one with a domain mask first returns None if any entry is
+    outside it.  The other operators run their scalar function on every
+    entry, so libm rounds each lane as its own tape does, and a
+    DomainEvalError leaves the function.
     """
-    first = tapes[0]
-    level = [0] * len(first.init)
+    code, x_loads, p_loads, out_pos, out_reg, n_reg, size = key
+    level = [0] * n_reg
     batches = {}  # (level, operator) -> [(dst, a, b)]
-    for _, dst, a, b, node in first.code:
+    for kind, dst, a, b in code:
         lv = level[dst] = 1 + max(level[a], level[b] if b >= 0 else 0)
-        batches.setdefault((lv, node.kind), []).append((dst, a, b))
-    x_idx = sorted({i for _, i in first.x_loads})
-    p_idx = sorted({i for _, i in first.p_loads})
+        batches.setdefault((lv, kind), []).append((dst, a, b))
+    x_idx = sorted({i for _, i in x_loads})
+    p_idx = sorted({i for _, i in p_loads})
     new = {}  # register -> row
     row = {i: k for k, i in enumerate(x_idx)}
-    new.update((r, row[i]) for r, i in first.x_loads)
+    new.update((r, row[i]) for r, i in x_loads)
     row = {i: len(x_idx) + k for k, i in enumerate(p_idx)}
-    new.update((r, row[i]) for r, i in first.p_loads)
-    written = set(new).union(dst for _, dst, _, _, _ in first.code)
-    consts = [r for r in range(len(first.init)) if r not in written]
-    roots = np.ones(first.base.size, dtype=bool)
-    roots[first.out_pos] = False
-    roots = np.flatnonzero(roots)
-    values = np.hstack([
-        np.array([[t.init[r] for r in consts] for t in tapes]).reshape(len(tapes), -1),
-        base[:, roots],
-    ]).T
-    start = len(x_idx) + len(p_idx)
-    seen = {}  # a row of values, as bytes -> its row
-    at = [seen.setdefault(v.tobytes(), start + len(seen)) for v in values]
-    new.update(zip(consts, at))
-    start += len(seen)
+    new.update((r, row[i]) for r, i in p_loads)
+    written = set(new).union(dst for _, dst, _, _ in code)
+    consts = [r for r in range(n_reg) if r not in written]
+    consts_at = len(x_idx) + len(p_idx)
+    new.update((r, consts_at + k) for k, r in enumerate(consts))
+    roots = sorted(set(range(size)).difference(out_pos))
+    roots_at = consts_at + len(consts)
+    start = roots_at + len(roots)
+    names = {}  # global of the program -> index array
+
+    def take(M, idx):
+        """The source of the rows ``idx`` of M: an int, a slice or an array."""
+        if type(idx) is int:
+            return f"{M}[{idx}]"
+        if type(idx) is slice:
+            return f"{M}[{idx.start}:{idx.stop}]"
+        name = f"rows{len(names)}"
+        names[name] = idx
+        return f"{M}.take({name}, 0)"
+
+    lines = ["def run(R, X, P):"]
+    for loaded, at, M in ((x_idx, 0, "X.T"), (p_idx, len(x_idx), "P.T")):
+        if loaded:
+            lines.append(f" R[{at}:{at + len(loaded)}] = {take(M, _rows(loaded))}")
     program = []
-    for key in sorted(batches):
-        ins = batches[key]
+    for lv, kind in sorted(batches):
+        ins = batches[lv, kind]
+        k = len(ins)
         a = [new[a] for _, a, _ in ins]
         b = None if ins[0][2] < 0 else [new[b] for _, _, b in ins]
-        if len(ins) == 1:
+        if k == 1:
             dst, a, b = start, a[0], None if b is None else b[0]
         else:
-            dst = slice(start, start + len(ins))
-            a, b = _rows(a), None if b is None else _rows(b)
-        new.update((d, start + k) for k, (d, _, _) in enumerate(ins))
-        start += len(ins)
-        op = _OPS[key[1]]
+            dst, a, b = slice(start, start + k), _rows(a), None if b is None else _rows(b)
+        new.update((d, start + j) for j, (d, _, _) in enumerate(ins))
+        start += k
+        op = _OPS[kind]
         program.append((op.fn, op.ufunc, op.outside, dst, a, b))
-    init = np.zeros((start, len(tapes)))
-    init[at] = values
-    src = np.empty(first.base.size, dtype=np.intp)
-    src[first.out_pos] = [new[r] for r in first.out_reg]
-    src[roots] = at[len(consts):]
-    return _Wavefronts(init, len(x_idx), len(p_idx), _rows(x_idx), _rows(p_idx),
-                       program, src)
+        args = [take("R", u) for u in (a, b) if u is not None]
+        if op.ufunc is None:
+            flat = ".tolist()" if k == 1 else ".ravel().tolist()"
+            vals = f"list(map({kind}_fn, {', '.join(u + flat for u in args)}))"
+            lines.append(f" {take('R', dst)} = "
+                         + (vals if k == 1 else f"reshape({vals}, ({k}, -1))"))
+            continue
+        if op.outside is not None:
+            operands = ", ".join(f"U{j}" for j in range(len(args)))
+            lines += [f" {operands} = {', '.join(args)}",
+                      f" if {kind}_out({operands}).any():", "  return None"]
+            args = [operands]
+        lines.append(f" {kind}_uf({', '.join(args)}, out={take('R', dst)})")
+    src = np.empty(size, dtype=np.intp)
+    src[list(out_pos)] = [new[r] for r in out_reg]
+    src[roots] = np.arange(roots_at, roots_at + len(roots))
+    names["src"] = src
+    lines.append(" return R.take(src, 0).T.copy()")
+    return _Schedule(start, consts_at, np.array(consts, dtype=np.intp),
+                     np.array(roots, dtype=np.intp), tuple(program),
+                     _generated("\n".join(lines), names))
 
 
 def _rows(idx):
@@ -706,11 +823,6 @@ def _rows(idx):
     if idx and idx == list(range(idx[0], idx[0] + len(idx))):
         return slice(idx[0], idx[0] + len(idx))
     return np.array(idx, dtype=np.intp)
-
-
-def _gather(M, rows):
-    """Rows of M: a view for a slice or a single row, else a copy."""
-    return M.take(rows, axis=0) if type(rows) is np.ndarray else M[rows]
 
 
 _READY = object()  # stack marker in _compile
@@ -774,14 +886,10 @@ def _compile(roots, positions, size, consts=None):
                 code.append((_OPS[kind].fn, r, regs[id(a)], regs[id(b)], node))
         out_pos.extend(pos)
         out_reg.extend([regs[id(root)]] * len(pos))
-    tape = _Tape()
-    tape.base = np.zeros(size)
-    tape.base[const_pos] = const_val
-    tape.init, tape.x_loads, tape.p_loads, tape.code = init, x_loads, p_loads, code
-    tape.out_pos = np.array(out_pos, dtype=np.intp)
-    tape.out_reg = out_reg
-    tape.own = None
-    return tape
+    base = np.zeros(size)
+    base[const_pos] = const_val
+    return _Tape(init, x_loads, p_loads, code, base, np.array(out_pos, dtype=np.intp),
+                 out_reg)
 
 
 # the tape of every root set without roots: the outputs and the Jacobian of
@@ -908,11 +1016,8 @@ def _constants(consts, folds, slots):
         init.append(0.0)
         code.append((_OPS[op].fn, r, rs[0], rs[1] if len(rs) > 1 else -1, _Fold(op)))
         classes.append(_fold_class(c.value))
-    tape = _Tape()
-    tape.init, tape.x_loads, tape.p_loads, tape.code = init, x_loads, [], code
-    tape.out_pos = np.arange(len(code), dtype=np.intp)
-    tape.out_reg = [dst for _, dst, _, _, _ in code]
-    tape.base, tape.own = np.zeros(len(code)), None
+    tape = _Tape(init, x_loads, [], code, np.zeros(len(code)),
+                 np.arange(len(code), dtype=np.intp), [dst for _, dst, _, _, _ in code])
     out = []
     for regs, roots in slots:
         regs = [(r, at[id(n)]) for r, n in regs if id(n) in at]

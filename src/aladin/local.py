@@ -19,9 +19,10 @@ loop over a group in lockstep.  Every block is a lane: each iterate is an
 array with the lanes first, and each root set runs once for all lanes
 through the group's ``expr._LaneTape``, which splits the lanes by tape key
 (``expr._Tape.key``: the same instructions, loads and output positions,
-only the constants may differ) and picks each part's interpreter: a single
-lane runs its block's own scalar tape, several run in wavefronts, one ufunc
-call per batch of instructions of one dependency level and one operator.
+only the constants may differ) and runs each part on its own: a single
+lane runs its block's own scalar tape, several the wavefront program of
+their key, one ufunc call per batch of instructions of one dependency level
+and one operator.
 The group owns evaluation: only its ``eval_point`` and ``hessian`` know the
 root sets' positions and run the lane tapes, for this loop and the driver's
 sensitivities alike.  Every lane keeps its own decisions (warm check,

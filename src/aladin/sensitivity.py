@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import LicqError, SingularKktError
 from .linalg import mv
-from .problem import coupling_rows
 
 __all__ = [
     "SensitivityPack",
@@ -206,22 +205,17 @@ def nullspace_basis(C):
     return Vt[..., m:, :].swapaxes(-1, -2)
 
 
-def reduce_block(hess_raw, grad, A, Z, delta, reg=True, rows=None):
+def reduce_block(hess_raw, grad, A, Z, delta, rows, reg=True):
     """Project onto the active-constraint nullspace and re-regularize.
 
-    ``A`` is the block's full coupling matrix A_i or, on any leading lane
-    axes, the compact A_i[rows]; ``rows`` are its coupling rows C(i) =
-    ``coupling_rows([A])[0]``, computed here when not given.  Returns
-    ReducedBlock(Z' H Z, Z' g, A[rows] Z, rows), with Z' H Z regularized
+    ``A`` is the block's compact coupling matrix A_i[rows], on any leading
+    lane axes, and ``rows`` are its coupling rows C(i) (``coupling_rows``).
+    Returns ReducedBlock(Z' H Z, Z' g, A Z, rows), with Z' H Z regularized
     when ``reg`` is set.  The nullspace and bilevel variants pass the raw
     Hessian with ``reg`` from the options; the full-space variant passes its
     already regularized Hessian with ``reg=False``.
     """
     A = np.asarray(A, dtype=float)
-    if rows is None:
-        (rows,) = coupling_rows([A])
-    if A.shape[-2] != rows.shape[-1]:
-        A = A[rows]
     Zt = Z.swapaxes(-1, -2)
     B = Zt @ hess_raw @ Z
     if reg:

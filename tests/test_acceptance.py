@@ -14,7 +14,7 @@ from aladin.expr import VectorFunction, var
 from aladin.decentral import run_dadmm, run_dcg, topology_from_rows
 from aladin.driver import run_admm, run_aladin
 from aladin.examples_lib import coupled_qp, tutorial
-from aladin.problem import SolverOptions
+from aladin.problem import SolverOptions, coupling_rows
 from aladin.sensitivity import bfgs_update, nullspace_basis, reduce_block, regularize
 from aladin.coordination import solve_coordination_reduced
 
@@ -108,8 +108,9 @@ class TestAcceptance:
             dx, s, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
             full = fullspace_step(packs, xs, lam, delta, A_list, b)
             Zs = [nullspace_basis(p.jac_active) for p in packs]
+            rows = coupling_rows(A_list)
             reduced = [
-                reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-10)
+                reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-10, rows[i])
                 for i, p in enumerate(packs)
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]

@@ -10,7 +10,7 @@ from aladin.coordination import (
     update_sigma,
 )
 from aladin.errors import SingularKktError
-from aladin.problem import SolverOptions
+from aladin.problem import SolverOptions, coupling_rows
 from aladin.sensitivity import SensitivityPack, nullspace_basis, reduce_block
 
 
@@ -85,8 +85,9 @@ def monolithic_oracle(packs, A_list, xs, lam, delta, b):
 def fullspace_step(packs, xs, lam, delta, A_list, b):
     """The full-space variant's coordination: Z'HZ of the processed H, unregularized."""
     Zs = [nullspace_basis(p.jac_active) for p in packs]
+    rows = coupling_rows(A_list)
     reduced = [
-        reduce_block(p.hess, p.grad, A_list[i], Zs[i], 1e-4, reg=False)
+        reduce_block(p.hess, p.grad, A_list[i][rows[i]], Zs[i], 1e-4, rows[i], reg=False)
         for i, p in enumerate(packs)
     ]
     couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
@@ -152,8 +153,10 @@ class TestReduced:
         for _ in range(3):
             n = 3
             M = rng.standard_normal((n, n))
+            A = np.zeros((n_c, n))
+            (rows,) = coupling_rows([A])
             red = reduce_block(M @ M.T + n * np.eye(n), rng.standard_normal(n),
-                               np.zeros((n_c, n)), np.eye(n), 1e-4)
+                               A[rows], np.eye(n), 1e-4, rows)
             reduced.append(red)
             couplings.append(np.zeros(red.rows.size))
         lam = rng.standard_normal(n_c)
@@ -175,7 +178,8 @@ class TestReduced:
         A = rng.standard_normal((n_c, n))
         x = rng.standard_normal(n)
         b = rng.standard_normal(n_c)
-        red = reduce_block(B, g, A, np.eye(n), 1e-6)
+        (rows,) = coupling_rows([A])
+        red = reduce_block(B, g, A[rows], np.eye(n), 1e-6, rows)
         out = solve_coordination_reduced([red], [A[red.rows] @ x], np.zeros(n_c),
                                          np.full(n_c, 5e7), b)
         # oracle: equality-constrained QP  A(x + dx) = b
@@ -196,8 +200,9 @@ class TestReduced:
             delta = np.full(b.size, mu / 2.0)
             dx, _, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
             Zs = [nullspace_basis(p.jac_active) for p in packs]
+            rows = coupling_rows(A_list)
             reduced = [
-                reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
+                reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
                 for i, p in enumerate(packs)
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
@@ -229,8 +234,9 @@ class TestReduced:
         delta = np.full(n_c, 10.0)
         dx, _, lam_qp = monolithic_oracle(packs, A_list, xs, lam, delta, b)
         Zs = [nullspace_basis(p.jac_active) for p in packs]
+        rows = coupling_rows(A_list)
         reduced = [
-            reduce_block(p.hess_raw, p.grad, A_list[i], Zs[i], 1e-8)
+            reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
             for i, p in enumerate(packs)
         ]
         np.testing.assert_array_equal(reduced[0].rows, [0, 2])

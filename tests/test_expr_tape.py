@@ -11,6 +11,7 @@ array on every call.
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1185,3 +1186,300 @@ def test_concurrent_first_use_of_one_structure_matches_alone():
             assert_same(a, b)
     for s in problem.subproblems:
         assert_tapes_are_own(s.f)
+
+
+# -- generated programs ----------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def interpret(tape, x, p):
+    """The reference the generated programs must equal: ``tape``'s
+    instructions run one at a time, a DomainEvalError naming the node of
+    the instruction that raised it."""
+    reg = list(tape.init)
+    xs, ps = x.tolist(), p.tolist()
+    for r, i in tape.x_loads:
+        reg[r] = xs[i]
+    for r, i in tape.p_loads:
+        reg[r] = ps[i]
+    for fn, dst, a, b, node in tape.code:
+        try:
+            reg[dst] = fn(reg[a]) if b < 0 else fn(reg[a], reg[b])
+        except ex.DomainEvalError as err:
+            err.node = node
+            raise
+    out = tape.base.copy()
+    out[tape.out_pos] = [reg[r] for r in tape.out_reg]
+    return out
+
+
+def own_tape(t):
+    """The tape the block of ``t`` compiles from its own graphs: ``t`` when
+    it was compiled so, else a fresh compile of its function's root set."""
+    if type(t.own) is not tuple:
+        return t if t.own is None else t.own
+    outputs, n_x, n_p, which = t.own
+    return ex._compile_sets(VectorFunction(outputs, n_x, n_p), (which,))[0]
+
+
+def outcome(run, *args):
+    """(result, None), or (None, the DomainEvalError ``run`` raised)."""
+    try:
+        return run(*args), None
+    except ex.DomainEvalError as err:
+        return None, err
+
+
+def assert_same_error(got, want, alike):
+    """Equal messages, and the same node: the very node where the two
+    tapes were compiled from one graph (``alike``), else an equal one."""
+    assert got is not None and str(got) == str(want)
+    assert got.node is want.node if alike else got.node == want.node
+
+
+def generated_problems(name):
+    """The problems of a benchmark workload at seed 1, or an example's."""
+    from test_driver_reference import interleaved_chain
+    from test_sensitivity_reference import disc_chain
+
+    examples = {"tutorial": tutorial, "ocp_chain": ocp_chain, "disc_chain": disc_chain,
+                "interleaved_chain": interleaved_chain}
+    if name in examples:
+        return [examples[name]()]
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(BENCH))
+    return WORKLOADS[name].build(1).problems()
+
+
+EDGES = (0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, np.nan)
+
+
+def edge_points(n, z0, rng):
+    """Random points near z0, every entry at one edge value, and single
+    entries at each edge value in a random point."""
+    points = [z0 + rng.standard_normal(n) for _ in range(2)]
+    for v in EDGES:
+        points.append(np.full(n, v))
+        x = z0 + rng.standard_normal(n)
+        x[rng.integers(n)] = v
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("name", ["mpc-chain", "qp-wide", "sensor-net", "admm-chain",
+                                  "tutorial", "ocp_chain", "disc_chain",
+                                  "interleaved_chain"])
+def test_generated_programs_equal_the_instruction_loop(name):
+    # every root set of every block, alone and in its lockstep group, at
+    # random points and at +-0, +-inf, the ends of the floats and nan; the
+    # lane runs leave the sign of a nan open, as their ufuncs do
+    from test_lane_stacking import same_or_nan
+
+    rng = np.random.default_rng(7)
+    n_runs = 0
+    for problem in generated_problems(name):
+        subs, params = problem.subproblems, problem.parameters
+        points = [edge_points(s.n_x, s.z0, rng) for s in subs]
+        want = {}  # (block, root set, point) -> (values, error)
+        for i, (s, p) in enumerate(zip(subs, params)):
+            p = np.asarray(p, dtype=float)
+            for j, t in enumerate(local._root_sets(s)):
+                if t is None:
+                    continue
+                ref = own_tape(t)
+                for k, x in enumerate(points[i]):
+                    want[i, j, k] = outcome(interpret, ref, x, p)
+                    got = outcome(t.run, x, p)
+                    if want[i, j, k][1] is None:
+                        assert got[0].tobytes() == want[i, j, k][0].tobytes()
+                    else:
+                        assert_same_error(got[1], want[i, j, k][1], t.own is None)
+                    n_runs += 1
+        for group in group_blocks(subs):
+            P = np.array([np.asarray(params[i], dtype=float) for i in group.blocks])
+            P = P.reshape(len(group), -1)
+            for j, lane in enumerate(group.lane):
+                if lane is None:
+                    continue
+                for k in range(len(EDGES) * 2 + 2):
+                    X = np.array([points[i][k] for i in group.blocks])
+                    errors = {}
+                    with np.errstate(all="ignore"):
+                        got = lane.run(X, P, np.arange(len(group)), errors)
+                    for r, i in enumerate(group.blocks):
+                        values, err = want[i, j, k]
+                        if err is None:
+                            assert r not in errors and same_or_nan(got[r], values)
+                        else:
+                            assert_same_error(errors[r], err, lane.tapes[r].own is None)
+    assert n_runs > 100
+
+
+def failing_block(op, c):
+    """A block whose one output leaves the domain of ``op`` at x0 = c - 1
+    (log, sqrt, pow), x0 = c (log, div) or x0 = inf (sin, cos)."""
+    x0, x1 = var(0), var(1)
+    e = {"log": ex.log(x0 - c), "sqrt": ex.sqrt(x0 - c), "div": x1 / (x0 - c),
+         "pow": (x0 - c) ** 1.5, "sin": ex.sin(x0 * c), "cos": ex.cos(x0 * c)}[op]
+    return Subproblem(VectorFunction([e * ex.square(x1) + x1], 2))
+
+
+@pytest.mark.parametrize("op", ["log", "sqrt", "div", "pow", "sin", "cos"])
+def test_each_operators_error_names_the_walks_node(op):
+    # own tapes, tapes shared within a problem, and lane runs of both: the
+    # node and message of the reference walk of the block's own graphs
+    consts = (0.5, 1.5, 2.5)
+    problem = SeparableProblem([failing_block(op, c) for c in consts])
+    shared = [s.f for s in problem.subproblems]
+    alone = [VectorFunction(f.outputs, 2) for f in shared]
+    assert all(f._compiled_outputs().own is not None for f in shared[1:])
+    n_raised = 0
+    for x0 in (-0.5, 0.5, 1.5, np.inf):
+        X = np.array([[x0, 0.75]] * len(consts))
+        for fun, ref in ((ex.evaluate, ref_evaluate), (ex.jacobian, ref_jacobian)):
+            for fs in (alone, shared):
+                for f, x in zip(fs, X):
+                    want = _raised(ref, f, x)
+                    got = _raised(fun, f, x)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert_same_error(got, want, fun is ex.evaluate)
+                        n_raised += 1
+                tapes = [f._compiled_outputs() if fun is ex.evaluate
+                         else f._compiled_jacobian() for f in fs]
+                errors = {}
+                with np.errstate(all="ignore"):
+                    ex._LaneTape(tapes).run(X, np.zeros((3, 0)), np.arange(3), errors)
+                for k, (f, x) in enumerate(zip(fs, X)):
+                    want = _raised(ref, f, x)
+                    assert (k in errors) == (want is not None)
+                    if want is not None:
+                        assert_same_error(errors[k], want, fun is ex.evaluate)
+    assert n_raised >= 6
+
+
+def test_two_problems_of_one_generator_share_their_programs():
+    # one program per key, each problem's results from its own constants
+    problems = [coupled_qp(seed=seed, n_blocks=6, block_size=2) for seed in (1, 2)]
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 2))
+    P = np.zeros((6, 0))
+    runs = []
+    for problem in problems:
+        tapes = [local._root_sets(s) for s in problem.subproblems]
+        (group,) = group_blocks(problem.subproblems)
+        lanes = [lane for lane in group.lane if lane is not None and not lane.constant]
+        assert lanes
+        for lane in lanes:
+            got = lane.run(X, P, np.arange(6), {})
+            for k, t in enumerate(lane.tapes):
+                assert got[k].tobytes() == interpret(t, X[k], P[k]).tobytes()
+                assert t.run(X[k], P[k]).tobytes() == got[k].tobytes()
+        runs.append((tapes, lanes, [lane.run(X, P, np.arange(6), {}) for lane in lanes]))
+    (tapes_a, lanes_a, got_a), (tapes_b, lanes_b, got_b) = runs
+    for row_a, row_b in zip(tapes_a, tapes_b):
+        for a, b in zip(row_a, row_b):
+            if a is not None and a.out_reg:
+                assert a.programs is not b.programs and a.code is not b.code
+                assert a.programs.scalar is b.programs.scalar
+    for a, b, va, vb in zip(lanes_a, lanes_b, got_a, got_b):
+        assert a.waves.run is b.waves.run and a.waves.batches is b.waves.batches
+        assert a.waves.init.tobytes() != b.waves.init.tobytes()
+        assert va.tobytes() != vb.tobytes()
+
+
+def test_programs_past_the_bound_are_dropped_and_made_again():
+    # more keys than either table holds: each tape keeps the programs it
+    # took, a key dropped is generated again, and every run stays exact
+    bound = ex._scalar_program.cache_info().maxsize
+    assert bound == ex._wavefronts.cache_info().maxsize and bound >= 16
+    n = bound + 8
+
+    def pair(i):
+        return [VectorFunction([ex.sin(var(i)) * c + var(0)], n) for c in (0.5, -2.0)]
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2, n))
+    P = np.zeros((2, 0))
+    first = None
+    for i in range(n):
+        tapes = [f._compiled_outputs() for f in pair(i)]
+        lane = ex._LaneTape(tapes)
+        got = lane.run(X, P, np.arange(2), {})
+        for k, t in enumerate(tapes):
+            want = interpret(t, X[k], P[k])
+            assert got[k].tobytes() == want.tobytes() == t.run(X[k], P[k]).tobytes()
+        if first is None:
+            first = tapes, lane
+    assert ex._scalar_program.cache_info().currsize == bound
+    assert ex._wavefronts.cache_info().currsize == bound
+    again = [f._compiled_outputs() for f in pair(0)]
+    lane = ex._LaneTape(again)
+    got = lane.run(X, P, np.arange(2), {})
+    old_tapes, old_lane = first
+    assert lane.waves.run is not old_lane.waves.run
+    assert got.tobytes() == old_lane.run(X, P, np.arange(2), {}).tobytes()
+    for k, (t, old) in enumerate(zip(again, old_tapes)):
+        assert t.run(X[k], P[k]).tobytes() == old.run(X[k], P[k]).tobytes()
+        assert t.programs.scalar is not old.programs.scalar
+
+
+def test_a_tape_of_5000_instructions_compiles_and_runs():
+    def chain(c):
+        e = var(0)
+        for _ in range(1700):
+            e = ex.sin(e) + var(1) * c
+        return VectorFunction([e, e * var(0)], 2)
+
+    tapes = [chain(c)._compiled_outputs() for c in (0.5, -1.25, 2.0)]
+    assert len(tapes[0].code) >= 5000
+    X = np.array([[0.3, -0.7], [1.5, 0.25], [-2.0, 1.0]])
+    P = np.zeros((3, 0))
+    got = ex._LaneTape(tapes).run(X, P, np.arange(3), {})
+    for k, t in enumerate(tapes):
+        want = interpret(t, X[k], P[k])
+        assert t.run(X[k], P[k]).tobytes() == want.tobytes() == got[k].tobytes()
+
+
+def test_concurrent_fills_of_one_key_match_the_instruction_loop():
+    # threads compile and first run tapes of a few keys at once, each of
+    # its own functions, into emptied tables
+    consts = [(0.75 + 0.1 * k, -0.4 - 0.05 * k) for k in range(16)]
+    funs = [lane_functions(1 + k % 3, c) for k, c in enumerate(consts)]
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1.5, 1.5, (2, 3))
+    P = rng.uniform(-1.5, 1.5, (2, 2))
+    results = [None] * len(funs)
+    ex._scalar_program.cache_clear()
+    ex._wavefronts.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            sets = list(zip(*map(root_sets, funs[k])))
+            results[k] = [
+                (ex._LaneTape(list(ts)).run(X, P, np.arange(2), {}),
+                 [t.run(X[i], P[i]) for i, t in enumerate(ts)])
+                for ts in sets if ts[0] is not None
+            ]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(funs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert ex._scalar_program.cache_info().currsize >= 3
+    for k, group in enumerate(funs):
+        sets = [ts for ts in zip(*map(root_sets, group)) if ts[0] is not None]
+        assert len(results[k]) == len(sets)
+        for (lane, alone), ts in zip(results[k], sets):
+            for i, t in enumerate(ts):
+                want = interpret(t, X[i], P[i])
+                assert lane[i].tobytes() == alone[i].tobytes() == want.tobytes()

@@ -240,3 +240,22 @@ class TestKnownFailures:
         sol = solve_local(sub, np.array([0.6, 0.3]), np.zeros(0), np.eye(2),
                           p=np.array([0.4, 2.0]), tol=1e-10)
         assert sol.status != "max-iter"
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="the inertia correction restarts from zeta = 1e-8 (1 + max|W|) "
+               "on every Newton step and shifts all of W's diagonal: the solve "
+               "sits on the saddle x0 = 0, its x1 residual shrinks by about "
+               "8.8/11 per step, and it ends max-iter after 100 steps at KKT "
+               "residual 2.55e-10, x = (0, 0.9545)",
+    )
+    def test_a_double_well_started_on_its_saddle_converges(self):
+        # f = x0^4 - 4 x0^2 + (x1 - p0)^2, whose W is indefinite at x0 = 0
+        x0, x1 = var(0), var(1)
+        f = VectorFunction(
+            [x0 ** 4.0 - 4.0 * ex.square(x0) + ex.square(x1 - ex.param(0))], 2, 1
+        )
+        sub = Subproblem(f, A=np.zeros((1, 2)))
+        sol = solve_local(sub, np.array([0.0, 0.5]), np.zeros(1), 0.1 * np.eye(2),
+                          p=np.array([1.0]), tol=1e-10)
+        assert sol.status != "max-iter"
