@@ -15,8 +15,6 @@ import argparse
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .driver import run_admm, run_aladin
 from .errors import SolverError
 from .examples_lib import EXAMPLE_NAMES, example_library

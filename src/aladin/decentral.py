@@ -292,7 +292,7 @@ def run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, n_iter=20,
     reductions (||r0||^2 and the scale reference ||s~||^2); afterwards each
     iteration costs one neighbor round plus two scalar global sums.  Stops
     early once ||r|| <= max(rtol ||r0||, 1e-14 ||s~||).  A curvature
-    p'S~p <= 0 raises InnerBreakdownError naming the inner iteration.
+    p'S~p <= 0 or NaN raises InnerBreakdownError naming the inner iteration.
     """
     lam_outer = np.zeros(top.n_c) if lam_outer is None else np.asarray(lam_outer, float)
     b = np.zeros(top.n_c) if b is None else np.asarray(b, float)
@@ -316,7 +316,7 @@ def run_dcg(top, S_blocks, s_blocks, mu, lam_outer, b, lam0=None, n_iter=20,
         u = _block_apply(top, S_hat, p)
         q = _neighbor_round(top, u, log)
         sigma = _global_sum(p @ u, log)
-        if sigma <= 0.0:
+        if not sigma > 0.0:
             raise InnerBreakdownError(
                 f"inner iteration {log.iterations + 1}: conjugate-gradient "
                 f"curvature sigma={sigma:.3e} is not positive"

@@ -52,7 +52,7 @@ from .linalg import mv
 from .local import (  # noqa: F401
     BlockGroup, GroupSolution, group_blocks, solve_group, solve_local,
 )
-from .problem import SolverOptions, coupling_rows, validate
+from .problem import SolverOptions, validate_rows
 from .sensitivity import (
     SensitivityPack,
     active_mask,
@@ -233,9 +233,9 @@ class Solution:
 
 
 def _start(problem, opts, z0, lam0):
-    """Checked options, the initial state, and the run's start time."""
+    """Checked options, initial state, start time and the blocks' C(i)."""
     opts = (opts or SolverOptions()).check()
-    issues = validate(problem)
+    issues, rows = validate_rows(problem)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
     t_start = time.perf_counter()
@@ -268,7 +268,7 @@ def _start(problem, opts, z0, lam0):
         locals=[None] * len(groups),
         bfgs=[None] * len(groups),
     )
-    return opts, state, t_start
+    return opts, state, t_start, rows
 
 
 def _consensus(problem, state, X):
@@ -329,14 +329,15 @@ def _lagrangian_gradient(grad_f, Jg, Jh, kappa, gamma):
 
 
 def _sensitivity_pack(problem, opts, state, coupling):
-    """Every block's gradient, active set, Jacobian and processed Hessian.
+    """Every block's gradient, active-row Jacobian and Hessian to project.
 
     Each group's gradient, Jacobians and active mask are those of its local
     solution; only the Lagrangian Hessian (``BlockGroup.hessian``), or the
     BFGS curvature probe at the previous x (``BlockGroup.eval_point``),
-    evaluates the blocks again.  The group is split into packs whose lanes
-    agree in the numbers of active and of coupling rows; ``coupling`` holds
-    each block's C(i) and A_i[C(i)].  The lowest failing block's
+    evaluates the blocks again.  Each variant's Hessian is chosen here
+    alone (``SensitivityPack.hess``).  The group is split into packs whose
+    lanes agree in the numbers of active and of coupling rows; ``coupling``
+    holds each block's C(i) and A_i[C(i)].  The lowest failing block's
     DomainEvalError is raised.
     """
     rows, compact = coupling
@@ -353,8 +354,8 @@ def _sensitivity_pack(problem, opts, state, coupling):
         errs = {}
         if exact:
             # inactive rows get a zero multiplier, which the Hessian skips
-            H_raw = grp.hessian(x, p, lanes, kappa,
-                                np.where(on[:, :n_h], gamma, 0.0), errs)
+            H = grp.hessian(x, p, lanes, kappa,
+                            np.where(on[:, :n_h], gamma, 0.0), errs)
         elif state.prev_x is not None:
             xp = state.prev_x[g]
             y_new = _lagrangian_gradient(grad, Jg, Jh, kappa, gamma)
@@ -365,17 +366,15 @@ def _sensitivity_pack(problem, opts, state, coupling):
                 errors[grp.blocks[r]] = err
             continue
         if exact:
-            if opts.variant != "fullspace":
-                H = None  # reduce_block regularizes the projected Hessian instead
-            else:
-                H = regularize(H_raw, opts.reg_param) if opts.reg else H_raw
+            if opts.variant == "fullspace" and opts.reg:
+                H = regularize(H, opts.reg_param)
         else:
             B = state.bfgs[g]
             if B is None:
                 B = np.repeat(np.eye(n)[None], k, axis=0)
             if state.prev_x is not None:
                 B = bfgs_update(B, x - xp, y, damped=(opts.hessian == "dbfgs"))
-            state.bfgs[g] = H_raw = H = B
+            state.bfgs[g] = H = B
         # lanes agreeing in the numbers of active and coupling rows share a
         # pack; its key v holds both, v = n_act * width + |C(i)|
         width = problem.n_c + 1
@@ -388,8 +387,7 @@ def _sensitivity_pack(problem, opts, state, coupling):
             act = np.nonzero(on[sel])[1].reshape(blocks.size, v // width)
             A = np.array([compact[i] for i in blocks])
             packs.append(SensitivityPack(
-                grad=grad[sel], hess_raw=H_raw[sel],
-                hess=None if H is None else H[sel], active=act,
+                grad=grad[sel], hess=H[sel],
                 jac_active=active_rows(Jg[sel], Jh[sel], act), blocks=blocks,
                 rows=np.array([rows[i] for i in blocks]), A=A,
                 coupling=mv(A, x[sel]),
@@ -399,10 +397,11 @@ def _sensitivity_pack(problem, opts, state, coupling):
     return packs
 
 
-def _reduce(opts, full, H, grad, C, A, rows):
+def _reduce(opts, H, grad, C, A, rows):
     """Nullspace basis and reduced block of some lanes, B factored."""
     Z = nullspace_basis(C)
-    red = reduce_block(H, grad, A, Z, opts.reg_param, rows, reg=opts.reg and not full)
+    reg = opts.reg and opts.variant != "fullspace"
+    red = reduce_block(H, grad, A, Z, opts.reg_param, rows, reg=reg)
     red.solved  # factor B here, so a singular one names its block
     return Z, red
 
@@ -412,24 +411,23 @@ def _coordinate(problem, opts, state, packs, topology):
 
     Every variant reduces each block onto the nullspace of its active rows
     and solves the Schur dual system on its coupling rows C(i), one call per
-    pack: fullspace projects the regularized Hessian and leaves the
-    projection as it is, nullspace and bilevel regularize the projected raw
-    Hessian; bilevel solves the dual system on the agents' ``topology``.
+    pack, from the pack's one Hessian ``pk.hess``: fullspace leaves the
+    projection as it is, nullspace and bilevel regularize it; bilevel
+    solves the dual system on the agents' ``topology``.
     The lowest block with a LICQ or singular-Hessian failure is named.
     Returns (result, inner message log or None, inner wall time).
     """
     b = problem.b
-    full = opts.variant == "fullspace"
     Zs, reduced, failed = [], [], []
     for pk in packs:
-        args = (pk.hess if full else pk.hess_raw, pk.grad, pk.jac_active, pk.A, pk.rows)
+        args = (pk.hess, pk.grad, pk.jac_active, pk.A, pk.rows)
         try:
-            Z, red = _reduce(opts, full, *args)
+            Z, red = _reduce(opts, *args)
         except (SolverError, np.linalg.LinAlgError):
             # find the pack's lowest failing block, lane by lane
             for j, i in enumerate(pk.blocks.tolist()):
                 try:
-                    _reduce(opts, full, *(a[j] for a in args))
+                    _reduce(opts, *(a[j] for a in args))
                 except (SolverError, np.linalg.LinAlgError) as err:
                     failed.append((i, err))
                     break
@@ -627,12 +625,9 @@ def run_aladin(problem, opts=None, z0=None, lam0=None):
     runs in the configured variant; z and lam take the (damped) full step;
     the scaling heuristics update.
     """
-    opts, state, t_start = _start(problem, opts, z0, lam0)
-    # each block's coupling rows C(i), from one scan of all the A_i, and its
-    # compact A_i[C(i)]: fixed for the run, built afresh by every run
-    subs = problem.subproblems
-    rows = coupling_rows([s.A for s in subs])
-    coupling = (rows, [s.A[r] for s, r in zip(subs, rows)])
+    opts, state, t_start, rows = _start(problem, opts, z0, lam0)
+    # each block's C(i) and compact A_i[C(i)]
+    coupling = (rows, [s.A[r] for s, r in zip(problem.subproblems, rows)])
     topology = (
         topology_from_rows(problem.n_c, rows) if opts.variant == "bilevel" else None
     )
@@ -691,7 +686,7 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     rho (sum A_i x_i - b), it is z_i = x_i - A_i^+ nu / rho (Boyd et al.,
     FnT ML 3, 2011, section 7), one stacked product per group.
     """
-    opts, state, t_start = _start(problem, opts, z0, lam0)
+    opts, state, t_start, rows = _start(problem, opts, z0, lam0)
     rho = opts.rho_admm
     subs = problem.subproblems
     n_c = problem.n_c
@@ -703,8 +698,8 @@ def run_admm(problem, opts=None, z0=None, lam0=None):
     # order as sum() would add them, so only one n_c x n_c projector lives
     G = np.zeros((n_c, n_c))
     pinvs = []
-    for s in subs:
-        if n_c and np.any(s.A != 0.0):
+    for s, c in zip(subs, rows):
+        if c.size:
             U, sv, Vt = np.linalg.svd(s.A, full_matrices=False)
             r = int(np.sum(sv > max(s.A.shape) * np.finfo(float).eps * sv[0]))
             U = U[:, :r]

@@ -33,15 +33,16 @@ and each constant reduced to its fold class (0, 1, 2 or other, what
 problem with equal structures to one ``_Structure``.  Its representative
 alone is differentiated and compiled, while the constants its derivation
 folds are recorded.  Every other function then replays those folds on its
-own constants, all functions at once in one lane tape, and takes the
-representative's tapes (instructions, loads, scatter and programs) with its
-own ``init`` and ``base``: bit for bit the tapes it would compile itself.  A
-function whose replayed folds meet another fold class (``x**3.0`` derives
-``square`` where ``x**2.5`` derives ``pow(x, 1.5)``) or raise compiles its
-own.  Nothing outlives the problem's functions: once both kinds of root set
-are compiled, they let go of their structure.  A shared tape's nodes are the
-representative's, so on a DomainEvalError it compiles the block's own tape
-and reruns the point on it, and the error names the block's own node.
+own constants, all at once in the wavefront program of the folds' tape, and
+takes the representative's tapes (instructions, loads, scatter and
+programs) with its own ``init`` and ``base``: bit for bit the tapes it would
+compile itself.  A function whose replayed folds meet another fold class
+(``x**3.0`` derives ``square`` where ``x**2.5`` derives ``pow(x, 1.5)``) or
+raise compiles its own.  Nothing outlives the problem's functions: once
+both kinds of root set are compiled, they let go of their structure.  A
+shared tape's nodes are the representative's, so on a DomainEvalError it
+compiles the block's own tape and reruns the point on it, and the error
+names the block's own node.
 
 Tapes of equal ``key`` differ only in their constants, and run as one
 generated Python program per key, as CasADi evaluates a function through
@@ -1031,13 +1032,16 @@ def _replay(program, consts):
     """Every function's values of ``program``, a row per function, from
     ``consts``, the rows of their leaf constants; and the mask of the
     functions whose folds all go as the representative's.  The folds run
-    as one lane tape, a lane per function; a function whose fold raises or
-    meets another fold class derives another graph.
+    as the wavefront program of the tape's key, a lane per function even
+    for one, where there are any; a function whose fold raises or meets
+    another fold class derives another graph.
     """
     m = len(consts)
+    if not program.tape.code:
+        return consts, np.ones(m, dtype=bool)
     errors = {}
     with np.errstate(all="ignore"):
-        made = _LaneTape([program.tape] * m).run(
+        made = _LaneTape([program.tape] * m)._run_lanes(
             consts, np.zeros((m, 0)), np.arange(m), errors
         )
     cls = np.select([made == 0.0, made == 1.0, made == 2.0], [0, 1, 2], 3)

@@ -181,9 +181,15 @@ def validate(problem):
     Every block's shapes, bounds, functions and parameters are checked, and
     every consensus row must be a coupling row C(i) of some block whose A_i
     has n_c rows; C(i) is ``coupling_rows``, one scan over all the coupling
-    matrices.  The solvers call it on every problem they are given, before
-    anything else reads it.
+    matrices.
     """
+    return validate_rows(problem)[0]
+
+
+def validate_rows(problem):
+    """``validate``'s violations and the C(i) its scan found, every block's
+    when there is no violation.  The solvers call it on every problem they
+    are given, before anything else reads it."""
     out = []
     subs = problem.subproblems
     n_c = problem.n_c
@@ -207,13 +213,12 @@ def validate(problem):
                 )
         if problem.parameters[i].size != s.n_p:
             out.append(f"{tag}: active parameter vector has wrong length")
-    if n_c:
-        covered = np.zeros(n_c, dtype=bool)
-        rows = coupling_rows([s.A for s in subs if s.A.shape[0] == n_c])
-        covered[np.concatenate([_NO_ROWS, *rows])] = True
-        for c in np.flatnonzero(~covered):
-            out.append(f"consensus row {c} is referenced by no subproblem")
-    return out
+    rows = coupling_rows([s.A for s in subs if s.A.shape[0] == n_c])
+    covered = np.zeros(n_c, dtype=bool)
+    covered[np.concatenate([_NO_ROWS, *rows])] = True
+    for c in np.flatnonzero(~covered):
+        out.append(f"consensus row {c} is referenced by no subproblem")
+    return out, rows
 
 
 def set_parameters(problem, i, p):

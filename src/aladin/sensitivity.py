@@ -75,21 +75,17 @@ class ReducedBlock:
 class SensitivityPack:
     """Everything some blocks contribute to the coordination QP, lanes first.
 
-    ``blocks`` holds each lane's block.  ``hess_raw`` is the (possibly
-    indefinite) Lagrangian Hessian or BFGS matrix before processing;
-    ``hess`` is the matrix the full-space variant projects, regularized
-    unless ``reg`` is off.  With the exact Hessian only the full-space
-    variant fills ``hess``; the nullspace and bilevel variants leave it
-    None, since ``reduce_block`` regularizes their projected Hessian
-    instead.  BFGS modes always set it to the BFGS matrix.  ``active``
-    indexes the active rows of h~; ``rows`` are the coupling rows C(i),
-    ``A`` is A_i[C(i)] and ``coupling`` is A_i x_i on them.
+    ``blocks`` holds each lane's block.  ``hess`` is the matrix
+    ``reduce_block`` projects: the full-space variant's regularized
+    Lagrangian Hessian (raw when ``reg`` is off), the raw one of the
+    nullspace and bilevel variants, which regularize its projection, or the
+    BFGS matrix.  ``jac_active`` stacks Jg and the active rows of h~;
+    ``rows`` are the coupling rows C(i), ``A`` is A_i[C(i)] and
+    ``coupling`` is A_i x_i on them.
     """
 
     grad: np.ndarray
-    hess_raw: np.ndarray
-    hess: np.ndarray | None
-    active: np.ndarray
+    hess: np.ndarray
     jac_active: np.ndarray
     blocks: np.ndarray | None = None
     rows: np.ndarray | None = None
@@ -205,19 +201,19 @@ def nullspace_basis(C):
     return Vt[..., m:, :].swapaxes(-1, -2)
 
 
-def reduce_block(hess_raw, grad, A, Z, delta, rows, reg=True):
+def reduce_block(hess, grad, A, Z, delta, rows, reg=True):
     """Project onto the active-constraint nullspace and re-regularize.
 
-    ``A`` is the block's compact coupling matrix A_i[rows], on any leading
-    lane axes, and ``rows`` are its coupling rows C(i) (``coupling_rows``).
+    ``hess`` is a pack's one Hessian (``SensitivityPack.hess``); ``A`` is
+    the block's compact coupling matrix A_i[rows], on any leading lane
+    axes, and ``rows`` are its coupling rows C(i) (``coupling_rows``).
     Returns ReducedBlock(Z' H Z, Z' g, A Z, rows), with Z' H Z regularized
-    when ``reg`` is set.  The nullspace and bilevel variants pass the raw
-    Hessian with ``reg`` from the options; the full-space variant passes its
-    already regularized Hessian with ``reg=False``.
+    when ``reg`` is set: from the options for the nullspace and bilevel
+    variants, never for the full-space one.
     """
     A = np.asarray(A, dtype=float)
     Zt = Z.swapaxes(-1, -2)
-    B = Zt @ hess_raw @ Z
+    B = Zt @ hess @ Z
     if reg:
         B = regularize(B, delta)
     return ReducedBlock(B=B, g=mv(Zt, grad), A=A @ Z, rows=rows)

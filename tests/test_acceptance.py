@@ -110,7 +110,7 @@ class TestAcceptance:
             Zs = [nullspace_basis(p.jac_active) for p in packs]
             rows = coupling_rows(A_list)
             reduced = [
-                reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-10, rows[i])
+                reduce_block(p.hess, p.grad, A_list[i][rows[i]], Zs[i], 1e-10, rows[i])
                 for i, p in enumerate(packs)
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]

@@ -19,8 +19,7 @@ def make_pack(B, g, C):
     g = np.asarray(g, dtype=float)
     C = np.asarray(C, dtype=float)
     return SensitivityPack(
-        grad=g, hess_raw=B, hess=B,
-        active=np.zeros(0, dtype=np.intp), jac_active=C,
+        grad=g, hess=B, jac_active=C,
     )
 
 
@@ -202,7 +201,7 @@ class TestReduced:
             Zs = [nullspace_basis(p.jac_active) for p in packs]
             rows = coupling_rows(A_list)
             reduced = [
-                reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
+                reduce_block(p.hess, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
                 for i, p in enumerate(packs)
             ]
             couplings = [A_list[i][r.rows] @ xs[i] for i, r in enumerate(reduced)]
@@ -236,7 +235,7 @@ class TestReduced:
         Zs = [nullspace_basis(p.jac_active) for p in packs]
         rows = coupling_rows(A_list)
         reduced = [
-            reduce_block(p.hess_raw, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
+            reduce_block(p.hess, p.grad, A_list[i][rows[i]], Zs[i], 1e-8, rows[i])
             for i, p in enumerate(packs)
         ]
         np.testing.assert_array_equal(reduced[0].rows, [0, 2])

@@ -78,8 +78,7 @@ def unstack(packs):
     for pk in packs:
         for j, i in enumerate(pk.blocks.tolist()):
             out[i] = SensitivityPack(
-                grad=pk.grad[j], hess_raw=pk.hess_raw[j], hess=pk.hess[j],
-                active=pk.active[j], jac_active=pk.jac_active[j],
+                grad=pk.grad[j], hess=pk.hess[j], jac_active=pk.jac_active[j],
             )
     return [out[i] for i in sorted(out)]
 

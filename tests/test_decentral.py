@@ -218,6 +218,18 @@ class TestBreakdown:
         ):
             run_dcg(top, S, s, None, None, None, n_iter=10)
 
+    def test_nan_curvature_is_no_curvature(self):
+        # a NaN entry in one agent's block makes p'S~p NaN, which is not
+        # positive either
+        top = topology_from_rows(3, [[0, 1], [1, 2]])
+        S = [np.diag([1.0, np.nan]), np.diag([0.25, 2.0])]
+        s = [np.array([1.0, 0.5]), np.array([0.5, 0.1])]
+        with pytest.raises(
+            InnerBreakdownError,
+            match=r"^inner iteration 1: conjugate-gradient curvature sigma=nan ",
+        ):
+            run_dcg(top, S, s, None, None, None, n_iter=10)
+
     def test_run_aladin_names_outer_and_inner_iteration(self):
         # unregularized exact Hessians -2 and 4 give Schur terms -1/2 and 1/4
         f1 = VectorFunction([-ex.square(var(0))], 1)

@@ -253,14 +253,14 @@ def reference_aladin(problem, opts=None, z0=None, lam0=None):
             )
             err_prev = max(viol_inf, local_step)
 
+            acts = [
+                detect_active(
+                    problem.subproblems[i], xs[i], problem.parameters[i],
+                    opts.act_margin,
+                ).indices
+                for i in range(n_s)
+            ]
             if opts.term_eps > 0 and viol_inf <= opts.term_eps and local_step <= opts.term_eps:
-                acts = [
-                    detect_active(
-                        problem.subproblems[i], xs[i], problem.parameters[i],
-                        opts.act_margin,
-                    ).indices
-                    for i in range(n_s)
-                ]
                 log.append(
                     IterationRecord(
                         iter=k, consensus_viol=viol_inf, local_step=local_step,
@@ -306,7 +306,6 @@ def reference_aladin(problem, opts=None, z0=None, lam0=None):
             state.lam = state.lam + alpha * (result.lam_qp - state.lam)
             state.prev_lam_qp = result.lam_qp.copy()
 
-            acts = [tuple(a.tolist()) for a in _unstack(packs, "active")]
             log.append(
                 IterationRecord(
                     iter=k,

@@ -935,7 +935,7 @@ def test_one_key_builds_no_partition():
 
 def test_objective_of_a_mixed_key_group_adds_the_solo_values_in_block_order():
     subs = [folded_block(c, d) for c, d in FOLDED]
-    _, state, _ = driver._start(SeparableProblem(subs, b=[1.0]), SolverOptions(), None, None)
+    _, state, _, _ = driver._start(SeparableProblem(subs, b=[1.0]), SolverOptions(), None, None)
     assert len(state.groups) == 1
     X = [np.random.default_rng(9).uniform(0.2, 2.0, (6, 2))]
     want = 0.0
@@ -1044,6 +1044,37 @@ def test_a_derived_constant_of_another_fold_class_splits(exponents):
     hess = [f._compiled_hessian(0) for f in fs]
     assert hess[0].key != hess[1].key
     assert (hess[2].code is hess[0].code) == (exponents[0] != 3.0)
+
+
+def shifted_sine_block(c):
+    # c only enters x0 + c, whose derivative 1 holds no c: no fold reads c
+    return Subproblem(VectorFunction([ex.sin(var(0) + c) + ex.square(var(1))], 2))
+
+
+@pytest.mark.parametrize("block, folds", [(power_block, True), (shifted_sine_block, False)])
+def test_one_other_function_replays_its_folds_without_a_scalar_program(
+        monkeypatch, block, folds):
+    # the fold tape of a structure of two functions runs as its wavefront
+    # program on the one other function's lane; without instructions it
+    # runs no program at all
+    replays = []
+    replay = ex._replay
+
+    def spy(program, consts):
+        replays.append((program.tape, len(consts)))
+        return replay(program, consts)
+
+    monkeypatch.setattr(ex, "_replay", spy)
+    problem = SeparableProblem([block(2.5), block(4.5)])
+    fs = [s.f for s in problem.subproblems]
+    for f in fs:
+        assert_tapes_are_own(f)
+    assert len(replays) == 2  # the outputs, then the derivatives
+    assert any(tape.code for tape, _ in replays) == folds
+    for tape, m in replays:
+        assert m == 1
+        assert tape.programs.scalar is None
+        assert (tape.programs.waves is not None) == bool(tape.code)
 
 
 def test_a_leaf_constant_keys_by_its_fold_class():

@@ -383,8 +383,8 @@ def _coordinate(problem, opts, state, packs, xs, rows, topology):
 def reference_pack(record):
     """The reference packs, one block each, shaped as single-lane stacks.
 
-    The loop's step reads ``blocks``, ``hess`` and ``active`` of a pack; the
-    block's own pack rides along for ``reference_coordinate``.  Every
+    The loop's step reads ``blocks`` and ``hess`` of a pack; the block's
+    own pack rides along for ``reference_coordinate``.  Every
     block's active set is appended to ``record``, one list per call.
     """
 
@@ -397,7 +397,6 @@ def reference_pack(record):
             lanes.append(SimpleNamespace(
                 blocks=np.array([i]),
                 hess=None if pk.hess is None else pk.hess[None],
-                active=np.array([pk.active.indices], dtype=np.intp),
                 pack=pk,
             ))
         if opts.hessian != "exact":
